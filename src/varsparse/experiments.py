@@ -212,10 +212,10 @@ def evaluate_method(
     return mcc_between(test_latents, learned).score
 
 
-def run_cell(
-    experiment: str, config: ExperimentConfig, seed: int, method: str
-) -> ResultRow:
-    """One (cell, seed, method) evaluation; failures land in the row."""
+def _score_methods(
+    experiment: str, config: ExperimentConfig, seed: int, methods: Sequence[str]
+) -> list[ResultRow]:
+    """One row per method, all scored on the seed's single dataset; failures land in the rows."""
     base = dict(
         experiment=experiment,
         scm=config.scm,
@@ -223,14 +223,28 @@ def run_cell(
         p=config.p if config.scm == "linear" else None,
         n_per_env=config.n_per_env,
         seed=seed,
-        method=method,
     )
     try:
         dataset, _ = make_dataset(config, seed)
-        score = evaluate_method(dataset, method, config, seed)
-    except (TrainingAborted, NumericalError, ValueError, RuntimeError) as exc:
-        return ResultRow(mcc=float("nan"), error=str(exc), **base)
-    return ResultRow(mcc=score, **base)
+    except (ValueError, RuntimeError) as exc:
+        return [ResultRow(method=m, mcc=float("nan"), error=str(exc), **base) for m in methods]
+    rows = []
+    for method in methods:
+        try:
+            score = evaluate_method(dataset, method, config, seed)
+        except (TrainingAborted, NumericalError, ValueError, RuntimeError) as exc:
+            rows.append(ResultRow(method=method, mcc=float("nan"), error=str(exc), **base))
+        else:
+            rows.append(ResultRow(method=method, mcc=score, **base))
+    return rows
+
+
+def run_cell(
+    experiment: str, config: ExperimentConfig, seed: int, method: str
+) -> ResultRow:
+    """One (cell, seed, method) evaluation; failures land in the row."""
+    (row,) = _score_methods(experiment, config, seed, (method,))
+    return row
 
 
 def _grid(which: str, config: ExperimentConfig) -> list[ExperimentConfig]:
@@ -264,8 +278,7 @@ def run_experiment(
         if d_limit is not None and cell.d > d_limit:
             continue
         for seed in cell.seeds:
-            for method in methods:
-                rows.append(run_cell(which, cell, seed, method))
+            rows.extend(_score_methods(which, cell, seed, methods))
     return rows
 
 

@@ -1,9 +1,11 @@
 """Learning the unmixing matrix by variance-sparsity minimization.
 
 The model is a single matrix lhat mapping observations to a candidate
-representation. Per environment we form the vector of per-column minibatch
-variances; stacking them gives the variance matrix V (environments x learned
-dims). The objective pushes V toward a permuted diagonal:
+representation. Per environment we form the vector of per-column variances;
+stacking them gives the variance matrix V (environments x learned dims). The
+data enter only through each environment's covariance S_e, since
+V[e, j] = l_j^T S_e l_j, so training is full-batch on the (E, m, m) stack of
+train covariances. The objective pushes V toward a permuted diagonal:
 
   total = loss_var + le * loss_env + lm * loss_dim + ld * loss_diag + ln * loss_norm
 
@@ -27,6 +29,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.special import expit
 
+from ._rng import derive_seed
 from .data import EnvDataset
 
 
@@ -80,7 +83,7 @@ class UnmixingModel:
 
 @dataclass(frozen=True, eq=False)
 class VarianceMatrix:
-    """Stacked per-environment, per-dimension minibatch variances."""
+    """Stacked per-environment, per-dimension variances."""
 
     v: np.ndarray
 
@@ -198,21 +201,30 @@ def _as_v(v: Union[VarianceMatrix, np.ndarray]) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def variance_matrix(
-    batches: Sequence[np.ndarray], model: UnmixingModel
-) -> VarianceMatrix:
-    """Biased (divide-by-n) per-column variances of each projected batch."""
-    rows = []
+def _covariances(batches: Sequence[np.ndarray], m: int) -> np.ndarray:
+    """(E, m, m) stack of the biased (divide-by-n) covariances of the batches."""
+    covs = np.empty((len(batches), m, m))
     for e, batch in enumerate(batches):
         batch = np.asarray(batch, dtype=float)
         if batch.ndim != 2 or batch.shape[0] < 2:
             raise ValueError(f"batch {e} needs at least 2 rows, got shape {batch.shape}")
-        if batch.shape[1] != model.m:
-            raise ValueError(f"batch {e} has {batch.shape[1]} columns, model expects {model.m}")
-        y = batch @ model.lhat
-        yc = y - y.mean(axis=0)
-        rows.append(np.mean(yc * yc, axis=0))
-    return VarianceMatrix(np.stack(rows))
+        if batch.shape[1] != m:
+            raise ValueError(f"batch {e} has {batch.shape[1]} columns, model expects {m}")
+        centered = batch - batch.mean(axis=0)
+        covs[e] = centered.T @ centered / batch.shape[0]
+    return covs
+
+
+def _variances(covs: np.ndarray, lhat: np.ndarray) -> np.ndarray:
+    # l^T S l can round below zero where the true variance is exactly zero
+    return np.maximum(np.einsum("emd,md->ed", covs @ lhat, lhat), 0.0)
+
+
+def variance_matrix(
+    batches: Sequence[np.ndarray], model: UnmixingModel
+) -> VarianceMatrix:
+    """Biased (divide-by-n) per-column variances of each projected batch."""
+    return VarianceMatrix(_variances(_covariances(batches, model.m), model.lhat))
 
 
 def loss_var(v: Union[VarianceMatrix, np.ndarray]) -> float:
@@ -306,24 +318,10 @@ def grad_loss_norm(model: UnmixingModel, norm_target: float = 1.0) -> np.ndarray
     return 2.0 * (fro - norm_target) * model.lhat / fro
 
 
-def _prepare_batches(
-    batches: Sequence[np.ndarray], model: UnmixingModel
-) -> list[np.ndarray]:
-    centered = []
-    for e, batch in enumerate(batches):
-        batch = np.asarray(batch, dtype=float)
-        if batch.ndim != 2 or batch.shape[0] < 2:
-            raise ValueError(f"batch {e} needs at least 2 rows, got shape {batch.shape}")
-        if batch.shape[1] != model.m:
-            raise ValueError(f"batch {e} has {batch.shape[1]} columns, model expects {model.m}")
-        centered.append(batch - batch.mean(axis=0))
-    return centered
-
-
 def _loss_and_grad(
-    centered: list[np.ndarray], model: UnmixingModel, weights: LossWeights
+    covs: np.ndarray, model: UnmixingModel, weights: LossWeights
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
-    """Shared forward+backward pass over pre-centered batches.
+    """Shared forward+backward pass over an (E, m, m) covariance stack.
 
     The four variance-based terms are evaluated on the variance matrix of
     the *unit-normalized* columns of lhat, so they score only the directions
@@ -348,8 +346,8 @@ def _loss_and_grad(
     col_norms = np.linalg.norm(lhat, axis=0)
     safe_norms = np.where(col_norms > 0.0, col_norms, 1.0)
     directions = lhat / safe_norms
-    projected = [bc @ directions for bc in centered]
-    v_dir = np.stack([np.mean(yc * yc, axis=0) for yc in projected])
+    su = covs @ directions  # S_e U, shape (E, m, d)
+    v_dir = np.einsum("emd,md->ed", su, directions)
     scale = float(np.linalg.norm(v_dir)) / np.sqrt(v_dir.size)
     v = v_dir / scale if scale > 0 else v_dir
 
@@ -366,9 +364,9 @@ def _loss_and_grad(
         + weights.lambda_norm * l_norm
     )
 
-    # dtotal/dV, pulled back through the per-environment variance map onto
-    # the unit directions, then through the normalization (the tangent
-    # projection I - u u^T, scaled by 1/||l_j||)
+    # dtotal/dV, pulled back through the per-environment variance map
+    # (dV[e, j]/du_j = 2 S_e u_j) onto the unit directions, then through the
+    # normalization (the tangent projection I - u u^T, scaled by 1/||l_j||)
     g_vn = (
         grad_loss_var(v)
         + weights.lambda_e * grad_loss_env(v)
@@ -379,9 +377,7 @@ def _loss_and_grad(
         g_v = (g_vn - float((g_vn * v).sum()) * v / v.size) / scale
     else:
         g_v = g_vn
-    w = np.zeros_like(lhat)
-    for bc, yc, row in zip(centered, projected, g_v):
-        w += (2.0 / bc.shape[0]) * (bc.T @ (yc * row))
+    w = 2.0 * np.einsum("emd,ed->md", su, g_v)
     grad = (w - directions * (directions * w).sum(axis=0)) / safe_norms
     grad[:, col_norms == 0.0] = 0.0  # direction undefined; subgradient 0
     grad += weights.lambda_norm * grad_loss_norm(model, weights.norm_target)
@@ -400,7 +396,7 @@ def total_loss(
     batches: Sequence[np.ndarray], model: UnmixingModel, weights: LossWeights
 ) -> tuple[float, LossBreakdown]:
     """Weighted objective value and its per-term breakdown."""
-    breakdown, _, _ = _loss_and_grad(_prepare_batches(batches, model), model, weights)
+    breakdown, _, _ = _loss_and_grad(_covariances(batches, model.m), model, weights)
     return breakdown.total, breakdown
 
 
@@ -408,7 +404,7 @@ def gradient(
     batches: Sequence[np.ndarray], model: UnmixingModel, weights: LossWeights
 ) -> np.ndarray:
     """Exact gradient of the weighted objective with respect to lhat."""
-    _, grad, _ = _loss_and_grad(_prepare_batches(batches, model), model, weights)
+    _, grad, _ = _loss_and_grad(_covariances(batches, model.m), model, weights)
     return grad
 
 
@@ -443,7 +439,7 @@ def adamw_step(state: AdamWState, grad: np.ndarray, config: TrainConfig) -> Adam
 
 
 def _directional_grad_check(
-    centered: list[np.ndarray],
+    covs: np.ndarray,
     model: UnmixingModel,
     weights: LossWeights,
     grad: np.ndarray,
@@ -458,8 +454,8 @@ def _directional_grad_check(
         direction /= np.linalg.norm(direction)
         plus = UnmixingModel(model.lhat + h * direction, model.init_seed)
         minus = UnmixingModel(model.lhat - h * direction, model.init_seed)
-        f_plus, _, _ = _loss_and_grad(centered, plus, weights)
-        f_minus, _, _ = _loss_and_grad(centered, minus, weights)
+        f_plus, _, _ = _loss_and_grad(covs, plus, weights)
+        f_minus, _, _ = _loss_and_grad(covs, minus, weights)
         fd = (f_plus.total - f_minus.total) / (2.0 * h)
         analytic = float((grad * direction).sum())
         denom = max(abs(fd), abs(analytic), 1e-12)
@@ -470,12 +466,12 @@ def _directional_grad_check(
 def train(
     dataset: EnvDataset, weights: LossWeights, config: TrainConfig
 ) -> tuple[UnmixingModel, TrainReport]:
-    """Stochastic minimization of the objective over the dataset's train split.
+    """Full-batch minimization of the objective over the dataset's train split.
 
-    Each step draws an independent minibatch from every environment's train
-    rows (fixed environment order), evaluates loss and gradient on the stacked
-    variance matrix, and applies one optimizer update. Bit-reproducible for a
-    fixed config.seed.
+    The train rows enter once, as the stack of per-environment covariances;
+    every step evaluates loss and gradient on it and applies one optimizer
+    update. batch_size only sets the steps per epoch,
+    ceil(n_train / batch_size). Bit-reproducible for a fixed config.seed.
     """
     n_envs = dataset.n_envs
     if n_envs < 2:
@@ -486,35 +482,28 @@ def train(
             f"batch_size {config.batch_size} exceeds the {n_train} train rows per environment"
         )
 
-    rng = np.random.default_rng(config.seed)
-    bound = 1.0 / np.sqrt(dataset.m)
-    model = UnmixingModel(
-        rng.uniform(-bound, bound, size=(dataset.m, dataset.d)), init_seed=config.seed
-    )
+    started = time.perf_counter()
+    model = UnmixingModel.initialize(dataset.m, dataset.d, config.seed)
     state = adamw_init(model.lhat)
-    train_rows = [dataset.train_observed(e) for e in range(n_envs)]
+    covs = _covariances([dataset.train_observed(e) for e in range(n_envs)], dataset.m)
     steps_per_epoch = -(-n_train // config.batch_size)
     report = TrainReport()
-    started = time.perf_counter()
 
     for epoch in range(config.epochs):
         sums = np.zeros(6)
         for step in range(steps_per_epoch):
-            centered = []
-            for rows in train_rows:
-                idx = rng.choice(n_train, size=config.batch_size, replace=False)
-                batch = rows[idx]
-                centered.append(batch - batch.mean(axis=0))
             try:
-                breakdown, grad, _ = _loss_and_grad(centered, model, weights)
+                breakdown, grad, _ = _loss_and_grad(covs, model, weights)
             except NumericalError as err:
                 report.wall_time_s = time.perf_counter() - started
                 raise TrainingAborted(
                     f"aborted at epoch {epoch}, step {step}: {err}", epoch, step, report
                 ) from err
             if epoch == 0 and step == 0:
+                # a stream of its own: switching the diagnostic off changes no result
+                check_rng = np.random.default_rng(derive_seed(config.seed, 1))
                 report.grad_check_rel_err = _directional_grad_check(
-                    centered, model, weights, grad, rng
+                    covs, model, weights, grad, check_rng
                 )
             state = adamw_step(state, grad, config)
             model = UnmixingModel(state.theta, init_seed=config.seed)
@@ -529,7 +518,7 @@ def train(
         means = sums / steps_per_epoch
         report.epoch_losses.append(LossBreakdown(*means))
 
-    report.final_variances = variance_matrix(train_rows, model).v
+    report.final_variances = _variances(covs, model.lhat)
     report.wall_time_s = time.perf_counter() - started
     return model, report
 

@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import varsparse.experiments as experiments
 from varsparse.experiments import (
     ExperimentConfig,
     ResultRow,
@@ -148,6 +150,32 @@ def test_rows_come_out_in_cell_seed_method_order():
         for seed in (0, 1)
         for m in ("fastica", "ours")
     ]
+
+
+def test_grid_generates_each_dataset_once_with_unchanged_rows(tmp_path, monkeypatch):
+    base = ExperimentConfig(n_per_env=400, seeds=(0,), epochs=1, batch_size=64)
+    methods = ("ours", "fastica")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # FastICA need not converge on 400 rows
+        # one dataset per method and row, as run_cell makes them
+        per_row = [
+            run_cell("fig2b", cell, seed, method)
+            for cell in experiments._grid("fig2b", base)
+            for seed in cell.seeds
+            for method in methods
+        ]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return make_dataset(*args)
+
+        monkeypatch.setattr(experiments, "make_dataset", counted)
+        rows = run_experiment("fig2b", base, methods=methods)
+    assert len(calls) == 5  # one per (cell, seed), shared by both methods
+    write_rows_csv(per_row, tmp_path / "per_row.csv")
+    write_rows_csv(rows, tmp_path / "grid.csv")
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "per_row.csv").read_bytes()
 
 
 def _row(seed, mcc, method="ours"):

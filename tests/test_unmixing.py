@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+import varsparse.unmixing as unmixing
 from varsparse.data import EPS_VAR, MixingMatrix, generate
 from varsparse.envs import EnvironmentSet, InterventionRegime
 from varsparse.scm import chain_example_scm
@@ -60,6 +63,96 @@ def _random_batches(rng, n_envs=3, n=40, m=3):
 
 def _rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
+
+
+def _row_loss_and_grad(batches, model, weights):
+    """Reference: the objective evaluated directly on the rows of each batch."""
+    lhat = model.lhat
+    col_norms = np.linalg.norm(lhat, axis=0)
+    safe_norms = np.where(col_norms > 0.0, col_norms, 1.0)
+    directions = lhat / safe_norms
+    centered = [b - b.mean(axis=0) for b in batches]
+    projected = [bc @ directions for bc in centered]
+    v_dir = np.stack([np.mean(yc * yc, axis=0) for yc in projected])
+    scale = float(np.linalg.norm(v_dir)) / np.sqrt(v_dir.size)
+    v = v_dir / scale if scale > 0 else v_dir
+    total = (
+        loss_var(v)
+        + weights.lambda_e * loss_env(v)
+        + weights.lambda_m * loss_dim(v)
+        + weights.lambda_diag * loss_diag(v)
+        + weights.lambda_norm * loss_norm(model, weights.norm_target)
+    )
+    g_vn = (
+        grad_loss_var(v)
+        + weights.lambda_e * grad_loss_env(v)
+        + weights.lambda_m * grad_loss_dim(v)
+        + weights.lambda_diag * grad_loss_diag(v)
+    )
+    g_v = (g_vn - float((g_vn * v).sum()) * v / v.size) / scale if scale > 0 else g_vn
+    w = np.zeros_like(lhat)
+    for bc, yc, row in zip(centered, projected, g_v):
+        w += (2.0 / bc.shape[0]) * (bc.T @ (yc * row))
+    grad = (w - directions * (directions * w).sum(axis=0)) / safe_norms
+    grad[:, col_norms == 0.0] = 0.0
+    grad += weights.lambda_norm * grad_loss_norm(model, weights.norm_target)
+    return total, grad, v
+
+
+def _row_variances(batches, lhat):
+    """Reference: per-column variances of each projected batch."""
+    out = []
+    for b in batches:
+        yc = b @ lhat - (b @ lhat).mean(axis=0)
+        out.append(np.mean(yc * yc, axis=0))
+    return np.stack(out)
+
+
+def _close(a, b, rel=1e-10, scale=0.0):
+    # relative to the whole array, or to `scale` where that is larger: an entry
+    # whose true value is zero has no relative error of its own, and each path
+    # rounds it to a different multiple of eps times the data's own scale
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.linalg.norm(a - b)) <= rel * max(float(np.linalg.norm(b)), scale, 1e-300)
+
+
+@st.composite
+def _problems(draw):
+    """(batches, lhat): E in [2, 6] batches of m in [2, 6] columns, 2-60 rows each,
+    some constant, and lhat with possibly one all-zero column."""
+    n_envs = draw(st.integers(2, 6))
+    m = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batches = []
+    for _ in range(n_envs):
+        n = draw(st.integers(2, 60))
+        if draw(st.integers(0, 3)) == 0:  # a quarter of the batches are constant
+            batches.append(np.tile(rng.normal(size=m), (n, 1)))
+        else:
+            batches.append(rng.normal(size=(n, m)) @ rng.normal(size=(m, m)))
+    lhat = rng.normal(size=(m, m)) * rng.uniform(0.3, 1.5)
+    zero_col = draw(st.one_of(st.none(), st.integers(0, m - 1)))
+    if zero_col is not None:
+        lhat[:, zero_col] = 0.0
+    return batches, lhat
+
+
+@settings(max_examples=200, deadline=None)
+@given(_problems())
+def test_covariance_kernel_matches_row_path(problem):
+    batches, lhat = problem
+    model = UnmixingModel(lhat, init_seed=0)
+    weights = LossWeights(lambda_e=0.7, lambda_m=1.3, lambda_diag=10.0, lambda_norm=5.0)
+    covs = unmixing._covariances(batches, model.m)
+    breakdown, grad, v = unmixing._loss_and_grad(covs, model, weights)
+    ref_total, ref_grad, ref_v = _row_loss_and_grad(batches, model, weights)
+    assert _close(breakdown.total, ref_total)
+    assert _close(grad, ref_grad)
+    assert _close(v, ref_v)
+    # constant batches: both sides are rounding noise around a true zero
+    data_scale = max(float(np.max((b @ lhat) ** 2)) for b in batches)
+    v_rows = _row_variances(batches, lhat)
+    assert _close(variance_matrix(batches, model).v, v_rows, scale=data_scale)
 
 
 # ---------------------------------------------------------------- variance_matrix
@@ -445,6 +538,17 @@ def test_train_rejects_degenerate_inputs():
     ds2 = _chain_dataset(n=1_000)
     with pytest.raises(ValueError, match="exceeds"):
         train(ds2, LossWeights(), TrainConfig(batch_size=4096, seed=0))
+
+
+def test_grad_check_diagnostic_leaves_training_unchanged(monkeypatch):
+    ds = _chain_dataset(n=2_000, seed=4)
+    config = TrainConfig(epochs=3, batch_size=500, seed=7)
+    checked, report = train(ds, LossWeights(), config)
+    assert report.grad_check_rel_err < 1e-4
+    monkeypatch.setattr(unmixing, "_directional_grad_check", lambda *args: float("nan"))
+    unchecked, report = train(ds, LossWeights(), config)
+    assert np.isnan(report.grad_check_rel_err)
+    assert np.array_equal(checked.lhat, unchecked.lhat)
 
 
 def test_training_aborted_carries_partial_report():
