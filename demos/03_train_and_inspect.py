@@ -40,7 +40,7 @@ def main():
 
     batches = [dataset.test_observed(e) for e in range(dataset.n_envs)]
     print("variance matrix of the learned representation (rows = environments):")
-    print(variance_matrix(batches, model).v)
+    print(variance_matrix(batches, model))
     print()
 
     effective = dataset.mixing.entries @ model.lhat

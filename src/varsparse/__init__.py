@@ -21,7 +21,6 @@ from .envs import (
 from .experiments import ExperimentConfig, ResultRow, SummaryRow, reproduce, run_experiment
 from .ica import IcaConvergenceWarning, IcaModel, fit_fastica, transform
 from .metrics import (
-    CorrelationMatrix,
     DisentanglementReport,
     MccResult,
     disentanglement_check,
@@ -46,7 +45,6 @@ from .unmixing import (
     TrainReport,
     TrainingAborted,
     UnmixingModel,
-    VarianceMatrix,
     load_checkpoint,
     save_checkpoint,
     total_loss,
@@ -57,7 +55,6 @@ from .unmixing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrelationMatrix",
     "CoverageReport",
     "DagAdjacency",
     "DisentanglementReport",
@@ -79,7 +76,6 @@ __all__ = [
     "TrainReport",
     "TrainingAborted",
     "UnmixingModel",
-    "VarianceMatrix",
     "builtin_nonlinear_scm",
     "chain_example_scm",
     "check_sufficient_coverage",

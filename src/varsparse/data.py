@@ -1,7 +1,7 @@
 """Mixed multi-environment datasets: generation, train/test split, persistence.
 
 Ground-truth latents Z are drawn per environment, observations are their image
-under a fixed injective linear mixing. Both are kept: the latents only ever
+under a fixed invertible square mixing. Both are kept: the latents only ever
 feed evaluation. Files round-trip bit-exactly through a small self-describing
 binary container with a trailing checksum.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,33 +52,26 @@ def is_zero_variance(column: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Injective d x m linear map; square matrices must be comfortably invertible."""
+    """Comfortably invertible d x d linear map."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2:
-            raise ValueError("mixing must be a 2-d matrix")
-        d, m = entries.shape
-        if m < d:
-            raise ValueError(f"need m >= d for injectivity, got {d}x{m}")
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
+            raise ValueError(f"mixing must be a nonempty square matrix, got shape {entries.shape}")
         svals = np.linalg.svd(entries, compute_uv=False)
         if svals[-1] <= 0 or svals[0] / svals[-1] >= _COND_MAX:
             raise ValueError(
                 f"mixing is numerically rank-deficient (condition {svals[0] / max(svals[-1], 1e-300):.3g})"
             )
-        if d == m and abs(np.linalg.det(entries)) <= _DET_MIN:
-            raise ValueError("square mixing must have |det| > 1e-6")
+        if abs(np.linalg.det(entries)) <= _DET_MIN:
+            raise ValueError("mixing must have |det| > 1e-6")
         object.__setattr__(self, "entries", entries)
 
     @property
     def d(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[1]
 
     @property
     def condition_number(self) -> float:
@@ -90,19 +84,17 @@ class MixingMatrix:
         return cls(np.eye(d))
 
 
-def sample_mixing(d: int, m: int, rng_seed: int) -> MixingMatrix:
-    """Entries i.i.d. uniform [-1, 1]; redraw until the invertibility guard holds."""
-    if m < d:
-        raise ValueError(f"need m >= d, got d={d}, m={m}")
+def sample_mixing(d: int, rng_seed: int) -> MixingMatrix:
+    """d x d entries i.i.d. uniform [-1, 1]; redraw until the invertibility guard holds."""
     rng = np.random.default_rng(rng_seed)
     for _ in range(_SAMPLE_RETRIES):
-        entries = rng.uniform(-1.0, 1.0, size=(d, m))
+        entries = rng.uniform(-1.0, 1.0, size=(d, d))
         try:
             return MixingMatrix(entries)
         except ValueError:
             continue
     raise RuntimeError(
-        f"no well-conditioned {d}x{m} mixing within {_SAMPLE_RETRIES} draws (seed {rng_seed})"
+        f"no well-conditioned {d}x{d} mixing within {_SAMPLE_RETRIES} draws (seed {rng_seed})"
     )
 
 
@@ -129,24 +121,20 @@ class EnvDataset:
             raise ValueError(
                 f"split must leave both parts nonempty: n_train={self.n_train}, n={self.n_per_env}"
             )
-        d, m = self.mixing.d, self.mixing.m
+        d = self.mixing.d
         if self.envs.d != d:
             raise ValueError(f"environment dimension {self.envs.d} != mixing rows {d}")
         for e, (z, x) in enumerate(zip(self.latents, self.observed)):
             if z.shape != (self.n_per_env, d):
                 raise ValueError(f"environment {e}: latents shaped {z.shape}, expected {(self.n_per_env, d)}")
-            if x.shape != (self.n_per_env, m):
-                raise ValueError(f"environment {e}: observed shaped {x.shape}, expected {(self.n_per_env, m)}")
+            if x.shape != (self.n_per_env, d):
+                raise ValueError(f"environment {e}: observed shaped {x.shape}, expected {(self.n_per_env, d)}")
             if not np.allclose(x, z @ self.mixing.entries, atol=1e-9, rtol=1e-9):
                 raise ValueError(f"environment {e}: observed rows are not latents @ mixing")
 
     @property
     def d(self) -> int:
         return self.mixing.d
-
-    @property
-    def m(self) -> int:
-        return self.mixing.m
 
     @property
     def n_envs(self) -> int:
@@ -210,7 +198,7 @@ def save(dataset: EnvDataset, path: Union[str, Path]) -> None:
     records = _matrix_records(dataset)
     header = {
         "d": dataset.d,
-        "m": dataset.m,
+        "m": dataset.d,  # kept for the container format: the mixing is d x d
         "n_per_env": dataset.n_per_env,
         "n_train": dataset.n_train,
         "seed": dataset.seed,
@@ -227,6 +215,25 @@ def save(dataset: EnvDataset, path: Union[str, Path]) -> None:
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     blob += hashlib.sha256(blob).digest()
     Path(path).write_bytes(bytes(blob))
+
+
+def _matrix_specs(matrices: object) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of each header matrix entry; ValueError unless well formed."""
+    if not isinstance(matrices, list):
+        raise ValueError(f"matrices must be a list, got {type(matrices).__name__}")
+    specs = []
+    for rec in matrices:
+        if not (
+            isinstance(rec, dict)
+            and isinstance(rec.get("name"), str)
+            and isinstance(rec.get("shape"), list)
+        ):
+            raise ValueError(f"matrix entry needs a string name and a list shape: {rec!r}")
+        shape = tuple(rec["shape"])
+        if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape):
+            raise ValueError(f"matrix {rec['name']} has a bad shape {rec['shape']!r}")
+        specs.append((rec["name"], shape))
+    return specs
 
 
 def load(path: Union[str, Path]) -> EnvDataset:
@@ -255,19 +262,20 @@ def load(path: Union[str, Path]) -> EnvDataset:
         n_train = int(header["n_train"])
         seed = int(header["seed"])
         envs = EnvironmentSet.from_json(json.dumps(header["envs"]))
-        matrices = header["matrices"]
-    except (ValueError, KeyError, TypeError) as err:
+        specs = _matrix_specs(header["matrices"])
+    except (ValueError, KeyError, TypeError, OverflowError) as err:
         raise DatasetFormatError(f"{path}: malformed header: {err}") from err
 
     arrays: dict[str, np.ndarray] = {}
     offset = payload_start
-    for rec in matrices:
-        shape = tuple(int(s) for s in rec["shape"])
-        count = int(np.prod(shape))
-        end = offset + 8 * count
+    for name, shape in specs:
+        end = offset + 8 * math.prod(shape)
         if end > len(body):
-            raise DatasetFormatError(f"{path}: payload truncated at matrix {rec['name']}")
-        arrays[rec["name"]] = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape).copy()
+            raise DatasetFormatError(f"{path}: payload truncated at matrix {name}")
+        try:
+            arrays[name] = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape).copy()
+        except ValueError as err:  # an empty matrix with a dimension numpy cannot hold
+            raise DatasetFormatError(f"{path}: matrix {name} shaped {shape}: {err}") from err
         offset = end
     if offset != len(body):
         raise DatasetFormatError(f"{path}: {len(body) - offset} trailing payload bytes")
@@ -297,10 +305,10 @@ def load(path: Union[str, Path]) -> EnvDataset:
 
 
 def export_csv(dataset: EnvDataset, directory: Union[str, Path]) -> list[Path]:
-    """One CSV per environment with header z~1..z~m; returns the written paths."""
+    """One CSV per environment with header z~1..z~d; returns the written paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    header = ",".join(f"z~{j + 1}" for j in range(dataset.m))
+    header = ",".join(f"z~{j + 1}" for j in range(dataset.d))
     paths = []
     for e in range(dataset.n_envs):
         path = directory / f"env_{e:02d}.csv"

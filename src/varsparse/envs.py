@@ -12,13 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ._rng import substream
-
-_WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=True)
@@ -47,15 +43,10 @@ class InterventionRegime:
 
 @dataclass(frozen=True, eq=False)
 class EnvironmentSet:
-    """Ordered collection of regimes over d coordinates, optionally weighted.
-
-    weights=None means uniform; explicit weights must be nonnegative and sum
-    to 1.
-    """
+    """Ordered collection of regimes over d coordinates."""
 
     d: int
     regimes: tuple[InterventionRegime, ...]
-    weights: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.d < 1:
@@ -66,22 +57,9 @@ class EnvironmentSet:
             if bad:
                 raise ValueError(f"regime {k} targets {bad} outside [0, {self.d})")
         object.__setattr__(self, "regimes", regimes)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (len(regimes),):
-                raise ValueError("need one weight per regime")
-            if (w < 0).any() or abs(w.sum() - 1.0) > _WEIGHT_TOL:
-                raise ValueError("weights must be nonnegative and sum to 1")
-            object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
         return len(self.regimes)
-
-    def effective_weights(self) -> np.ndarray:
-        if self.weights is not None:
-            return self.weights
-        n = len(self.regimes)
-        return np.full(n, 1.0 / n) if n else np.zeros(0)
 
     def to_json(self) -> str:
         doc = {

@@ -148,7 +148,7 @@ def make_dataset(config: ExperimentConfig, seed: int) -> tuple[EnvDataset, dict]
     report = check_sufficient_coverage(envs)
     if not report.passed:
         raise ValueError(f"design lacks sufficient coverage: {report}")
-    mixing = sample_mixing(config.d, config.d, derive_seed(seed, SEED_MIXING))
+    mixing = sample_mixing(config.d, derive_seed(seed, SEED_MIXING))
     dataset = generate(
         scm, envs, mixing, config.n_per_env, rng_seed=derive_seed(seed, SEED_DATA)
     )

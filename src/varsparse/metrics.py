@@ -1,7 +1,7 @@
 """Disentanglement metrics.
 
 Three layers: Pearson correlation matrices between two sets of sample
-columns (with zero-variance columns masked rather than erroring), the
+columns (zero-variance columns score 0 rather than erroring), the
 permutation-maximized mean absolute correlation (MCC) solved exactly as a
 linear assignment problem, and a structural check that an effective matrix
 is a permutation composed with nonzero scalings.
@@ -14,30 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import is_zero_variance
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
-    """Pearson coefficients between two column sets; undefined cells masked.
-
-    c[i, j] correlates column i of the first input with column j of the
-    second; mask[i, j] is True where either column had (numerically) zero
-    variance, in which case c holds 0 there.
-    """
-
-    c: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.c, dtype=float)
-        mask = np.asarray(self.mask, dtype=bool)
-        if c.shape != mask.shape or c.ndim != 2:
-            raise ValueError("correlation matrix and mask must share a 2-d shape")
-        if np.abs(c).max(initial=0.0) > 1.0 + 1e-12:
-            raise ValueError("correlations must lie in [-1, 1]")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "mask", mask)
+from .data import EPS_VAR
 
 
 @dataclass(frozen=True)
@@ -49,12 +26,19 @@ class MccResult:
     pair_correlations: tuple[float, ...]
 
 
-def pearson(x: np.ndarray, y: np.ndarray) -> CorrelationMatrix:
+def _dead_columns(mean: np.ndarray, norm: np.ndarray, n: int) -> np.ndarray:
+    # is_zero_variance from the centred column norms: variance = norm^2 / n,
+    # mean square = variance + mean^2
+    var = norm * norm / n
+    return var <= EPS_VAR * np.maximum(1.0, var + mean * mean)
+
+
+def pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pearson coefficients between all column pairs of x and y.
 
-    Columns whose variance is numerically zero produce masked entries with
-    correlation 0, so a collapsed learned dimension degrades the score
-    instead of raising.
+    c[i, j] correlates column i of x with column j of y. Where either column
+    has numerically zero variance (is_zero_variance) the correlation is 0,
+    so a collapsed learned dimension degrades the score instead of raising.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -62,31 +46,34 @@ def pearson(x: np.ndarray, y: np.ndarray) -> CorrelationMatrix:
         raise ValueError("inputs must be 2-d sample matrices")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < 2:
+    n = x.shape[0]
+    if n < 2:
         raise ValueError("need at least 2 rows to correlate")
 
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    x_dead = np.array([is_zero_variance(col) for col in x.T])
-    y_dead = np.array([is_zero_variance(col) for col in y.T])
+    x_mean = x.mean(axis=0)
+    y_mean = y.mean(axis=0)
+    xc = x - x_mean
+    yc = y - y_mean
     sx = np.linalg.norm(xc, axis=0)
     sy = np.linalg.norm(yc, axis=0)
+    x_dead = _dead_columns(x_mean, sx, n)
+    y_dead = _dead_columns(y_mean, sy, n)
     denom = np.outer(np.where(x_dead, 1.0, sx), np.where(y_dead, 1.0, sy))
     c = (xc.T @ yc) / denom
-    mask = x_dead[:, None] | y_dead[None, :]
-    c[mask] = 0.0
+    c[x_dead, :] = 0.0
+    c[:, y_dead] = 0.0
     # guard against rounding pushing a perfect correlation past 1
     np.clip(c, -1.0, 1.0, out=c)
-    return CorrelationMatrix(c, mask)
+    return c
 
 
-def mcc(c: CorrelationMatrix | np.ndarray) -> MccResult:
+def mcc(c: np.ndarray) -> MccResult:
     """Best permutation matching of |correlations|, solved exactly.
 
     Maximizes (1/d) * sum_j |c[j, perm[j]]| over permutations via the
     rectangular linear assignment algorithm.
     """
-    arr = c.c if isinstance(c, CorrelationMatrix) else np.asarray(c, dtype=float)
+    arr = np.asarray(c, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"mcc needs a square matrix, got {arr.shape}")
     weights = np.abs(arr)

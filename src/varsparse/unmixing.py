@@ -32,6 +32,12 @@ from scipy.special import expit
 from ._rng import derive_seed
 from .data import EnvDataset
 
+# AdamW moment decays, denominator guard and decoupled weight decay
+ADAMW_BETA1 = 0.9
+ADAMW_BETA2 = 0.999
+ADAMW_EPS = 1e-8
+ADAMW_WEIGHT_DECAY = 1e-2
+
 
 class NumericalError(RuntimeError):
     """A loss or gradient evaluation produced non-finite values."""
@@ -81,29 +87,6 @@ class UnmixingModel:
         return np.asarray(observed, dtype=float) @ self.lhat
 
 
-@dataclass(frozen=True, eq=False)
-class VarianceMatrix:
-    """Stacked per-environment, per-dimension variances."""
-
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=float)
-        if v.ndim != 2:
-            raise ValueError("variance matrix must be 2-d")
-        if not (v >= 0).all():
-            raise ValueError("variances cannot be negative")
-        object.__setattr__(self, "v", v)
-
-    @property
-    def n_envs(self) -> int:
-        return self.v.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.v.shape[1]
-
-
 @dataclass(frozen=True)
 class LossWeights:
     """Term weights and the Frobenius norm target."""
@@ -127,21 +110,13 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 4096
     learning_rate: float = 2e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-2
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
-        if self.learning_rate <= 0 or self.eps <= 0:
-            raise ValueError("learning_rate and eps must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -195,12 +170,6 @@ class TrainReport:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _as_v(v: Union[VarianceMatrix, np.ndarray]) -> np.ndarray:
-    if isinstance(v, VarianceMatrix):
-        return v.v
-    return np.asarray(v, dtype=float)
-
-
 def _covariances(batches: Sequence[np.ndarray], m: int) -> np.ndarray:
     """(E, m, m) stack of the biased (divide-by-n) covariances of the batches."""
     covs = np.empty((len(batches), m, m))
@@ -220,42 +189,24 @@ def _variances(covs: np.ndarray, lhat: np.ndarray) -> np.ndarray:
     return np.maximum(np.einsum("emd,md->ed", covs @ lhat, lhat), 0.0)
 
 
-def variance_matrix(
-    batches: Sequence[np.ndarray], model: UnmixingModel
-) -> VarianceMatrix:
-    """Biased (divide-by-n) per-column variances of each projected batch."""
-    return VarianceMatrix(_variances(_covariances(batches, model.m), model.lhat))
+def variance_matrix(batches: Sequence[np.ndarray], model: UnmixingModel) -> np.ndarray:
+    """(E, d) biased (divide-by-n) per-column variances of each projected batch."""
+    return _variances(_covariances(batches, model.m), model.lhat)
 
 
-def loss_var(v: Union[VarianceMatrix, np.ndarray]) -> float:
+def loss_var(v: np.ndarray) -> float:
     """Sum of sigmoids over all variance entries."""
-    return float(expit(_as_v(v)).sum())
+    return float(expit(v).sum())
 
 
-def loss_env(v: Union[VarianceMatrix, np.ndarray]) -> float:
+def loss_env(v: np.ndarray) -> float:
     """Minus the sum of sigmoids of row sums: every environment keeps signal."""
-    return float(-expit(_as_v(v).sum(axis=1)).sum())
+    return float(-expit(v.sum(axis=1)).sum())
 
 
-def loss_dim(v: Union[VarianceMatrix, np.ndarray]) -> float:
+def loss_dim(v: np.ndarray) -> float:
     """Minus the sum of sigmoids of column sums: every dimension keeps signal."""
-    return float(-expit(_as_v(v).sum(axis=0)).sum())
-
-
-def wrap_diagonal(v: Union[VarianceMatrix, np.ndarray], k: int) -> np.ndarray:
-    """k-th wrap-around diagonal of a square matrix, k in [1..d].
-
-    Entry i of the result is v[i, (i + k - 1) mod d]; k=1 is the main
-    diagonal.
-    """
-    arr = _as_v(v)
-    d = arr.shape[0]
-    if arr.shape != (d, d):
-        raise ValueError(f"wrap_diagonal needs a square matrix, got {arr.shape}")
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}], got {k}")
-    i = np.arange(d)
-    return arr[i, (i + k - 1) % d]
+    return float(-expit(v.sum(axis=0)).sum())
 
 
 def _diag_offsets(e: int, d: int) -> np.ndarray:
@@ -272,10 +223,9 @@ def _diag_norms(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(sums), offsets
 
 
-def loss_diag(v: Union[VarianceMatrix, np.ndarray]) -> float:
+def loss_diag(v: np.ndarray) -> float:
     """Sum of Euclidean norms of the wrap-around diagonals (group sparsity)."""
-    arr = _as_v(v)
-    norms, _ = _diag_norms(arr)
+    norms, _ = _diag_norms(v)
     return float(norms.sum())
 
 
@@ -284,30 +234,27 @@ def loss_norm(model: UnmixingModel, norm_target: float = 1.0) -> float:
     return float((np.linalg.norm(model.lhat) - norm_target) ** 2)
 
 
-def grad_loss_var(v: Union[VarianceMatrix, np.ndarray]) -> np.ndarray:
-    s = expit(_as_v(v))
+def grad_loss_var(v: np.ndarray) -> np.ndarray:
+    s = expit(v)
     return s * (1.0 - s)
 
 
-def grad_loss_env(v: Union[VarianceMatrix, np.ndarray]) -> np.ndarray:
-    arr = _as_v(v)
-    s = expit(arr.sum(axis=1))
-    return np.broadcast_to(-(s * (1.0 - s))[:, None], arr.shape).copy()
+def grad_loss_env(v: np.ndarray) -> np.ndarray:
+    s = expit(v.sum(axis=1))
+    return np.broadcast_to(-(s * (1.0 - s))[:, None], v.shape).copy()
 
 
-def grad_loss_dim(v: Union[VarianceMatrix, np.ndarray]) -> np.ndarray:
-    arr = _as_v(v)
-    s = expit(arr.sum(axis=0))
-    return np.broadcast_to(-(s * (1.0 - s))[None, :], arr.shape).copy()
+def grad_loss_dim(v: np.ndarray) -> np.ndarray:
+    s = expit(v.sum(axis=0))
+    return np.broadcast_to(-(s * (1.0 - s))[None, :], v.shape).copy()
 
 
-def grad_loss_diag(v: Union[VarianceMatrix, np.ndarray]) -> np.ndarray:
+def grad_loss_diag(v: np.ndarray) -> np.ndarray:
     # subgradient 0 on diagonals that are exactly zero
-    arr = _as_v(v)
-    norms, offsets = _diag_norms(arr)
+    norms, offsets = _diag_norms(v)
     safe = np.where(norms > 0, norms, 1.0)
     scale = np.where(norms > 0, 1.0 / safe, 0.0)
-    return arr * scale[offsets]
+    return v * scale[offsets]
 
 
 def grad_loss_norm(model: UnmixingModel, norm_target: float = 1.0) -> np.ndarray:
@@ -428,12 +375,12 @@ def adamw_step(state: AdamWState, grad: np.ndarray, config: TrainConfig) -> Adam
     if grad.shape != state.theta.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {state.theta.shape}")
     t = state.t + 1
-    m = config.beta1 * state.m + (1.0 - config.beta1) * grad
-    v = config.beta2 * state.v + (1.0 - config.beta2) * grad * grad
-    m_hat = m / (1.0 - config.beta1**t)
-    v_hat = v / (1.0 - config.beta2**t)
+    m = ADAMW_BETA1 * state.m + (1.0 - ADAMW_BETA1) * grad
+    v = ADAMW_BETA2 * state.v + (1.0 - ADAMW_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAMW_BETA1**t)
+    v_hat = v / (1.0 - ADAMW_BETA2**t)
     theta = state.theta - config.learning_rate * (
-        m_hat / (np.sqrt(v_hat) + config.eps) + config.weight_decay * state.theta
+        m_hat / (np.sqrt(v_hat) + ADAMW_EPS) + ADAMW_WEIGHT_DECAY * state.theta
     )
     return AdamWState(theta, m, v, t)
 
@@ -483,9 +430,9 @@ def train(
         )
 
     started = time.perf_counter()
-    model = UnmixingModel.initialize(dataset.m, dataset.d, config.seed)
+    model = UnmixingModel.initialize(dataset.d, dataset.d, config.seed)
     state = adamw_init(model.lhat)
-    covs = _covariances([dataset.train_observed(e) for e in range(n_envs)], dataset.m)
+    covs = _covariances([dataset.train_observed(e) for e in range(n_envs)], dataset.d)
     steps_per_epoch = -(-n_train // config.batch_size)
     report = TrainReport()
 
@@ -549,11 +496,16 @@ def load_checkpoint(path: Union[str, Path]) -> tuple[UnmixingModel, dict]:
         raise ValueError(f"{path}: missing checkpoint header")
     try:
         header = json.loads(raw[:sep].decode("utf-8"))
-        m, d = int(header["m"]), int(header["d"])
-    except (ValueError, KeyError) as err:
+    except ValueError as err:
         raise ValueError(f"{path}: malformed checkpoint header: {err}") from err
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    m, d, init_seed = header.get("m"), header.get("d"), header.get("init_seed", 0)
+    for name, value in (("m", m), ("d", d), ("init_seed", init_seed)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{path}: checkpoint {name} must be a nonnegative integer, got {value!r}")
     payload = raw[sep + 1 :]
     if len(payload) != 8 * m * d:
         raise ValueError(f"{path}: expected {8 * m * d} payload bytes, found {len(payload)}")
     lhat = np.frombuffer(payload, dtype="<f8").reshape(m, d).copy()
-    return UnmixingModel(lhat, init_seed=int(header.get("init_seed", 0))), header
+    return UnmixingModel(lhat, init_seed=init_seed), header

@@ -138,7 +138,7 @@ def test_criterion_5_mixing_never_kills_observational_variance():
             base = derive_seed(1000 + d, k)
             dag = sample_er_dag(d, 0.5, derive_seed(base, 0))
             scm = sample_linear_scm(dag, derive_seed(base, 1))
-            mixing = sample_mixing(d, d, derive_seed(base, 2))
+            mixing = sample_mixing(d, derive_seed(base, 2))
             z = sample(scm, 400, rng_seed=derive_seed(base, 3))
             x = z @ mixing.entries
             for j in range(d):

@@ -166,6 +166,18 @@ def test_evaluate_scores_checkpoint(tmp_path, tiny_config, capsys):
     assert "test-split mcc" in text and "matched pairs" in text
 
 
+def test_evaluate_reports_a_non_object_checkpoint_header(tmp_path, tiny_config, capsys):
+    out = tmp_path / "run"
+    main(["generate", "--config", tiny_config, "--out", str(out)])
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"[1, 2]\n" + np.zeros(9).tobytes())
+    capsys.readouterr()
+    code = main(["evaluate", "--data", str(out / "dataset.bin"), "--checkpoint", str(bad)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a JSON object" in err
+
+
 def test_evaluate_requires_both_inputs(capsys):
     assert main(["evaluate"]) == 1
     assert "--checkpoint" in capsys.readouterr().err

@@ -1,5 +1,11 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varsparse.data import (
     DatasetChecksumError,
@@ -39,8 +45,9 @@ def test_mixing_accepts_chain_matrix():
 def test_mixing_rejects_singular_and_thin_matrices():
     with pytest.raises(ValueError):
         MixingMatrix(np.ones((3, 3)))
-    with pytest.raises(ValueError, match="m >= d"):
-        MixingMatrix(np.ones((3, 2)))
+    for entries in (np.eye(3)[:, :2], np.eye(3)[:2], np.zeros((0, 0)), np.ones(3)):
+        with pytest.raises(ValueError, match="square"):
+            MixingMatrix(entries)
     near_singular = np.eye(3)
     near_singular[2, 2] = 1e-9
     with pytest.raises(ValueError):
@@ -61,15 +68,15 @@ def test_identity_mixing_leaves_data_unchanged():
 
 def test_sampled_mixing_passes_guards():
     for seed in range(100):
-        mix = sample_mixing(6, 6, seed)
+        mix = sample_mixing(6, seed)
         assert abs(np.linalg.det(mix.entries)) > 1e-6
         assert mix.condition_number < 1e6
         assert np.abs(mix.entries).max() <= 1.0
 
 
 def test_sampled_mixing_deterministic():
-    a = sample_mixing(4, 4, 3)
-    b = sample_mixing(4, 4, 3)
+    a = sample_mixing(4, 3)
+    b = sample_mixing(4, 3)
     assert np.array_equal(a.entries, b.entries)
 
 
@@ -146,7 +153,7 @@ def test_nonvanishing_variance_under_random_mixing():
     scm = sample_linear_scm(sample_er_dag(3, 0.5, 0), 0)
     z = sample(scm, 2000, rng_seed=1)
     for seed in range(100):
-        mix = sample_mixing(3, 3, seed)
+        mix = sample_mixing(3, seed)
         x = z @ mix.entries
         assert not any(is_zero_variance(x[:, j]) for j in range(3))
 
@@ -177,23 +184,179 @@ def test_load_detects_corruption(tmp_path):
         load(path)
 
 
-def test_load_detects_header_payload_mismatch(tmp_path):
-    import hashlib
-    import json
-    import struct
+def _split_container(path):
+    """(header dict, payload bytes) of a saved container."""
+    raw = path.read_bytes()[:-32]
+    (header_len,) = struct.unpack_from("<Q", raw, 8)
+    return json.loads(raw[16 : 16 + header_len]), raw[16 + header_len :]
 
+
+def _write_container(path, header_bytes, payload):
+    """A container with the given header JSON and payload and a valid checksum."""
+    body = b"VSDS" + struct.pack("<I", 1) + struct.pack("<Q", len(header_bytes))
+    body += header_bytes + payload
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def test_load_detects_header_payload_mismatch(tmp_path):
     ds = _chain_dataset(n=40)
     path = tmp_path / "chain.vsds"
     save(ds, path)
-    raw = path.read_bytes()[:-32]
-    (header_len,) = struct.unpack_from("<Q", raw, 8)
-    header = json.loads(raw[16 : 16 + header_len])
+    header, payload = _split_container(path)
     header["d"] = 7  # payload still describes d=3
-    new_header = json.dumps(header, sort_keys=True).encode()
-    body = raw[:8] + struct.pack("<Q", len(new_header)) + new_header + raw[16 + header_len :]
-    path.write_bytes(body + hashlib.sha256(body).digest())
+    _write_container(path, json.dumps(header, sort_keys=True).encode(), payload)
     with pytest.raises(DatasetFormatError, match="header says"):
         load(path)
+
+
+def _tiny_container_dataset():
+    """Integer latents times CHAIN_MIX: every stored float is exact."""
+    envs = EnvironmentSet(
+        3,
+        (
+            InterventionRegime((0, 1), (1.0, 1.0)),
+            InterventionRegime((0, 2), (1.0, 2.0)),
+            InterventionRegime((1, 2), (1.0, 3.0)),
+        ),
+    )
+    latents = tuple(np.arange(12.0).reshape(4, 3) * (e + 1) - 5.0 * e for e in range(3))
+    return EnvDataset(
+        envs=envs,
+        mixing=MixingMatrix(CHAIN_MIX),
+        latents=latents,
+        observed=tuple(z @ CHAIN_MIX for z in latents),
+        n_per_env=4,
+        n_train=3,
+        seed=11,
+    )
+
+
+def test_container_bytes_are_pinned(tmp_path):
+    path = tmp_path / "tiny.vsds"
+    save(_tiny_container_dataset(), path)
+    raw = path.read_bytes()
+    assert len(raw) == 1208
+    assert hashlib.sha256(raw).hexdigest() == (
+        "f6a46dff4b783d97421c4e7aad9badf97831352102e4886e259744186208f16f"
+    )
+    header, _ = _split_container(path)
+    assert header["m"] == header["d"] == 3
+
+
+def test_load_rejects_a_wide_mixing(tmp_path):
+    # a consistent container whose mixing maps 3 latents to 4 observed columns
+    ds = _tiny_container_dataset()
+    wide = np.hstack([CHAIN_MIX, [[1.0], [2.0], [3.0]]])
+    path = tmp_path / "wide.vsds"
+    save(ds, path)
+    header, _ = _split_container(path)
+    header["m"] = 4
+    matrices = [wide]
+    for e, z in enumerate(ds.latents):
+        matrices += [z, z @ wide]
+    for rec, arr in zip(header["matrices"], matrices):
+        rec["shape"] = list(arr.shape)
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in matrices)
+    _write_container(path, json.dumps(header).encode(), payload)
+    with pytest.raises(DatasetFormatError, match="mixing must be a nonempty square matrix"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda h: h["matrices"][1].pop("shape"),
+        lambda h: h.update(matrices={"name": "mixing", "shape": [3, 3]}),
+        lambda h: h.update(matrices=7),
+        lambda h: h["matrices"][1].update(shape=[-4, -3]),
+        lambda h: h["matrices"][1].update(shape=[0, 10**30]),
+        lambda h: h["matrices"][1].update(shape=[4.0, 3]),
+        lambda h: h["matrices"][1].update(name=["latents_0"]),
+        lambda h: h.update(d=float("inf")),
+        lambda h: h["envs"]["regimes"][0].update(targets=[float("inf")]),
+        # an empty mixing, its 9 floats handed to the next matrix
+        lambda h: (
+            h.update(d=0, m=0),
+            h["matrices"][0].update(shape=[0, 0]),
+            h["matrices"][1].update(shape=[7, 3]),
+        ),
+    ],
+)
+def test_load_rejects_malformed_headers_with_format_errors(tmp_path, mutate):
+    path = tmp_path / "tiny.vsds"
+    save(_tiny_container_dataset(), path)
+    header, payload = _split_container(path)
+    mutate(header)
+    _write_container(path, json.dumps(header).encode(), payload)
+    with pytest.raises(DatasetFormatError):
+        load(path)
+
+
+def _json_values():
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(),
+        st.text(max_size=4),
+    )
+    keys = st.sampled_from(["d", "m", "name", "shape", "targets", "values", "regimes", "x"])
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+# 1-3 edits, each dropping or replacing one node anywhere in the header; the
+# replacements include negative and huge integers, so shapes get those too
+_header_edits = st.lists(
+    st.tuples(st.integers(0, 10**6), st.sampled_from(["drop", "replace"]), _json_values()),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _apply(header, edits):
+    for pick, op, value in edits:
+        paths = list(_paths(header))
+        path = paths[pick % len(paths)]
+        if not path:
+            header = value
+            continue
+        parent = header
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return header
+
+
+@settings(max_examples=300, deadline=None)
+@given(_header_edits)
+def test_load_raises_only_format_errors_on_rewritten_headers(tmp_path_factory, edits):
+    path = tmp_path_factory.mktemp("mutated") / "tiny.vsds"
+    save(_tiny_container_dataset(), path)
+    header, payload = _split_container(path)
+    _write_container(path, json.dumps(_apply(header, edits)).encode(), payload)
+    try:
+        load(path)
+    except DatasetFormatError:
+        pass
 
 
 def test_load_rejects_wrong_magic_and_version(tmp_path):
@@ -204,8 +367,6 @@ def test_load_rejects_wrong_magic_and_version(tmp_path):
     ds = _chain_dataset(n=40)
     good = tmp_path / "good.vsds"
     save(ds, good)
-    import hashlib
-
     raw = bytearray(good.read_bytes()[:-32])
     raw[0:4] = b"XXXX"
     path.write_bytes(bytes(raw) + hashlib.sha256(bytes(raw)).digest())

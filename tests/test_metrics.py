@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from varsparse.data import is_zero_variance
 
 from varsparse.metrics import (
-    CorrelationMatrix,
     DisentanglementReport,
     MccResult,
     disentanglement_check,
@@ -22,14 +25,14 @@ CHAIN_MIX = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
 def test_pearson_self_correlation_is_identity_diagonal():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(500, 4))
-    c = pearson(x, x).c
+    c = pearson(x, x)
     assert np.allclose(np.diag(c), 1.0, atol=1e-12)
 
 
 def test_pearson_is_scale_and_sign_invariant():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(300, 3))
-    c = pearson(x, -2.0 * x).c
+    c = pearson(x, -2.0 * x)
     assert np.allclose(np.diag(c), -1.0, atol=1e-12)
 
 
@@ -37,7 +40,7 @@ def test_pearson_independent_columns_nearly_uncorrelated():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(100_000, 1))
     y = rng.normal(size=(100_000, 1))
-    assert abs(pearson(x, y).c[0, 0]) < 0.02
+    assert abs(pearson(x, y)[0, 0]) < 0.02
 
 
 def test_pearson_matches_numpy_corrcoef():
@@ -45,7 +48,7 @@ def test_pearson_matches_numpy_corrcoef():
     for _ in range(10):
         x = rng.normal(size=(50, 3))
         y = rng.normal(size=(50, 4))
-        c = pearson(x, y).c
+        c = pearson(x, y)
         full = np.corrcoef(x, y, rowvar=False)
         assert np.allclose(c, full[:3, 3:], atol=1e-12)
 
@@ -55,11 +58,9 @@ def test_pearson_masks_zero_variance_columns():
     x = rng.normal(size=(100, 3))
     y = x.copy()
     y[:, 1] = 7.0  # constant learned dimension
-    out = pearson(x, y)
-    assert out.mask[:, 1].all()
-    assert np.array_equal(out.c[:, 1], np.zeros(3))
-    assert not out.mask[:, 0].any()
-    assert out.c[0, 0] == pytest.approx(1.0)
+    c = pearson(x, y)
+    assert np.array_equal(c[:, 1], np.zeros(3))
+    assert c[0, 0] == pytest.approx(1.0)
 
 
 def test_pearson_entries_bounded_on_random_data():
@@ -67,7 +68,7 @@ def test_pearson_entries_bounded_on_random_data():
     for _ in range(20):
         x = rng.normal(size=(20, 5))
         y = x @ rng.normal(size=(5, 5)) + 0.01 * rng.normal(size=(20, 5))
-        assert np.abs(pearson(x, y).c).max() <= 1.0 + 1e-12
+        assert np.abs(pearson(x, y)).max() <= 1.0 + 1e-12
 
 
 def test_pearson_rejects_bad_shapes():
@@ -79,11 +80,51 @@ def test_pearson_rejects_bad_shapes():
         pearson(np.ones(3), np.ones(3))
 
 
-def test_correlation_matrix_type_validation():
-    with pytest.raises(ValueError, match="share a 2-d shape"):
-        CorrelationMatrix(np.zeros((2, 2)), np.zeros((3, 2), dtype=bool))
-    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-        CorrelationMatrix(np.array([[1.5]]), np.array([[False]]))
+@st.composite
+def _sample_pairs(draw):
+    """Two sample matrices mixing constant, jittered-constant, ordinary and
+    large-offset columns.
+
+    Every column sits far from the zero-variance threshold: constants have
+    variance 0, jittered constants 1e-18 times their mean square (but above
+    EPS_VAR in absolute terms), the others at least 1e-6 times it.
+    """
+    n = draw(st.integers(3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column(kind):
+        if kind == "constant":
+            return np.full(n, draw(st.sampled_from([0.0, 1.0, -3.5, 7e5])))
+        noise = rng.normal(size=n)
+        noise = (noise - noise.mean()) / noise.std()  # variance exactly ~1
+        if kind == "jitter":
+            return 1e-3 * noise + draw(st.sampled_from([1e6, -3e7]))
+        if kind == "ordinary":
+            return draw(st.floats(0.1, 10.0)) * noise + draw(st.floats(-5.0, 5.0))
+        offset = draw(st.sampled_from([1e3, -1e4, 1e5]))
+        return 1e-3 * abs(offset) * noise + offset  # variance 1e-6 * offset^2
+
+    kinds = st.sampled_from(["constant", "jitter", "ordinary", "offset"])
+    x = np.column_stack([column(k) for k in draw(st.lists(kinds, min_size=1, max_size=4))])
+    y = np.column_stack([column(k) for k in draw(st.lists(kinds, min_size=1, max_size=4))])
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sample_pairs())
+def test_pearson_zeroes_exactly_the_zero_variance_columns(pair):
+    x, y = pair
+    x_dead = np.array([is_zero_variance(col) for col in x.T])
+    y_dead = np.array([is_zero_variance(col) for col in y.T])
+    # a column's self-correlation is 1 if it is live and 0 if it is zeroed
+    assert np.allclose(np.diag(pearson(x, x)), np.where(x_dead, 0.0, 1.0), rtol=0, atol=1e-12)
+    assert np.allclose(np.diag(pearson(y, y)), np.where(y_dead, 0.0, 1.0), rtol=0, atol=1e-12)
+    c = pearson(x, y)
+    assert (c[x_dead, :] == 0.0).all() and (c[:, y_dead] == 0.0).all()
+    live_x, live_y = np.flatnonzero(~x_dead), np.flatnonzero(~y_dead)
+    if live_x.size and live_y.size:
+        full = np.corrcoef(x[:, live_x], y[:, live_y], rowvar=False)[: live_x.size, live_x.size :]
+        assert np.allclose(c[np.ix_(live_x, live_y)], full, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- mcc
