@@ -43,6 +43,10 @@ class DatasetChecksumError(DatasetFormatError):
     """Container checksum does not match its payload."""
 
 
+class MixingDrawsExhausted(RuntimeError):
+    """No draw of a mixing matrix passed the invertibility guard."""
+
+
 def is_zero_variance(column: np.ndarray) -> bool:
     """Numerically-zero variance test, scaled by the column's magnitude."""
     column = np.asarray(column, dtype=float)
@@ -93,7 +97,7 @@ def sample_mixing(d: int, rng_seed: int) -> MixingMatrix:
             return MixingMatrix(entries)
         except ValueError:
             continue
-    raise RuntimeError(
+    raise MixingDrawsExhausted(
         f"no well-conditioned {d}x{d} mixing within {_SAMPLE_RETRIES} draws (seed {rng_seed})"
     )
 

@@ -80,7 +80,7 @@ class EnvironmentSet:
                 InterventionRegime(tuple(r["targets"]), tuple(r["values"]))
                 for r in doc["regimes"]
             )
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, OverflowError) as err:
             raise ValueError(f"malformed environment document: {err}") from err
         return cls(d, regimes)
 

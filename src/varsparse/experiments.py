@@ -19,9 +19,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._rng import derive_seed
-from .data import EnvDataset, MixingMatrix, generate, sample_mixing
+from .data import EnvDataset, MixingDrawsExhausted, MixingMatrix, generate, sample_mixing
 from .envs import EnvironmentSet, check_sufficient_coverage, leave_one_out_design, separating_design
-from .ica import fit_fastica, transform
+from .ica import IcaModel, IcaRankError, fit_fastica, transform
 from .metrics import mcc_between
 from .scm import Scm, builtin_nonlinear_scm, sample_er_dag, sample_linear_scm
 from .unmixing import LossWeights, NumericalError, TrainConfig, TrainingAborted, train
@@ -39,6 +39,26 @@ DESIGN_KINDS = ("leave-one-out", "separating")
 METHODS = ("ours", "fastica")
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
+
+
+class CoverageError(ValueError):
+    """The run's intervention design fails the sufficient-coverage condition."""
+
+
+class DesignDimensionError(ValueError):
+    """A design file's dimension differs from the experiment's d."""
+
+
+# Failures a valid configuration can meet on some seed. Each becomes a NaN row
+# whose error names its class; any other exception is a bug and propagates.
+_EXPECTED_FAILURES = (
+    CoverageError,
+    DesignDimensionError,
+    MixingDrawsExhausted,
+    TrainingAborted,
+    NumericalError,
+    IcaRankError,
+)
 
 
 @dataclass(frozen=True)
@@ -101,6 +121,9 @@ class ResultRow:
     method: str
     mcc: float
     error: str = ""
+    # FastICA rows only; None (a blank CSV cell) for ours and for failed rows
+    ica_converged: Optional[bool] = None
+    ica_n_iter: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -136,7 +159,7 @@ def build_design(kind: str, d: int, seed: int, design_file: Optional[str] = None
     if kind == "custom-file":
         envs = EnvironmentSet.from_json(Path(design_file).read_text())
         if envs.d != d:
-            raise ValueError(f"design file is for d={envs.d}, experiment wants d={d}")
+            raise DesignDimensionError(f"design file is for d={envs.d}, experiment wants d={d}")
         return envs
     raise ValueError(f"unknown design kind {kind!r}")
 
@@ -147,7 +170,7 @@ def make_dataset(config: ExperimentConfig, seed: int) -> tuple[EnvDataset, dict]
     envs = build_design(config.design, config.d, seed, config.design_file)
     report = check_sufficient_coverage(envs)
     if not report.passed:
-        raise ValueError(f"design lacks sufficient coverage: {report}")
+        raise CoverageError(f"design lacks sufficient coverage: {report}")
     mixing = sample_mixing(config.d, derive_seed(seed, SEED_MIXING))
     dataset = generate(
         scm, envs, mixing, config.n_per_env, rng_seed=derive_seed(seed, SEED_DATA)
@@ -195,9 +218,17 @@ def evaluate_method(
     dataset: EnvDataset, method: str, config: ExperimentConfig, seed: int
 ) -> float:
     """Train/fit one method on the dataset and score MCC on the test split."""
+    return _fit_and_score(dataset, method, config, seed)[0]
+
+
+def _fit_and_score(
+    dataset: EnvDataset, method: str, config: ExperimentConfig, seed: int
+) -> tuple[float, Optional[IcaModel]]:
+    """evaluate_method's score, plus the fitted FastICA model (None for ours)."""
     n_envs = dataset.n_envs
     test_latents = np.vstack([dataset.test_latents(e) for e in range(n_envs)])
     test_observed = np.vstack([dataset.test_observed(e) for e in range(n_envs)])
+    ica = None
     if method == "ours":
         model, _ = train(
             dataset, config.weights, config.train_config(derive_seed(seed, SEED_TRAIN))
@@ -205,17 +236,18 @@ def evaluate_method(
         learned = test_observed @ model.lhat
     elif method == "fastica":
         pooled = np.vstack([dataset.train_observed(e) for e in range(n_envs)])
-        model = fit_fastica(pooled, dataset.d, seed=derive_seed(seed, SEED_ICA))
-        learned = transform(model, test_observed)
+        ica = fit_fastica(pooled, dataset.d, seed=derive_seed(seed, SEED_ICA))
+        learned = transform(ica, test_observed)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return mcc_between(test_latents, learned).score
+    return mcc_between(test_latents, learned).score, ica
 
 
 def _score_methods(
     experiment: str, config: ExperimentConfig, seed: int, methods: Sequence[str]
 ) -> list[ResultRow]:
-    """One row per method, all scored on the seed's single dataset; failures land in the rows."""
+    """One row per method, all scored on the seed's single dataset; expected
+    failures land in the rows, anything else raises."""
     base = dict(
         experiment=experiment,
         scm=config.scm,
@@ -224,25 +256,31 @@ def _score_methods(
         n_per_env=config.n_per_env,
         seed=seed,
     )
+
+    def failed(method: str, exc: Exception) -> ResultRow:
+        error = f"{type(exc).__name__}: {exc}"
+        return ResultRow(method=method, mcc=float("nan"), error=error, **base)
+
     try:
         dataset, _ = make_dataset(config, seed)
-    except (ValueError, RuntimeError) as exc:
-        return [ResultRow(method=m, mcc=float("nan"), error=str(exc), **base) for m in methods]
+    except _EXPECTED_FAILURES as exc:
+        return [failed(m, exc) for m in methods]
     rows = []
     for method in methods:
         try:
-            score = evaluate_method(dataset, method, config, seed)
-        except (TrainingAborted, NumericalError, ValueError, RuntimeError) as exc:
-            rows.append(ResultRow(method=method, mcc=float("nan"), error=str(exc), **base))
+            score, ica = _fit_and_score(dataset, method, config, seed)
+        except _EXPECTED_FAILURES as exc:
+            rows.append(failed(method, exc))
         else:
-            rows.append(ResultRow(method=method, mcc=score, **base))
+            fit = {} if ica is None else dict(ica_converged=ica.converged, ica_n_iter=ica.n_iter)
+            rows.append(ResultRow(method=method, mcc=score, **fit, **base))
     return rows
 
 
 def run_cell(
     experiment: str, config: ExperimentConfig, seed: int, method: str
 ) -> ResultRow:
-    """One (cell, seed, method) evaluation; failures land in the row."""
+    """One (cell, seed, method) evaluation; expected failures land in the row."""
     (row,) = _score_methods(experiment, config, seed, (method,))
     return row
 
@@ -306,7 +344,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-ROWS_HEADER = "experiment,scm,d,p,n_per_env,seed,method,mcc,error"
+ROWS_HEADER = "experiment,scm,d,p,n_per_env,seed,method,mcc,ica_converged,ica_n_iter,error"
 SUMMARY_HEADER = "experiment,scm,d,p,n_per_env,method,mean_mcc,stderr_mcc,n_seeds"
 
 
@@ -324,6 +362,8 @@ def write_rows_csv(rows: Sequence[ResultRow], path: Union[str, Path]) -> None:
                     str(r.seed),
                     r.method,
                     _fmt(r.mcc),
+                    _fmt(r.ica_converged),
+                    _fmt(r.ica_n_iter),
                     r.error.replace(",", ";").replace("\n", " "),
                 ]
             )

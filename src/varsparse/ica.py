@@ -5,6 +5,11 @@ covariance, then run a symmetric fixed-point iteration with the tanh
 contrast until the rotation stabilizes. The model keeps the three pieces
 (mean, whitening map, orthogonal rotation) separately so transforms are a
 plain affine map.
+
+Each fixed-point step sweeps once over the whitened rows x, _CHUNK rows at a
+time through one preallocated buffer, and accumulates the d x d sum of g^T x
+and the per-component sum of g^2, where g = tanh(x W^T). Full-size n x d
+temporaries would be streamed through memory several times per step instead.
 """
 
 from __future__ import annotations
@@ -15,10 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 _RANK_RTOL = 1e-10
+# Rows per chunk of the fixed-point sweep. At d=10 and 750k rows, with one
+# OpenBLAS thread on a 2-CPU x86-64 machine, chunks of 2048-8192 rows cost
+# 52-55 ms per iteration and chunks of 16384 rows 65 ms.
+_CHUNK = 8192
 
 
 class IcaConvergenceWarning(UserWarning):
     """Fixed-point iteration hit max_iter before reaching tol."""
+
+
+class IcaRankError(ValueError):
+    """The sample covariance has fewer than d numerically nonzero eigenvalues."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +70,8 @@ def fit_fastica(
 ) -> IcaModel:
     """Fit d independent components to the rows of x.
 
-    Deterministic for a fixed seed. Raises on a rank-deficient covariance;
-    warns (and flags the model) if the iteration does not converge.
+    Deterministic for a fixed seed. Raises IcaRankError on a rank-deficient
+    covariance; warns (and flags the model) if the iteration does not converge.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -74,21 +87,33 @@ def fit_fastica(
     cov = (xc.T @ xc) / n
     values, vectors = np.linalg.eigh(cov)
     if values[-1] <= 0 or values[m - d] < _RANK_RTOL * values[-1]:
-        raise ValueError(
+        raise IcaRankError(
             f"covariance is rank-deficient: leading eigenvalues {values[::-1][:d]}"
         )
     # keep the d leading directions; columns scaled so whitened rows have unit covariance
     lead = np.arange(m - 1, m - d - 1, -1)
     whitening = vectors[:, lead] / np.sqrt(values[lead])
     xw = xc @ whitening
+    del xc
 
     rng = np.random.default_rng(seed)
     w = _symmetric_decorrelate(rng.normal(size=(d, d)))
+    buf = np.empty((min(n, _CHUNK), d))
+    ones = np.ones(len(buf))  # column sums through BLAS: faster than g.sum(axis=0)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        g = np.tanh(xw @ w.T)
-        w_new = (g.T @ xw) / n - np.diag(np.mean(1.0 - g * g, axis=0)) @ w
+        gx = np.zeros((d, d))  # sum of g^T x over the rows
+        g2 = np.zeros(d)  # sum of g^2 over the rows
+        for start in range(0, n, _CHUNK):
+            xb = xw[start : start + _CHUNK]
+            g = buf[: len(xb)]
+            np.matmul(xb, w.T, out=g)
+            np.tanh(g, out=g)
+            gx += g.T @ xb
+            np.square(g, out=g)
+            g2 += ones[: len(xb)] @ g
+        w_new = gx / n - np.diag(1.0 - g2 / n) @ w
         w_new = _symmetric_decorrelate(w_new)
         # directions are sign-ambiguous; compare |cos| of old vs new rows
         drift = np.max(np.abs(np.abs(np.sum(w_new * w, axis=1)) - 1.0))

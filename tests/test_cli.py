@@ -115,6 +115,22 @@ def test_check_design_missing_file_is_a_validation_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"d": 3, "regimes": [{"targets": [Infinity], "values": [1.0]}]}',
+        '{"d": Infinity, "regimes": [{"targets": [0], "values": [1.0]}]}',
+    ],
+)
+def test_check_design_rejects_an_infinite_integer(tmp_path, capsys, text):
+    path = tmp_path / "design.json"
+    path.write_text(text)
+    assert main(["check-design", "--design", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed environment document")
+    assert "Traceback" not in err
+
+
 def test_train_writes_checkpoint_and_reports(tmp_path, tiny_config, capsys):
     out = tmp_path / "run"
     assert main(["generate", "--config", tiny_config, "--out", str(out)]) == 0

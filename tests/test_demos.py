@@ -15,9 +15,9 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("01_mixing_hides_sparsity.py", ["--n", "400"]),
         ("02_design_validation.py", ["--d", "6"]),
-        # the demo trains with batch_size 1024, so it needs that many train rows
+        # demos 03 and 04 train with batch_size 1024, so they need that many train rows
         ("03_train_and_inspect.py", ["--n", "2000", "--epochs", "2"]),
-        ("04_where_ica_fails.py", ["--n", "400", "--seeds", "1"]),
+        ("04_where_ica_fails.py", ["--n", "2000", "--seeds", "1"]),
         ("05_benchmark_grid.py", ["--which", "table1", "--out", None]),
     ],
 )

@@ -1,9 +1,11 @@
 import json
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
+import varsparse.data as data
 import varsparse.experiments as experiments
 from varsparse.experiments import (
     ExperimentConfig,
@@ -18,6 +20,7 @@ from varsparse.experiments import (
     write_rows_csv,
     write_summary_csv,
 )
+from varsparse.ica import IcaConvergenceWarning, fit_fastica
 
 TINY = ExperimentConfig(d=3, p=0.5, n_per_env=1200, seeds=(0,), epochs=3, batch_size=200)
 
@@ -106,6 +109,18 @@ def test_run_cell_both_methods_return_scores():
         assert row.error == ""
         assert 0.0 <= row.mcc <= 1.0
         assert row.method == method and row.seed == 0 and row.d == 3
+        if method == "ours":
+            assert row.ica_converged is None and row.ica_n_iter is None
+        else:
+            assert row.ica_converged is True and row.ica_n_iter >= 1
+
+
+def test_run_cell_records_fastica_non_convergence(monkeypatch):
+    monkeypatch.setattr(experiments, "fit_fastica", partial(fit_fastica, max_iter=1))
+    with pytest.warns(IcaConvergenceWarning):
+        row = run_cell("unit", TINY, seed=0, method="fastica")
+    assert row.error == "" and np.isfinite(row.mcc)
+    assert row.ica_converged is False and row.ica_n_iter == 1
 
 
 def test_run_cell_records_failures_as_rows():
@@ -115,7 +130,51 @@ def test_run_cell_records_failures_as_rows():
     with np.errstate(over="ignore", invalid="ignore"):
         row = run_cell("unit", exploding, seed=0, method="ours")
     assert np.isnan(row.mcc)
-    assert row.error != ""
+    assert row.error.startswith(("TrainingAborted: ", "NumericalError: "))
+
+
+@pytest.mark.parametrize(
+    "doc,expected",
+    [
+        # every regime targets coordinate 0, so 1 and 2 are never separated
+        ({"d": 3, "regimes": [{"targets": [0], "values": [1.0]}] * 3}, "CoverageError"),
+        ({"d": 4, "regimes": [{"targets": [j], "values": [1.0]} for j in range(4)]}, "DesignDimensionError"),
+    ],
+)
+def test_run_cell_records_a_failing_design_file_as_a_typed_row(tmp_path, doc, expected):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(doc))
+    config = ExperimentConfig(d=3, n_per_env=400, seeds=(0,), design="custom-file", design_file=str(path))
+    row = run_cell("unit", config, seed=0, method="fastica")
+    assert np.isnan(row.mcc) and row.error.startswith(f"{expected}: ")
+    assert row.ica_converged is None and row.ica_n_iter is None
+
+
+def test_run_cell_records_exhausted_mixing_draws_as_a_typed_row(monkeypatch):
+    monkeypatch.setattr(data, "_SAMPLE_RETRIES", 0)
+    row = run_cell("unit", TINY, seed=0, method="fastica")
+    assert np.isnan(row.mcc) and row.error.startswith("MixingDrawsExhausted: ")
+
+
+def test_run_cell_records_a_rank_deficient_ica_input_as_a_row(monkeypatch):
+    def collapsed(x, d, seed):  # the last column copies the first
+        return fit_fastica(np.column_stack([x[:, :-1], x[:, 0]]), d, seed=seed)
+
+    monkeypatch.setattr(experiments, "fit_fastica", collapsed)
+    row = run_cell("unit", TINY, seed=0, method="fastica")
+    assert np.isnan(row.mcc)
+    assert row.error.startswith("IcaRankError: covariance is rank-deficient")
+
+
+def test_run_cell_raises_unexpected_errors(monkeypatch):
+    def broken(x, d, seed):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(experiments, "fit_fastica", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        run_cell("unit", TINY, seed=0, method="fastica")
+    with pytest.raises(ValueError, match="broadcast"):
+        run_experiment("fig2a", TINY, methods=("ours", "fastica"), d_limit=3)
 
 
 def test_run_cell_nonlinear_rows_have_no_edge_probability():
@@ -207,13 +266,18 @@ def test_summarize_groups_methods_separately():
 
 
 def test_csv_headers_and_failure_cells(tmp_path):
-    rows = [_row(0, 0.9), ResultRow("x", "linear", 3, 0.5, 100, 1, "ours", float("nan"), "boom, bad\nline")]
+    rows = [
+        _row(0, 0.9),
+        ResultRow("x", "linear", 3, 0.5, 100, 1, "ours", float("nan"), "boom, bad\nline"),
+        ResultRow("x", "linear", 3, 0.5, 100, 0, "fastica", 0.5, ica_converged=False, ica_n_iter=500),
+    ]
     path = tmp_path / "rows.csv"
     write_rows_csv(rows, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "experiment,scm,d,p,n_per_env,seed,method,mcc,error"
-    assert lines[1] == "x,linear,3,0.5,100,0,ours,0.9,"
-    assert lines[2].endswith("nan,boom; bad line")  # commas and newlines stay out of cells
+    assert lines[0] == "experiment,scm,d,p,n_per_env,seed,method,mcc,ica_converged,ica_n_iter,error"
+    assert lines[1] == "x,linear,3,0.5,100,0,ours,0.9,,,"
+    assert lines[2].endswith("nan,,,boom; bad line")  # commas and newlines stay out of cells
+    assert lines[3] == "x,linear,3,0.5,100,0,fastica,0.5,False,500,"
     spath = tmp_path / "summary.csv"
     write_summary_csv(summarize(rows), spath)
     slines = spath.read_text().splitlines()

@@ -1,7 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from varsparse.ica import IcaConvergenceWarning, IcaModel, fit_fastica, transform
+from varsparse.ica import (
+    _CHUNK,
+    IcaConvergenceWarning,
+    IcaModel,
+    _symmetric_decorrelate,
+    fit_fastica,
+    transform,
+)
 from varsparse.metrics import mcc_between
 
 
@@ -113,3 +124,48 @@ def test_model_rejects_non_orthogonal_rotation():
             converged=True,
             n_iter=1,
         )
+
+
+def _reference_iteration(xw, seed, max_iter, tol):
+    """The unchunked fixed-point loop: full n x d temporaries every step."""
+    n, d = xw.shape
+    w = _symmetric_decorrelate(np.random.default_rng(seed).normal(size=(d, d)))
+    for iterations in range(1, max_iter + 1):
+        g = np.tanh(xw @ w.T)
+        w_new = (g.T @ xw) / n - np.diag(np.mean(1.0 - g * g, axis=0)) @ w
+        w_new = _symmetric_decorrelate(w_new)
+        drift = np.max(np.abs(np.abs(np.sum(w_new * w, axis=1)) - 1.0))
+        w = w_new
+        if drift < tol:
+            return w, iterations, True
+    return w, max_iter, False
+
+
+@st.composite
+def _chunk_boundary_samples(draw):
+    # Below about 1000 rows the iteration can wander without converging, and
+    # there rounding differences of 1e-16 grow to O(1) within 100 steps.
+    d = draw(st.integers(1, 6))
+    n = draw(
+        st.one_of(
+            st.integers(1024, _CHUNK - 1),
+            st.sampled_from([_CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sources = rng.uniform(-1, 1, size=(n, d))
+    return sources @ rng.normal(size=(d, d)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chunk_boundary_samples(), st.sampled_from([2, 100]))
+def test_chunked_iteration_matches_the_unchunked_reference(sample, max_iter):
+    x, seed = sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IcaConvergenceWarning)
+        model = fit_fastica(x, d=x.shape[1], seed=seed, max_iter=max_iter)
+    xw = (x - model.mean) @ model.whitening
+    rotation, n_iter, converged = _reference_iteration(xw, seed, max_iter, tol=1e-6)
+    assert model.n_iter == n_iter
+    assert model.converged == converged
+    assert np.abs(model.rotation - rotation).max() < 1e-12
