@@ -33,6 +33,8 @@ _DET_MIN = 1e-6
 _COND_MAX = 1e6
 _TRAIN_FRACTION = 0.75  # n_train = floor(0.75 * n)
 _SAMPLE_RETRIES = 100
+_MIX_TOL = 1e-9  # atol and rtol of the observed == latents @ mixing check
+_CHECK_ROWS = 8192  # rows per chunk of that check
 
 
 class DatasetFormatError(ValueError):
@@ -102,6 +104,38 @@ def sample_mixing(d: int, rng_seed: int) -> MixingMatrix:
     )
 
 
+def _mixes_to(z: np.ndarray, x: np.ndarray, mixing: np.ndarray) -> bool:
+    """np.allclose(x, z @ mixing, atol=_MIX_TOL, rtol=_MIX_TOL), in row chunks.
+
+    Each chunk's product and |x - y| go through two preallocated buffers. A
+    chunk passes at once when every |x - y| - tol is <= 0: that needs every
+    tol = atol + rtol |y| finite, hence every y. Otherwise the chunk gets the
+    exact isclose predicate, (|x - y| <= tol and y finite) or x == y, which
+    also accepts equal infinities. The first failing chunk decides.
+    """
+    n = z.shape[0]
+    y = np.empty((min(n, _CHECK_ROWS), mixing.shape[1]))
+    diff = np.empty_like(y)
+    with np.errstate(invalid="ignore"):  # inf - inf, as isclose allows
+        for start in range(0, n, _CHECK_ROWS):
+            zc, xc = z[start : start + _CHECK_ROWS], x[start : start + _CHECK_ROWS]
+            yc, dc = y[: len(zc)], diff[: len(zc)]
+            np.matmul(zc, mixing, out=yc)
+            np.subtract(xc, yc, out=dc)
+            np.abs(dc, out=dc)
+            np.abs(yc, out=yc)
+            yc *= _MIX_TOL
+            yc += _MIX_TOL
+            dc -= yc
+            if dc.max() <= 0.0:  # a NaN maximum fails too
+                continue
+            yc = zc @ mixing
+            close = (np.abs(xc - yc) <= _MIX_TOL + _MIX_TOL * np.abs(yc)) & np.isfinite(yc)
+            if not (close | (xc == yc)).all():
+                return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class EnvDataset:
     """Per-environment latents and observations plus the train/test row split.
@@ -133,7 +167,7 @@ class EnvDataset:
                 raise ValueError(f"environment {e}: latents shaped {z.shape}, expected {(self.n_per_env, d)}")
             if x.shape != (self.n_per_env, d):
                 raise ValueError(f"environment {e}: observed shaped {x.shape}, expected {(self.n_per_env, d)}")
-            if not np.allclose(x, z @ self.mixing.entries, atol=1e-9, rtol=1e-9):
+            if not _mixes_to(z, x, self.mixing.entries):
                 raise ValueError(f"environment {e}: observed rows are not latents @ mixing")
 
     @property

@@ -139,16 +139,30 @@ class SummaryRow:
     n_seeds: int
 
 
-def build_scm(kind: str, d: int, p: float, seed: int) -> Scm:
-    """Instantiate the generating mechanisms for one run seed."""
+def _derived_seeds(seed: int) -> dict[str, int]:
+    """The substream seeds of one run seed, by purpose, as the manifest records them."""
+    return {
+        "dag": derive_seed(seed, SEED_SCM),
+        "coefficients": derive_seed(seed, SEED_SCM, 1),
+        "data": derive_seed(seed, SEED_DATA),
+        "mixing": derive_seed(seed, SEED_MIXING),
+        "design": derive_seed(seed, SEED_DESIGN),
+    }
+
+
+def _scm(kind: str, d: int, p: Optional[float], seeds: dict) -> Scm:
     if kind == "linear":
-        dag = sample_er_dag(d, p, derive_seed(seed, SEED_SCM))
-        return sample_linear_scm(dag, derive_seed(seed, SEED_SCM, 1))
+        return sample_linear_scm(sample_er_dag(d, p, seeds["dag"]), seeds["coefficients"])
     if kind == "nonlinear-1":
         return builtin_nonlinear_scm(1)
     if kind == "nonlinear-2":
         return builtin_nonlinear_scm(2)
     raise ValueError(f"unknown scm kind {kind!r}")
+
+
+def build_scm(kind: str, d: int, p: float, seed: int) -> Scm:
+    """Instantiate the generating mechanisms for one run seed."""
+    return _scm(kind, d, p, _derived_seeds(seed))
 
 
 def build_design(kind: str, d: int, seed: int, design_file: Optional[str] = None) -> EnvironmentSet:
@@ -166,49 +180,35 @@ def build_design(kind: str, d: int, seed: int, design_file: Optional[str] = None
 
 def make_dataset(config: ExperimentConfig, seed: int) -> tuple[EnvDataset, dict]:
     """Dataset for one run seed plus the manifest that regenerates it."""
-    scm = build_scm(config.scm, config.d, config.p, seed)
     envs = build_design(config.design, config.d, seed, config.design_file)
     report = check_sufficient_coverage(envs)
     if not report.passed:
         raise CoverageError(f"design lacks sufficient coverage: {report}")
-    mixing = sample_mixing(config.d, derive_seed(seed, SEED_MIXING))
-    dataset = generate(
-        scm, envs, mixing, config.n_per_env, rng_seed=derive_seed(seed, SEED_DATA)
-    )
+    seeds = _derived_seeds(seed)
+    p = config.p if config.scm == "linear" else None
     manifest = {
         "format": "varsparse-manifest",
         "version": 1,
         "scm": config.scm,
         "d": config.d,
-        "p": config.p if config.scm == "linear" else None,
+        "p": p,
         "n_per_env": config.n_per_env,
         "seed": seed,
-        "derived_seeds": {
-            "dag": derive_seed(seed, SEED_SCM),
-            "coefficients": derive_seed(seed, SEED_SCM, 1),
-            "data": derive_seed(seed, SEED_DATA),
-            "mixing": derive_seed(seed, SEED_MIXING),
-            "design": derive_seed(seed, SEED_DESIGN),
-        },
+        "derived_seeds": seeds,
         "design": config.design,
         "environments": json.loads(envs.to_json()),
-        "mixing": mixing.entries.tolist(),
-        "n_edges": scm.dag.n_edges,
+        "mixing": sample_mixing(config.d, seeds["mixing"]).entries.tolist(),
+        "n_edges": _scm(config.scm, config.d, p, seeds).dag.n_edges,
     }
-    return dataset, manifest
+    return regenerate(manifest), manifest
 
 
 def regenerate(manifest: dict) -> EnvDataset:
     """Rebuild the exact dataset a manifest describes (bit-identical)."""
     if manifest.get("format") != "varsparse-manifest":
         raise ValueError("not a dataset manifest")
-    kind = manifest["scm"]
     seeds = manifest["derived_seeds"]
-    if kind == "linear":
-        dag = sample_er_dag(manifest["d"], manifest["p"], seeds["dag"])
-        scm = sample_linear_scm(dag, seeds["coefficients"])
-    else:
-        scm = builtin_nonlinear_scm(1 if kind == "nonlinear-1" else 2)
+    scm = _scm(manifest["scm"], manifest["d"], manifest["p"], seeds)
     envs = EnvironmentSet.from_json(json.dumps(manifest["environments"]))
     mixing = MixingMatrix(np.array(manifest["mixing"], dtype=float))
     return generate(scm, envs, mixing, manifest["n_per_env"], rng_seed=seeds["data"])

@@ -273,10 +273,14 @@ def sample(
         if out_of_range:
             raise ValueError(f"intervention targets {out_of_range} outside [0, {d})")
     z = np.empty((n, d), dtype=float)
+    if do:
+        # one contiguous broadcast pins every target; free columns are overwritten below
+        template = np.zeros(d)
+        template[list(do)] = list(do.values())
+        z[:] = template
     stds = np.sqrt(scm.noise.variances)
     for j in scm.topo_order:
         if j in do:
-            z[:, j] = do[j]
             continue
         noise = substream(rng_seed, j).normal(scm.noise.means[j], stds[j], size=n)
         parents = scm.mechanisms[j].parents

@@ -19,8 +19,15 @@ from varsparse.data import (
     load,
     sample_mixing,
     save,
+    _CHECK_ROWS,
+    _mixes_to,
 )
-from varsparse.envs import EnvironmentSet, InterventionRegime, leave_one_out_design
+from varsparse.envs import (
+    EnvironmentSet,
+    InterventionRegime,
+    leave_one_out_design,
+    separating_design,
+)
 from varsparse.scm import chain_example_scm, sample, sample_er_dag, sample_linear_scm
 
 CHAIN_MIX = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
@@ -407,3 +414,99 @@ def test_dataset_validation():
             n_train=ds.n_per_env,
             seed=ds.seed,
         )
+
+
+def _reference_mixes_to(z, x, mixing):
+    with np.errstate(invalid="ignore"):  # BLAS flags rows holding an infinity
+        return np.allclose(x, z @ mixing, atol=1e-9, rtol=1e-9)
+
+
+def _mixed_pair(n, d, seed):
+    """Latents, a mixing with no zero entry, and their product."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, d))
+    mixing = rng.uniform(0.5, 1.5, size=(d, d)) * rng.choice([-1.0, 1.0], size=(d, d))
+    return z, mixing, z @ mixing
+
+
+_EDGE_ROWS = (_CHECK_ROWS - 1, _CHECK_ROWS, _CHECK_ROWS + 1, 2 * _CHECK_ROWS + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.integers(4, 9000), st.sampled_from(_EDGE_ROWS)),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+    st.sampled_from(("none", "inside", "outside", "nan", "inf-equal", "inf-unequal")),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_chunked_mixing_check_agrees_with_allclose(n, d, seed, edit, row_at, col_at):
+    z, mixing, x = _mixed_pair(n, d, seed)
+    r, c = int(row_at * n), int(col_at * d)
+    y = x[r, c]
+    tol = 1e-9 + 1e-9 * abs(y)
+    if edit == "inside":
+        x[r, c] = y + 0.5 * tol
+    elif edit == "outside":
+        x[r, c] = y - 2.0 * tol
+    elif edit == "nan":
+        x[r, c] = np.nan
+    elif edit.startswith("inf"):
+        # one infinite latent makes the whole product row infinite, signs following mixing
+        z[r, c] = np.inf
+        x[r] = z[r] @ mixing
+        if edit == "inf-unequal":
+            x[r, c] = -x[r, c]
+    want = _reference_mixes_to(z, x, mixing)
+    assert want == (edit in ("none", "inside", "inf-equal"))
+    assert _mixes_to(z, x, mixing) == want
+
+
+@pytest.mark.parametrize("n", _EDGE_ROWS)
+def test_mixing_check_reaches_the_last_row(n):
+    z, mixing, x = _mixed_pair(n, 3, n)
+    assert _mixes_to(z, x, mixing)
+    x[-1, -1] += 1e-6
+    assert not _reference_mixes_to(z, x, mixing)
+    assert not _mixes_to(z, x, mixing)
+
+
+@st.composite
+def _small_datasets(draw):
+    d = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32))
+    design = draw(st.sampled_from(("leave-one-out", "separating", "random")))
+    if design == "leave-one-out":
+        envs = leave_one_out_design(d, seed)
+    elif design == "separating":
+        envs = separating_design(d, seed)
+    else:
+        regimes = draw(
+            st.lists(
+                st.lists(st.integers(0, d - 1), unique=True).map(
+                    lambda t: InterventionRegime(tuple(t), tuple(0.5 * k for k in range(len(t))))
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        envs = EnvironmentSet(d, tuple(regimes))
+    scm = sample_linear_scm(sample_er_dag(d, draw(st.floats(0.0, 1.0)), seed), seed)
+    n = draw(st.integers(4, 40))
+    return generate(scm, envs, sample_mixing(d, seed), n_per_env=n, rng_seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_datasets())
+def test_container_round_trip_is_bitwise(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("round-trip") / "ds.vsds"
+    save(ds, path)
+    back = load(path)
+    assert back.envs.d == ds.envs.d
+    assert back.envs.regimes == ds.envs.regimes
+    assert (back.n_per_env, back.n_train, back.seed) == (ds.n_per_env, ds.n_train, ds.seed)
+    assert back.mixing.entries.tobytes() == ds.mixing.entries.tobytes()
+    for e in range(ds.n_envs):
+        assert back.latents[e].tobytes() == ds.latents[e].tobytes()
+        assert back.observed[e].tobytes() == ds.observed[e].tobytes()

@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varsparse.envs import (
     CoverageReport,
@@ -166,3 +168,35 @@ def test_environment_set_json_round_trip():
     assert back.regimes == envs.regimes
     with pytest.raises(ValueError, match="malformed"):
         EnvironmentSet.from_json("{\"regimes\": []}")
+
+
+@st.composite
+def _design_and_permutation(draw):
+    d = draw(st.integers(1, 7))
+    regimes = draw(
+        st.lists(
+            st.lists(st.integers(0, d - 1), unique=True).map(
+                lambda t: InterventionRegime(tuple(t), tuple(float(k) for k in range(len(t))))
+            ),
+            max_size=8,
+        )
+    )
+    return EnvironmentSet(d, tuple(regimes)), draw(st.permutations(range(d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_design_and_permutation())
+def test_coverage_verdict_survives_relabelled_coordinates(design_and_permutation):
+    envs, perm = design_and_permutation
+    relabelled = EnvironmentSet(
+        envs.d,
+        tuple(
+            InterventionRegime(tuple(perm[t] for t in r.targets), r.values) for r in envs.regimes
+        ),
+    )
+    report = check_sufficient_coverage(envs)
+    moved = check_sufficient_coverage(relabelled)
+    assert moved.passed == report.passed
+    assert moved.missing == {
+        perm[j]: frozenset(perm[i] for i in miss) for j, miss in report.missing.items()
+    }
