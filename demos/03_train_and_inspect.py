@@ -10,10 +10,9 @@ import argparse
 
 import numpy as np
 
-from varsparse._rng import derive_seed
-from varsparse.experiments import ExperimentConfig, make_dataset
+from varsparse.experiments import ExperimentConfig, make_dataset, test_split
 from varsparse.metrics import disentanglement_check, mcc_between
-from varsparse.unmixing import TrainConfig, train, variance_matrix
+from varsparse.unmixing import train, variance_matrix
 
 
 def main():
@@ -28,9 +27,7 @@ def main():
         d=args.d, n_per_env=args.n, seeds=(args.seed,), epochs=args.epochs, batch_size=1024
     )
     dataset, _ = make_dataset(config, args.seed)
-    model, report = train(
-        dataset, config.weights, config.train_config(derive_seed(args.seed, 4))
-    )
+    model, report = train(dataset, config.weights, config.train_config(args.seed))
 
     np.set_printoptions(precision=5, suppress=True)
     first, last = report.epoch_losses[0], report.epoch_losses[-1]
@@ -50,9 +47,8 @@ def main():
     print(verdict)
     print()
 
-    reference = np.vstack([dataset.test_latents(e) for e in range(dataset.n_envs)])
-    learned = np.vstack(batches) @ model.lhat
-    result = mcc_between(reference, learned)
+    reference, observed = test_split(dataset)
+    result = mcc_between(reference, observed @ model.lhat)
     print(f"mcc on the test split: {result.score:.4f}")
     print(f"matched pairs (true -> learned): {result.permutation}")
 

@@ -17,20 +17,17 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-import numpy as np
-
-from ._rng import derive_seed
 from .data import export_csv, load, save
 from .envs import EnvironmentSet, check_sufficient_coverage
 from .experiments import (
     DESIGN_KINDS,
     METHODS,
-    SEED_TRAIN,
     ExperimentConfig,
     build_design,
     make_dataset,
     regenerate,
     reproduce,
+    test_split,
 )
 from .metrics import disentanglement_check, mcc_between
 from .unmixing import (
@@ -106,13 +103,6 @@ def load_config_file(path: str) -> tuple[dict, dict, dict]:
     )
 
 
-def _resolve_design(value: str) -> tuple[str, Optional[str]]:
-    """A design is either a named constructor or a path to a regimes file."""
-    if value in DESIGN_KINDS:
-        return value, None
-    return "custom-file", value
-
-
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge config file then flags into a validated ExperimentConfig."""
     exp, weight_kwargs, train_kwargs = {}, {}, {}
@@ -132,15 +122,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         exp["scm"] = args.scm
     if getattr(args, "out", None) is not None:
         exp["out_dir"] = args.out
-    design_file = None
-    if "design" in exp:
-        exp["design"], design_file = _resolve_design(exp["design"])
-    return ExperimentConfig(
-        weights=LossWeights(**weight_kwargs),
-        design_file=design_file,
-        **exp,
-        **train_kwargs,
-    )
+    return ExperimentConfig(weights=LossWeights(**weight_kwargs), **exp, **train_kwargs)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -163,12 +145,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_check_design(args: argparse.Namespace) -> int:
-    kind, path = _resolve_design(args.design) if args.design else ("leave-one-out", None)
-    if path is not None:
-        envs = EnvironmentSet.from_json(Path(path).read_text())
-    else:
+    design = args.design or "leave-one-out"
+    if design in DESIGN_KINDS:
         d = args.d if args.d is not None else 6
-        envs = build_design(kind, d, args.seed if args.seed is not None else 0)
+        envs = build_design(design, d, args.seed if args.seed is not None else 0)
+    else:  # a regimes file carries its own d
+        envs = EnvironmentSet.from_json(Path(design).read_text())
     report = check_sufficient_coverage(envs)
     print(f"{len(envs)} environments over d={envs.d}: {report}")
     return EXIT_OK if report.passed else EXIT_VALIDATION
@@ -182,13 +164,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = config.seeds[0]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_config = config.train_config(derive_seed(seed, SEED_TRAIN))
+    train_config = config.train_config(seed)
     model, report = train(dataset, config.weights, train_config)
     save_checkpoint(model, out / "checkpoint.bin", train_config, epoch=config.epochs)
     (out / "train_report.json").write_text(report.to_json() + "\n")
     report.to_csv(out / "train_losses.csv")
-    test_latents = np.vstack([dataset.test_latents(e) for e in range(dataset.n_envs)])
-    test_observed = np.vstack([dataset.test_observed(e) for e in range(dataset.n_envs)])
+    test_latents, test_observed = test_split(dataset)
     score = mcc_between(test_latents, test_observed @ model.lhat).score
     print(f"final training loss {float(report.epoch_losses[-1].total)!r}")
     print(f"test-split mcc {score!r}")
@@ -201,8 +182,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError("evaluate needs --data and --checkpoint")
     dataset = load(args.data)
     model, _ = load_checkpoint(args.checkpoint)
-    test_latents = np.vstack([dataset.test_latents(e) for e in range(dataset.n_envs)])
-    test_observed = np.vstack([dataset.test_observed(e) for e in range(dataset.n_envs)])
+    test_latents, test_observed = test_split(dataset)
     result = mcc_between(test_latents, test_observed @ model.lhat)
     print(f"test-split mcc {result.score!r}")
     print(f"matched pairs (reference -> learned): {result.permutation}")

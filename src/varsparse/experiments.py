@@ -12,7 +12,7 @@ formatting so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -63,14 +63,15 @@ _EXPECTED_FAILURES = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one benchmark run needs, with validated ranges."""
+    """Everything one benchmark run needs, with validated ranges.
+
+    design is a name in DESIGN_KINDS or the path of a regimes JSON file."""
 
     d: int = 6
     p: float = 0.5
     n_per_env: int = 100_000
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     design: str = "leave-one-out"
-    design_file: Optional[str] = None
     scm: str = "linear"
     weights: LossWeights = field(default_factory=LossWeights)
     epochs: int = 50
@@ -89,28 +90,26 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonempty")
         if self.scm not in SCM_KINDS:
             raise ValueError(f"scm must be one of {SCM_KINDS}, got {self.scm!r}")
-        if self.design not in DESIGN_KINDS + ("custom-file",):
-            raise ValueError(f"unknown design {self.design!r}")
-        if self.design == "custom-file":
-            if not self.design_file:
-                raise ValueError("design custom-file needs design_file")
-            if not Path(self.design_file).exists():
-                raise ValueError(f"design file not found: {self.design_file}")
+        if self.design not in DESIGN_KINDS and not Path(self.design).is_file():
+            raise ValueError(f"design {self.design!r} is neither one of {DESIGN_KINDS} nor a file")
         if self.scm in ("nonlinear-1", "nonlinear-2") and self.d != 6:
             raise ValueError("the built-in nonlinear mechanisms are defined for d=6")
 
     def train_config(self, seed: int) -> TrainConfig:
+        """The optimizer settings of one run seed, on its training substream."""
         return TrainConfig(
             epochs=self.epochs,
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,
-            seed=seed,
+            seed=derive_seed(seed, SEED_TRAIN),
         )
 
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One long-format result: a single (cell, seed, method) evaluation."""
+    """One long-format result: a single (cell, seed, method) evaluation.
+
+    Field order is the column order of the rows CSV."""
 
     experiment: str
     scm: str
@@ -120,10 +119,10 @@ class ResultRow:
     seed: int
     method: str
     mcc: float
-    error: str = ""
     # FastICA rows only; None (a blank CSV cell) for ours and for failed rows
     ica_converged: Optional[bool] = None
     ica_n_iter: Optional[int] = None
+    error: str = ""
 
 
 @dataclass(frozen=True)
@@ -165,22 +164,21 @@ def build_scm(kind: str, d: int, p: float, seed: int) -> Scm:
     return _scm(kind, d, p, _derived_seeds(seed))
 
 
-def build_design(kind: str, d: int, seed: int, design_file: Optional[str] = None) -> EnvironmentSet:
-    if kind == "leave-one-out":
+def build_design(design: str, d: int, seed: int) -> EnvironmentSet:
+    """The named design for one run seed, or else the regimes file at path design."""
+    if design == "leave-one-out":
         return leave_one_out_design(d, derive_seed(seed, SEED_DESIGN))
-    if kind == "separating":
+    if design == "separating":
         return separating_design(d, derive_seed(seed, SEED_DESIGN))
-    if kind == "custom-file":
-        envs = EnvironmentSet.from_json(Path(design_file).read_text())
-        if envs.d != d:
-            raise DesignDimensionError(f"design file is for d={envs.d}, experiment wants d={d}")
-        return envs
-    raise ValueError(f"unknown design kind {kind!r}")
+    envs = EnvironmentSet.from_json(Path(design).read_text())
+    if envs.d != d:
+        raise DesignDimensionError(f"design file is for d={envs.d}, experiment wants d={d}")
+    return envs
 
 
 def make_dataset(config: ExperimentConfig, seed: int) -> tuple[EnvDataset, dict]:
     """Dataset for one run seed plus the manifest that regenerates it."""
-    envs = build_design(config.design, config.d, seed, config.design_file)
+    envs = build_design(config.design, config.d, seed)
     report = check_sufficient_coverage(envs)
     if not report.passed:
         raise CoverageError(f"design lacks sufficient coverage: {report}")
@@ -214,6 +212,15 @@ def regenerate(manifest: dict) -> EnvDataset:
     return generate(scm, envs, mixing, manifest["n_per_env"], rng_seed=seeds["data"])
 
 
+def test_split(dataset: EnvDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The pooled test latents and observations, environments in order."""
+    envs = range(dataset.n_envs)
+    return (
+        np.vstack([dataset.test_latents(e) for e in envs]),
+        np.vstack([dataset.test_observed(e) for e in envs]),
+    )
+
+
 def evaluate_method(
     dataset: EnvDataset, method: str, config: ExperimentConfig, seed: int
 ) -> float:
@@ -225,17 +232,13 @@ def _fit_and_score(
     dataset: EnvDataset, method: str, config: ExperimentConfig, seed: int
 ) -> tuple[float, Optional[IcaModel]]:
     """evaluate_method's score, plus the fitted FastICA model (None for ours)."""
-    n_envs = dataset.n_envs
-    test_latents = np.vstack([dataset.test_latents(e) for e in range(n_envs)])
-    test_observed = np.vstack([dataset.test_observed(e) for e in range(n_envs)])
+    test_latents, test_observed = test_split(dataset)
     ica = None
     if method == "ours":
-        model, _ = train(
-            dataset, config.weights, config.train_config(derive_seed(seed, SEED_TRAIN))
-        )
+        model, _ = train(dataset, config.weights, config.train_config(seed))
         learned = test_observed @ model.lhat
     elif method == "fastica":
-        pooled = np.vstack([dataset.train_observed(e) for e in range(n_envs)])
+        pooled = np.vstack([dataset.train_observed(e) for e in range(dataset.n_envs)])
         ica = fit_fastica(pooled, dataset.d, seed=derive_seed(seed, SEED_ICA))
         learned = transform(ica, test_observed)
     else:
@@ -332,7 +335,7 @@ def summarize(rows: Sequence[ResultRow]) -> list[SummaryRow]:
         k = len(scores)
         mean = float(scores.mean()) if k else float("nan")
         stderr = float(scores.std(ddof=1) / np.sqrt(k)) if k > 1 else (0.0 if k else float("nan"))
-        out.append(SummaryRow(*key[:5], key[5], mean, stderr, k))
+        out.append(SummaryRow(*key, mean, stderr, k))
     return out
 
 
@@ -341,55 +344,25 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, str):
+        return value.replace(",", ";").replace("\n", " ")  # keep commas and newlines out of cells
     return str(value)
 
 
-ROWS_HEADER = "experiment,scm,d,p,n_per_env,seed,method,mcc,ica_converged,ica_n_iter,error"
-SUMMARY_HEADER = "experiment,scm,d,p,n_per_env,method,mean_mcc,stderr_mcc,n_seeds"
+def _write_csv(cls: type, rows: Sequence, path: Union[str, Path]) -> None:
+    """One header line of cls's field names, then one line per row, fields in order."""
+    names = [f.name for f in fields(cls)]
+    lines = [",".join(names)]
+    lines += [",".join(_fmt(getattr(r, name)) for name in names) for r in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_rows_csv(rows: Sequence[ResultRow], path: Union[str, Path]) -> None:
-    lines = [ROWS_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.experiment,
-                    r.scm,
-                    str(r.d),
-                    _fmt(r.p),
-                    str(r.n_per_env),
-                    str(r.seed),
-                    r.method,
-                    _fmt(r.mcc),
-                    _fmt(r.ica_converged),
-                    _fmt(r.ica_n_iter),
-                    r.error.replace(",", ";").replace("\n", " "),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(ResultRow, rows, path)
 
 
 def write_summary_csv(rows: Sequence[SummaryRow], path: Union[str, Path]) -> None:
-    lines = [SUMMARY_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.experiment,
-                    r.scm,
-                    str(r.d),
-                    _fmt(r.p),
-                    str(r.n_per_env),
-                    r.method,
-                    _fmt(r.mean_mcc),
-                    _fmt(r.stderr_mcc),
-                    str(r.n_seeds),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(SummaryRow, rows, path)
 
 
 def reproduce(

@@ -39,7 +39,7 @@ class IcaModel:
     """Fitted ICA: components(x) = ((x - mean) @ whitening) @ rotation.T."""
 
     mean: np.ndarray
-    whitening: np.ndarray  # m x d, maps centered rows to unit-covariance rows
+    whitening: np.ndarray  # d x d, maps centered rows to unit-covariance rows
     rotation: np.ndarray  # d x d orthogonal, rows are unmixing directions
     converged: bool
     n_iter: int
@@ -68,7 +68,7 @@ def fit_fastica(
     max_iter: int = 500,
     tol: float = 1e-6,
 ) -> IcaModel:
-    """Fit d independent components to the rows of x.
+    """Fit d independent components to the rows of x, which has d columns.
 
     Deterministic for a fixed seed. Raises IcaRankError on a rank-deficient
     covariance; warns (and flags the model) if the iteration does not converge.
@@ -77,8 +77,8 @@ def fit_fastica(
     if x.ndim != 2:
         raise ValueError("x must be a 2-d sample matrix")
     n, m = x.shape
-    if d < 1 or d > m:
-        raise ValueError(f"need 1 <= d <= {m}, got {d}")
+    if d < 1 or d != m:
+        raise ValueError(f"d must equal the {m} columns of x and be positive, got {d}")
     if n <= d:
         raise ValueError(f"need more samples than components, got n={n}, d={d}")
 
@@ -86,13 +86,10 @@ def fit_fastica(
     xc = x - mean
     cov = (xc.T @ xc) / n
     values, vectors = np.linalg.eigh(cov)
-    if values[-1] <= 0 or values[m - d] < _RANK_RTOL * values[-1]:
-        raise IcaRankError(
-            f"covariance is rank-deficient: leading eigenvalues {values[::-1][:d]}"
-        )
-    # keep the d leading directions; columns scaled so whitened rows have unit covariance
-    lead = np.arange(m - 1, m - d - 1, -1)
-    whitening = vectors[:, lead] / np.sqrt(values[lead])
+    if values[-1] <= 0 or values[0] < _RANK_RTOL * values[-1]:
+        raise IcaRankError(f"covariance is rank-deficient: eigenvalues {values[::-1]}")
+    # leading direction first; columns scaled so whitened rows have unit covariance
+    whitening = vectors[:, ::-1] / np.sqrt(values[::-1])
     xw = xc @ whitening
     del xc
 

@@ -4,7 +4,7 @@ The model is a single matrix lhat mapping observations to a candidate
 representation. Per environment we form the vector of per-column variances;
 stacking them gives the variance matrix V (environments x learned dims). The
 data enter only through each environment's covariance S_e, since
-V[e, j] = l_j^T S_e l_j, so training is full-batch on the (E, m, m) stack of
+V[e, j] = l_j^T S_e l_j, so training is full-batch on the (E, d, d) stack of
 train covariances. The objective pushes V toward a permuted diagonal:
 
   total = loss_var + le * loss_env + lm * loss_dim + ld * loss_diag + ln * loss_norm
@@ -55,7 +55,7 @@ class TrainingAborted(RuntimeError):
 
 @dataclass(eq=False)
 class UnmixingModel:
-    """Learned linear unmixing, one matrix of shape (m, d)."""
+    """Learned linear unmixing, one square matrix of shape (d, d)."""
 
     lhat: np.ndarray
     init_seed: int
@@ -66,22 +66,20 @@ class UnmixingModel:
             raise ValueError("lhat must be a 2-d matrix")
         if not np.isfinite(lhat).all():
             raise ValueError("lhat must be finite")
+        if lhat.shape[0] != lhat.shape[1]:
+            raise ValueError(f"lhat must be square, got shape {lhat.shape}")
         self.lhat = lhat
-
-    @property
-    def m(self) -> int:
-        return self.lhat.shape[0]
 
     @property
     def d(self) -> int:
         return self.lhat.shape[1]
 
     @classmethod
-    def initialize(cls, m: int, d: int, seed: int) -> "UnmixingModel":
-        # uniform [-1/sqrt(m), 1/sqrt(m)]: E||lhat||_F^2 = d/3, near the norm target
+    def initialize(cls, d: int, seed: int) -> "UnmixingModel":
+        # uniform [-1/sqrt(d), 1/sqrt(d)]: E||lhat||_F^2 = d/3, near the norm target
         rng = np.random.default_rng(seed)
-        bound = 1.0 / np.sqrt(m)
-        return cls(rng.uniform(-bound, bound, size=(m, d)), init_seed=seed)
+        bound = 1.0 / np.sqrt(d)
+        return cls(rng.uniform(-bound, bound, size=(d, d)), init_seed=seed)
 
     def transform(self, observed: np.ndarray) -> np.ndarray:
         return np.asarray(observed, dtype=float) @ self.lhat
@@ -170,15 +168,15 @@ class TrainReport:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _covariances(batches: Sequence[np.ndarray], m: int) -> np.ndarray:
-    """(E, m, m) stack of the biased (divide-by-n) covariances of the batches."""
-    covs = np.empty((len(batches), m, m))
+def _covariances(batches: Sequence[np.ndarray], d: int) -> np.ndarray:
+    """(E, d, d) stack of the biased (divide-by-n) covariances of the batches."""
+    covs = np.empty((len(batches), d, d))
     for e, batch in enumerate(batches):
         batch = np.asarray(batch, dtype=float)
         if batch.ndim != 2 or batch.shape[0] < 2:
             raise ValueError(f"batch {e} needs at least 2 rows, got shape {batch.shape}")
-        if batch.shape[1] != m:
-            raise ValueError(f"batch {e} has {batch.shape[1]} columns, model expects {m}")
+        if batch.shape[1] != d:
+            raise ValueError(f"batch {e} has {batch.shape[1]} columns, model expects {d}")
         centered = batch - batch.mean(axis=0)
         covs[e] = centered.T @ centered / batch.shape[0]
     return covs
@@ -191,7 +189,7 @@ def _variances(covs: np.ndarray, lhat: np.ndarray) -> np.ndarray:
 
 def variance_matrix(batches: Sequence[np.ndarray], model: UnmixingModel) -> np.ndarray:
     """(E, d) biased (divide-by-n) per-column variances of each projected batch."""
-    return _variances(_covariances(batches, model.m), model.lhat)
+    return _variances(_covariances(batches, model.d), model.lhat)
 
 
 def loss_var(v: np.ndarray) -> float:
@@ -268,7 +266,7 @@ def grad_loss_norm(model: UnmixingModel, norm_target: float = 1.0) -> np.ndarray
 def _loss_and_grad(
     covs: np.ndarray, model: UnmixingModel, weights: LossWeights
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
-    """Shared forward+backward pass over an (E, m, m) covariance stack.
+    """Shared forward+backward pass over an (E, d, d) covariance stack.
 
     The four variance-based terms are evaluated on the variance matrix of
     the *unit-normalized* columns of lhat, so they score only the directions
@@ -293,7 +291,7 @@ def _loss_and_grad(
     col_norms = np.linalg.norm(lhat, axis=0)
     safe_norms = np.where(col_norms > 0.0, col_norms, 1.0)
     directions = lhat / safe_norms
-    su = covs @ directions  # S_e U, shape (E, m, d)
+    su = covs @ directions  # S_e U, shape (E, d, d)
     v_dir = np.einsum("emd,md->ed", su, directions)
     scale = float(np.linalg.norm(v_dir)) / np.sqrt(v_dir.size)
     v = v_dir / scale if scale > 0 else v_dir
@@ -343,7 +341,7 @@ def total_loss(
     batches: Sequence[np.ndarray], model: UnmixingModel, weights: LossWeights
 ) -> tuple[float, LossBreakdown]:
     """Weighted objective value and its per-term breakdown."""
-    breakdown, _, _ = _loss_and_grad(_covariances(batches, model.m), model, weights)
+    breakdown, _, _ = _loss_and_grad(_covariances(batches, model.d), model, weights)
     return breakdown.total, breakdown
 
 
@@ -351,7 +349,7 @@ def gradient(
     batches: Sequence[np.ndarray], model: UnmixingModel, weights: LossWeights
 ) -> np.ndarray:
     """Exact gradient of the weighted objective with respect to lhat."""
-    _, grad, _ = _loss_and_grad(_covariances(batches, model.m), model, weights)
+    _, grad, _ = _loss_and_grad(_covariances(batches, model.d), model, weights)
     return grad
 
 
@@ -430,7 +428,7 @@ def train(
         )
 
     started = time.perf_counter()
-    model = UnmixingModel.initialize(dataset.d, dataset.d, config.seed)
+    model = UnmixingModel.initialize(dataset.d, config.seed)
     state = adamw_init(model.lhat)
     covs = _covariances([dataset.train_observed(e) for e in range(n_envs)], dataset.d)
     steps_per_epoch = -(-n_train // config.batch_size)
@@ -478,7 +476,7 @@ def save_checkpoint(
 ) -> None:
     """One-line JSON header, newline, then the row-major float64 parameters."""
     header = {
-        "m": model.m,
+        "m": model.d,  # the row count; the model is square
         "d": model.d,
         "init_seed": model.init_seed,
         "epoch": epoch,
@@ -504,8 +502,10 @@ def load_checkpoint(path: Union[str, Path]) -> tuple[UnmixingModel, dict]:
     for name, value in (("m", m), ("d", d), ("init_seed", init_seed)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(f"{path}: checkpoint {name} must be a nonnegative integer, got {value!r}")
+    if m != d:
+        raise ValueError(f"{path}: checkpoint model must be square, got m={m}, d={d}")
     payload = raw[sep + 1 :]
-    if len(payload) != 8 * m * d:
-        raise ValueError(f"{path}: expected {8 * m * d} payload bytes, found {len(payload)}")
-    lhat = np.frombuffer(payload, dtype="<f8").reshape(m, d).copy()
+    if len(payload) != 8 * d * d:
+        raise ValueError(f"{path}: expected {8 * d * d} payload bytes, found {len(payload)}")
+    lhat = np.frombuffer(payload, dtype="<f8").reshape(d, d).copy()
     return UnmixingModel(lhat, init_seed=init_seed), header

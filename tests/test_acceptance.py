@@ -177,13 +177,13 @@ def test_criterion_6_every_gradient_matches_finite_differences():
             v = np.abs(rng.normal(size=shape)) + 0.05  # keep FD steps inside the valid domain
             worst = max(worst, _grad_gap(grad_fn(v), _fd(fn, v)))
     for k in range(20):
-        model = UnmixingModel.initialize(3, 3, seed=100 + k)
+        model = UnmixingModel.initialize(3, seed=100 + k)
         fn = lambda flat: loss_norm(UnmixingModel(flat.reshape(3, 3), init_seed=0), 1.0)
         worst = max(worst, _grad_gap(grad_loss_norm(model, 1.0), _fd(fn, model.lhat.copy())))
     weights = LossWeights()
     for k in range(20):
         batches = [rng.normal(size=(30, 3)) @ rng.normal(size=(3, 3)) for _ in range(3)]
-        model = UnmixingModel.initialize(3, 3, seed=200 + k)
+        model = UnmixingModel.initialize(3, seed=200 + k)
         fn = lambda flat: total_loss(batches, UnmixingModel(flat.reshape(3, 3), init_seed=0), weights)[0]
         worst = max(worst, _grad_gap(gradient(batches, model, weights), _fd(fn, model.lhat.copy())))
     _verdict(6, worst < 1e-4, f"worst relative error {worst:.3e} over 120 instances (need < 1e-4)")

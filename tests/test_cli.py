@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from varsparse.cli import build_config, build_parser, load_config_file, main
-from varsparse.envs import EnvironmentSet, InterventionRegime
+from varsparse.envs import EnvironmentSet, InterventionRegime, leave_one_out_design
 
 TINY_INI = """\
 [experiment]
@@ -89,6 +89,19 @@ def test_generate_with_no_edges_records_zero_edge_count(tmp_path):
 def test_generate_from_manifest_is_bit_exact(tmp_path, tiny_config):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["generate", "--config", tiny_config, "--out", str(a)]) == 0
+    assert main(["generate", "--from-manifest", str(a / "manifest.json"), "--out", str(b)]) == 0
+    assert (a / "dataset.bin").read_bytes() == (b / "dataset.bin").read_bytes()
+
+
+def test_generate_from_a_design_file_records_its_path_and_regenerates(tmp_path, tiny_config):
+    design = tmp_path / "regimes.json"
+    design.write_text(leave_one_out_design(3, value_seed=7).to_json())
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["generate", "--config", tiny_config, "--design", str(design), "--out", str(a)]) == 0
+    manifest = json.loads((a / "manifest.json").read_text())
+    assert manifest["design"] == str(design)
+    assert manifest["environments"] == json.loads(design.read_text())
+    design.unlink()  # the manifest alone regenerates the data
     assert main(["generate", "--from-manifest", str(a / "manifest.json"), "--out", str(b)]) == 0
     assert (a / "dataset.bin").read_bytes() == (b / "dataset.bin").read_bytes()
 

@@ -42,8 +42,7 @@ def test_config_defaults_match_benchmark_protocol():
         dict(seeds=()),
         dict(scm="cubic"),
         dict(design="latin-square"),
-        dict(design="custom-file"),  # needs design_file
-        dict(design="custom-file", design_file="/no/such/file.json"),
+        dict(design="/no/such/file.json"),
         dict(scm="nonlinear-1", d=4),
     ],
 )
@@ -144,7 +143,7 @@ def test_run_cell_records_failures_as_rows():
 def test_run_cell_records_a_failing_design_file_as_a_typed_row(tmp_path, doc, expected):
     path = tmp_path / "design.json"
     path.write_text(json.dumps(doc))
-    config = ExperimentConfig(d=3, n_per_env=400, seeds=(0,), design="custom-file", design_file=str(path))
+    config = ExperimentConfig(d=3, n_per_env=400, seeds=(0,), design=str(path))
     row = run_cell("unit", config, seed=0, method="fastica")
     assert np.isnan(row.mcc) and row.error.startswith(f"{expected}: ")
     assert row.ica_converged is None and row.ica_n_iter is None
@@ -268,7 +267,7 @@ def test_summarize_groups_methods_separately():
 def test_csv_headers_and_failure_cells(tmp_path):
     rows = [
         _row(0, 0.9),
-        ResultRow("x", "linear", 3, 0.5, 100, 1, "ours", float("nan"), "boom, bad\nline"),
+        ResultRow("x", "linear", 3, 0.5, 100, 1, "ours", float("nan"), error="boom, bad\nline"),
         ResultRow("x", "linear", 3, 0.5, 100, 0, "fastica", 0.5, ica_converged=False, ica_n_iter=500),
     ]
     path = tmp_path / "rows.csv"

@@ -100,8 +100,10 @@ def test_rank_deficient_covariance_is_rejected():
 
 def test_fit_rejects_bad_arguments():
     x = np.zeros((5, 3))
-    with pytest.raises(ValueError, match="1 <= d"):
+    with pytest.raises(ValueError, match="columns of x"):
         fit_fastica(x, d=4, seed=0)
+    with pytest.raises(ValueError, match="columns of x"):
+        fit_fastica(x, d=2, seed=0)
     with pytest.raises(ValueError, match="more samples"):
         fit_fastica(np.eye(3), d=3, seed=0)
     with pytest.raises(ValueError, match="2-d"):

@@ -145,7 +145,7 @@ def test_covariance_kernel_matches_row_path(problem):
     batches, lhat = problem
     model = UnmixingModel(lhat, init_seed=0)
     weights = LossWeights(lambda_e=0.7, lambda_m=1.3, lambda_diag=10.0, lambda_norm=5.0)
-    covs = unmixing._covariances(batches, model.m)
+    covs = unmixing._covariances(batches, model.d)
     breakdown, grad, v = unmixing._loss_and_grad(covs, model, weights)
     ref_total, ref_grad, ref_v = _row_loss_and_grad(batches, model, weights)
     assert _close(breakdown.total, ref_total)
@@ -348,7 +348,7 @@ def test_term_gradients_match_finite_differences(fn, grad_fn):
 def test_norm_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     for _ in range(20):
-        lhat = rng.normal(size=(4, 3))
+        lhat = rng.normal(size=(4, 4))
         fd = _fd_grad(lambda a: loss_norm(UnmixingModel(a, 0)), lhat)
         an = grad_loss_norm(UnmixingModel(lhat, 0))
         assert np.max(np.abs(fd - an)) < 1e-4
@@ -554,12 +554,12 @@ def test_training_aborted_carries_partial_report():
 
 
 def test_model_initialize_is_bounded_and_deterministic():
-    a = UnmixingModel.initialize(4, 3, seed=5)
-    b = UnmixingModel.initialize(4, 3, seed=5)
-    assert a.lhat.shape == (4, 3)
+    a = UnmixingModel.initialize(4, seed=5)
+    b = UnmixingModel.initialize(4, seed=5)
+    assert a.lhat.shape == (4, 4)
     assert np.abs(a.lhat).max() <= 0.5  # 1/sqrt(4)
     assert np.array_equal(a.lhat, b.lhat)
-    assert a.m == 4 and a.d == 3
+    assert a.d == 4
 
 
 def test_model_rejects_non_finite_entries():
@@ -567,6 +567,8 @@ def test_model_rejects_non_finite_entries():
         UnmixingModel(np.array([[np.nan, 0.0]]), init_seed=0)
     with pytest.raises(ValueError, match="2-d"):
         UnmixingModel(np.zeros(3), init_seed=0)
+    with pytest.raises(ValueError, match="square"):
+        UnmixingModel(np.zeros((4, 3)), init_seed=0)
 
 
 def test_model_transform_applies_lhat():
@@ -594,7 +596,7 @@ def test_loss_weights_and_config_validation():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    model = UnmixingModel.initialize(3, 3, seed=9)
+    model = UnmixingModel.initialize(3, seed=9)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path, config=TrainConfig(seed=9), epoch=50)
     loaded, header = load_checkpoint(path)
@@ -605,7 +607,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
-    model = UnmixingModel.initialize(3, 3, seed=9)
+    model = UnmixingModel.initialize(3, seed=9)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     raw = path.read_bytes()
@@ -632,6 +634,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
         (b'{"m": -1, "d": -3}', "m must be a nonnegative integer"),
         (b'{"m": 3, "d": -3}', "d must be a nonnegative integer"),
         (b'{"m": 3, "d": 3, "init_seed": [1]}', "init_seed must be a nonnegative integer"),
+        (b'{"m": 2, "d": 3}', "square"),
     ],
 )
 def test_checkpoint_rejects_malformed_headers(tmp_path, header, match):
