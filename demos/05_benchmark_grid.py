@@ -10,7 +10,7 @@ import argparse
 import tempfile
 from pathlib import Path
 
-from varsparse.experiments import ExperimentConfig, reproduce
+from varsparse.experiments import GRIDS, ExperimentConfig, reproduce
 
 FULL = ExperimentConfig()
 QUICK = ExperimentConfig(n_per_env=8_000, seeds=(0, 1), epochs=25, batch_size=1024)
@@ -18,8 +18,7 @@ QUICK = ExperimentConfig(n_per_env=8_000, seeds=(0, 1), epochs=25, batch_size=10
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--which", default="fig2b",
-                        choices=("fig2a", "fig2b", "fig2c", "table1"))
+    parser.add_argument("--which", default="fig2b", choices=tuple(GRIDS))
     parser.add_argument("--full", action="store_true", help="benchmark-scale settings")
     parser.add_argument("--out", default=None, help="directory for the CSV files")
     args = parser.parse_args()

@@ -13,7 +13,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,7 +21,9 @@ from .data import export_csv, load, save
 from .envs import EnvironmentSet, check_sufficient_coverage
 from .experiments import (
     DESIGN_KINDS,
+    GRIDS,
     METHODS,
+    SCM_KINDS,
     ExperimentConfig,
     build_design,
     make_dataset,
@@ -33,6 +35,7 @@ from .metrics import disentanglement_check, mcc_between
 from .unmixing import (
     LossWeights,
     NumericalError,
+    TrainConfig,
     TrainingAborted,
     load_checkpoint,
     save_checkpoint,
@@ -43,23 +46,32 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-_EXPERIMENT_KEYS = {
-    "d": int,
-    "p": float,
-    "n_per_env": int,
-    "seeds": lambda s: tuple(int(tok) for tok in s.replace(",", " ").split()),
-    "design": str,
-    "scm": str,
-    "out_dir": str,
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.replace(",", " ").split())
+
+
+def _parsers(cls: type) -> dict:
+    """Each field of cls with the parser of its default's type."""
+    return {f.name: _seed_list if f.name == "seeds" else type(f.default) for f in fields(cls)}
+
+
+# Config-file keys are the config dataclasses' fields. [train] holds those
+# ExperimentConfig fields that TrainConfig shares; weights is its own section.
+_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
+_SECTIONS = {
+    "experiment": {
+        k: v for k, v in _parsers(ExperimentConfig).items() if k not in {"weights", *_TRAIN_FIELDS}
+    },
+    "weights": _parsers(LossWeights),
+    "train": {k: v for k, v in _parsers(ExperimentConfig).items() if k in _TRAIN_FIELDS},
 }
-_WEIGHT_KEYS = {
-    "lambda_e": float,
-    "lambda_m": float,
-    "lambda_diag": float,
-    "lambda_norm": float,
-    "norm_target": float,
+
+# command-line flag -> the ExperimentConfig field it sets
+_FLAG_FIELDS = {
+    "d": "d", "p": "p", "n": "n_per_env", "seed": "seeds",
+    "design": "design", "scm": "scm", "out": "out_dir",
 }
-_TRAIN_KEYS = {"epochs": int, "batch_size": int, "learning_rate": float}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,13 +106,9 @@ def load_config_file(path: str) -> tuple[dict, dict, dict]:
     except configparser.Error as err:
         raise ValueError(f"cannot parse config {path}: {err}") from err
     for section in parser.sections():
-        if section not in ("experiment", "weights", "train"):
+        if section not in _SECTIONS:
             raise ValueError(f"unknown config section [{section}] in {path}")
-    return (
-        _parse_section(parser, "experiment", _EXPERIMENT_KEYS),
-        _parse_section(parser, "weights", _WEIGHT_KEYS),
-        _parse_section(parser, "train", _TRAIN_KEYS),
-    )
+    return tuple(_parse_section(parser, name, keys) for name, keys in _SECTIONS.items())
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -108,20 +116,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     exp, weight_kwargs, train_kwargs = {}, {}, {}
     if getattr(args, "config", None):
         exp, weight_kwargs, train_kwargs = load_config_file(args.config)
-    if getattr(args, "d", None) is not None:
-        exp["d"] = args.d
-    if getattr(args, "p", None) is not None:
-        exp["p"] = args.p
-    if getattr(args, "n", None) is not None:
-        exp["n_per_env"] = args.n
-    if getattr(args, "seed", None) is not None:
-        exp["seeds"] = (args.seed,)
-    if getattr(args, "design", None) is not None:
-        exp["design"] = args.design
-    if getattr(args, "scm", None) is not None:
-        exp["scm"] = args.scm
-    if getattr(args, "out", None) is not None:
-        exp["out_dir"] = args.out
+    for flag, name in _FLAG_FIELDS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            exp[name] = (value,) if name == "seeds" else value
     return ExperimentConfig(weights=LossWeights(**weight_kwargs), **exp, **train_kwargs)
 
 
@@ -145,12 +143,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_check_design(args: argparse.Namespace) -> int:
-    design = args.design or "leave-one-out"
-    if design in DESIGN_KINDS:
-        d = args.d if args.d is not None else 6
-        envs = build_design(design, d, args.seed if args.seed is not None else 0)
-    else:  # a regimes file carries its own d
-        envs = EnvironmentSet.from_json(Path(design).read_text())
+    config = build_config(args)
+    if config.design in DESIGN_KINDS or args.d is not None:
+        envs = build_design(config.design, config.d, config.seeds[0])
+    else:  # a regimes file keeps its own d unless --d names one
+        envs = EnvironmentSet.from_json(Path(config.design).read_text())
     report = check_sufficient_coverage(envs)
     print(f"{len(envs)} environments over d={envs.d}: {report}")
     return EXIT_OK if report.passed else EXIT_VALIDATION
@@ -215,7 +212,7 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, help="run seed")
     common.add_argument("--out", help="output directory")
     common.add_argument("--design", help="leave-one-out, separating, or a regimes JSON file")
-    common.add_argument("--scm", choices=("linear", "nonlinear-1", "nonlinear-2"))
+    common.add_argument("--scm", choices=SCM_KINDS)
     common.add_argument("--d", type=int, help="latent dimension")
     common.add_argument("--p", type=float, help="edge probability of the random graph")
     common.add_argument("--n", type=int, help="rows per environment")
@@ -238,7 +235,7 @@ def build_parser() -> _Parser:
     ev.set_defaults(func=cmd_evaluate)
 
     rep = sub.add_parser("reproduce", parents=[common], help="run a benchmark grid to CSV")
-    rep.add_argument("which", choices=("fig2a", "fig2b", "fig2c", "table1"))
+    rep.add_argument("which", choices=tuple(GRIDS))
     rep.add_argument("--methods", help="comma list from {ours,fastica}; default both")
     rep.set_defaults(func=cmd_reproduce)
     return parser

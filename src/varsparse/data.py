@@ -79,16 +79,6 @@ class MixingMatrix:
     def d(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def condition_number(self) -> float:
-        svals = np.linalg.svd(self.entries, compute_uv=False)
-        return float(svals[0] / svals[-1])
-
-    @classmethod
-    def identity(cls, d: int) -> "MixingMatrix":
-        """Debug constructor: mixing that leaves the latents untouched."""
-        return cls(np.eye(d))
-
 
 def sample_mixing(d: int, rng_seed: int) -> MixingMatrix:
     """d x d entries i.i.d. uniform [-1, 1]; redraw until the invertibility guard holds."""

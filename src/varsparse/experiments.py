@@ -40,6 +40,17 @@ METHODS = ("ours", "fastica")
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
+# The benchmark grids: each cell is a set of overrides of the caller's config,
+# listed in row order.
+GRIDS: dict[str, tuple[dict, ...]] = {
+    "fig2a": tuple(dict(d=d, p=0.5, scm="linear") for d in (3, 6, 10, 30)),
+    "fig2b": tuple(dict(d=6, p=p, scm="linear") for p in (0.0, 0.25, 0.5, 0.75, 1.0)),
+    "fig2c": tuple(
+        dict(d=6, p=0.5, scm="linear", n_per_env=n) for n in (10_000, 50_000, 100_000, 200_000)
+    ),
+    "table1": (dict(d=6, scm="nonlinear-1"), dict(d=6, scm="nonlinear-2")),
+}
+
 
 class CoverageError(ValueError):
     """The run's intervention design fails the sufficient-coverage condition."""
@@ -288,21 +299,6 @@ def run_cell(
     return row
 
 
-def _grid(which: str, config: ExperimentConfig) -> list[ExperimentConfig]:
-    if which == "fig2a":
-        return [replace(config, d=d, p=0.5, scm="linear") for d in (3, 6, 10, 30)]
-    if which == "fig2b":
-        return [replace(config, d=6, p=p, scm="linear") for p in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    if which == "fig2c":
-        return [
-            replace(config, d=6, p=0.5, scm="linear", n_per_env=n)
-            for n in (10_000, 50_000, 100_000, 200_000)
-        ]
-    if which == "table1":
-        return [replace(config, d=6, scm="nonlinear-1"), replace(config, d=6, scm="nonlinear-2")]
-    raise ValueError(f"unknown experiment {which!r} (pick fig2a, fig2b, fig2c or table1)")
-
-
 def run_experiment(
     which: str,
     config: Optional[ExperimentConfig] = None,
@@ -314,8 +310,10 @@ def run_experiment(
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+    if which not in GRIDS:
+        raise ValueError(f"unknown experiment {which!r} (pick one of {', '.join(GRIDS)})")
     rows = []
-    for cell in _grid(which, config):
+    for cell in [replace(config, **overrides) for overrides in GRIDS[which]]:
         if d_limit is not None and cell.d > d_limit:
             continue
         for seed in cell.seeds:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -81,9 +81,6 @@ class UnmixingModel:
         bound = 1.0 / np.sqrt(d)
         return cls(rng.uniform(-bound, bound, size=(d, d)), init_seed=seed)
 
-    def transform(self, observed: np.ndarray) -> np.ndarray:
-        return np.asarray(observed, dtype=float) @ self.lhat
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -119,24 +116,17 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Raw (unweighted) term values plus the weighted total."""
+    """Raw (unweighted) term values plus the weighted total.
+
+    Field order is the column order of train_losses.csv and the key order of
+    each epoch in train_report.json."""
 
     total: float
-    var: float
-    env: float
-    dim: float
-    diag: float
-    norm: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "total": self.total,
-            "loss_var": self.var,
-            "loss_env": self.env,
-            "loss_dim": self.dim,
-            "loss_diag": self.diag,
-            "loss_norm": self.norm,
-        }
+    loss_var: float
+    loss_env: float
+    loss_dim: float
+    loss_diag: float
+    loss_norm: float
 
 
 @dataclass
@@ -150,7 +140,7 @@ class TrainReport:
 
     def to_json(self) -> str:
         doc = {
-            "epochs": [b.as_dict() for b in self.epoch_losses],
+            "epochs": [asdict(b) for b in self.epoch_losses],
             "wall_time_s": self.wall_time_s,
             "grad_check_rel_err": self.grad_check_rel_err,
             "final_variances": None
@@ -160,11 +150,12 @@ class TrainReport:
         return json.dumps(doc, indent=2)
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        lines = ["epoch,total,loss_var,loss_env,loss_dim,loss_diag,loss_norm"]
-        for i, b in enumerate(self.epoch_losses):
-            lines.append(
-                f"{i},{b.total!r},{b.var!r},{b.env!r},{b.dim!r},{b.diag!r},{b.norm!r}"
-            )
+        names = [f.name for f in fields(LossBreakdown)]
+        lines = [",".join(["epoch", *names])]
+        lines += [
+            ",".join([str(i), *(repr(getattr(b, name)) for name in names)])
+            for i, b in enumerate(self.epoch_losses)
+        ]
         Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -331,10 +322,7 @@ def _loss_and_grad(
         raise NumericalError(
             f"non-finite loss or gradient (total={total!r}, |lhat|_max={np.abs(lhat).max():g})"
         )
-    breakdown = LossBreakdown(
-        total=float(total), var=l_var, env=l_env, dim=l_dim, diag=l_diag, norm=l_norm
-    )
-    return breakdown, grad, v
+    return LossBreakdown(float(total), l_var, l_env, l_dim, l_diag, l_norm), grad, v
 
 
 def total_loss(
@@ -435,7 +423,7 @@ def train(
     report = TrainReport()
 
     for epoch in range(config.epochs):
-        sums = np.zeros(6)
+        sums = np.zeros(len(fields(LossBreakdown)))
         for step in range(steps_per_epoch):
             try:
                 breakdown, grad, _ = _loss_and_grad(covs, model, weights)
@@ -452,16 +440,9 @@ def train(
                 )
             state = adamw_step(state, grad, config)
             model = UnmixingModel(state.theta, init_seed=config.seed)
-            sums += [
-                breakdown.total,
-                breakdown.var,
-                breakdown.env,
-                breakdown.dim,
-                breakdown.diag,
-                breakdown.norm,
-            ]
-        means = sums / steps_per_epoch
-        report.epoch_losses.append(LossBreakdown(*means))
+            sums += list(vars(breakdown).values())  # astuple would deep-copy each step
+        # tolist: plain floats, so repr writes 52.5 and not np.float64(52.5)
+        report.epoch_losses.append(LossBreakdown(*(sums / steps_per_epoch).tolist()))
 
     report.final_variances = _variances(covs, model.lhat)
     report.wall_time_s = time.perf_counter() - started

@@ -1,10 +1,15 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from varsparse.cli import build_config, build_parser, load_config_file, main
+from varsparse.cli import _SECTIONS, build_config, build_parser, load_config_file, main
 from varsparse.envs import EnvironmentSet, InterventionRegime, leave_one_out_design
+from varsparse.experiments import ExperimentConfig
+from varsparse.unmixing import LossWeights
 
 TINY_INI = """\
 [experiment]
@@ -54,6 +59,38 @@ def test_config_file_rejects_malformed_input(tmp_path, text, match):
     path.write_text(text)
     with pytest.raises(ValueError, match=match):
         load_config_file(path)
+
+
+def test_every_config_key_reaches_the_built_config(tmp_path):
+    # d stays at its default 6: the built-in nonlinear mechanisms need it
+    path = tmp_path / "all.ini"
+    path.write_text(
+        "[experiment]\nd = 6\np = 0.25\nn_per_env = 1234\nseeds = 7, 8\n"
+        "design = separating\nscm = nonlinear-2\nout_dir = results/all\n"
+        "[weights]\nlambda_e = 0.5\nlambda_m = 2.0\nlambda_diag = 3.0\n"
+        "lambda_norm = 4.0\nnorm_target = 0.75\n"
+        "[train]\nepochs = 3\nbatch_size = 100\nlearning_rate = 0.01\n"
+    )
+    assert sum(len(section) for section in load_config_file(path)) == 15
+    cfg = build_config(build_parser().parse_args(["generate", "--config", str(path)]))
+    assert cfg == ExperimentConfig(
+        d=6, p=0.25, n_per_env=1234, seeds=(7, 8), design="separating", scm="nonlinear-2",
+        out_dir="results/all", weights=LossWeights(0.5, 2.0, 3.0, 4.0, 0.75),
+        epochs=3, batch_size=100, learning_rate=0.01,
+    )
+    default = ExperimentConfig()
+    assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == ["d"]
+    assert all(getattr(cfg.weights, f.name) != getattr(default.weights, f.name) for f in fields(LossWeights))
+
+
+def test_readme_config_example_builds_and_names_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert [set(s) for s in load_config_file(path)] == [set(keys) for keys in _SECTIONS.values()]
+    args = build_parser().parse_args(["generate", "--config", str(path)])
+    assert build_config(args) == ExperimentConfig(out_dir="results")  # the defaults
 
 
 def test_flags_override_config_file(tiny_config):
@@ -111,6 +148,23 @@ def test_check_design_passes_builtin_constructions(capsys):
     assert "coverage ok" in capsys.readouterr().out
     assert main(["check-design", "--design", "separating", "--d", "16"]) == 0
     assert "8 environments" in capsys.readouterr().out
+
+
+def test_check_design_takes_design_and_d_from_the_config_file(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[experiment]\ndesign = separating\nd = 16\n")
+    assert main(["check-design", "--config", str(path)]) == 0
+    assert "8 environments" in capsys.readouterr().out
+
+
+def test_check_design_rejects_a_d_flag_that_differs_from_the_design_file(tmp_path, capsys):
+    path = tmp_path / "design.json"
+    path.write_text(leave_one_out_design(3, value_seed=0).to_json())
+    assert main(["check-design", "--design", str(path)]) == 0
+    assert main(["check-design", "--design", str(path), "--d", "3"]) == 0
+    capsys.readouterr()
+    assert main(["check-design", "--design", str(path), "--d", "6"]) == 1
+    assert "design file is for d=3" in capsys.readouterr().err
 
 
 def test_check_design_reports_each_failing_coordinate(tmp_path, capsys):

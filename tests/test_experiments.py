@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -218,7 +219,7 @@ def test_grid_generates_each_dataset_once_with_unchanged_rows(tmp_path, monkeypa
         # one dataset per method and row, as run_cell makes them
         per_row = [
             run_cell("fig2b", cell, seed, method)
-            for cell in experiments._grid("fig2b", base)
+            for cell in [replace(base, **o) for o in experiments.GRIDS["fig2b"]]
             for seed in cell.seeds
             for method in methods
         ]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -403,11 +404,12 @@ def test_total_loss_breakdown_is_consistent():
     weights = LossWeights(lambda_e=0.7, lambda_m=1.3, lambda_diag=2.0, lambda_norm=0.5)
     total, b = total_loss(batches, model, weights)
     assert total == pytest.approx(
-        b.var + 0.7 * b.env + 1.3 * b.dim + 2.0 * b.diag + 0.5 * b.norm, abs=1e-12
+        b.loss_var + 0.7 * b.loss_env + 1.3 * b.loss_dim + 2.0 * b.loss_diag + 0.5 * b.loss_norm,
+        abs=1e-12,
     )
-    assert set(b.as_dict()) == {
+    assert list(asdict(b)) == [
         "total", "loss_var", "loss_env", "loss_dim", "loss_diag", "loss_norm"
-    }
+    ]
 
 
 def test_total_loss_norm_weight_scales_norm_term_alone():
@@ -515,6 +517,9 @@ def test_train_report_shapes_and_exports(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "epoch,total,loss_var,loss_env,loss_dim,loss_diag,loss_norm"
     assert len(lines) == 3
+    for i, (line, epoch) in enumerate(zip(lines[1:], doc["epochs"])):
+        cells = [float(cell) for cell in line.split(",")]  # plain repr floats
+        assert cells == [i, *epoch.values()]
 
 
 def test_train_rejects_degenerate_inputs():
@@ -569,11 +574,6 @@ def test_model_rejects_non_finite_entries():
         UnmixingModel(np.zeros(3), init_seed=0)
     with pytest.raises(ValueError, match="square"):
         UnmixingModel(np.zeros((4, 3)), init_seed=0)
-
-
-def test_model_transform_applies_lhat():
-    model = UnmixingModel(2.0 * np.eye(2), init_seed=0)
-    assert np.array_equal(model.transform(np.array([[1.0, 3.0]])), [[2.0, 6.0]])
 
 
 def test_loss_weights_and_config_validation():
