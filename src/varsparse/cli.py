@@ -99,7 +99,7 @@ def _parse_section(parser: configparser.ConfigParser, name: str, schema: dict) -
 
 def load_config_file(path: str) -> tuple[dict, dict, dict]:
     """Read the three sections of a config file into typed dicts."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal: '%' is no escape
     text = Path(path).read_text()
     try:
         parser.read_string(text, source=path)
@@ -144,9 +144,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_check_design(args: argparse.Namespace) -> int:
     config = build_config(args)
-    if config.design in DESIGN_KINDS or args.d is not None:
+    d_given = args.d is not None or (args.config and "d" in load_config_file(args.config)[0])
+    if config.design in DESIGN_KINDS or d_given:
         envs = build_design(config.design, config.d, config.seeds[0])
-    else:  # a regimes file keeps its own d unless --d names one
+    else:  # a regimes file keeps its own d unless --d or the config file names one
         envs = EnvironmentSet.from_json(Path(config.design).read_text())
     report = check_sufficient_coverage(envs)
     print(f"{len(envs)} environments over d={envs.d}: {report}")

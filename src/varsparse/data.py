@@ -269,11 +269,11 @@ def load(path: Union[str, Path]) -> EnvDataset:
     raw = Path(path).read_bytes()
     if len(raw) < len(_MAGIC) + 4 + 8 + 32:
         raise DatasetFormatError(f"{path}: file too short to be a dataset container")
-    body, digest = raw[:-32], raw[-32:]
+    body, digest = memoryview(raw)[:-32], raw[-32:]  # a view: slicing bytes would copy the body
     if hashlib.sha256(body).digest() != digest:
         raise DatasetChecksumError(f"{path}: checksum mismatch, file corrupted")
     if body[:4] != _MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic {body[:4]!r}")
+        raise DatasetFormatError(f"{path}: bad magic {bytes(body[:4])!r}")
     (version,) = struct.unpack_from("<I", body, 4)
     if version != _VERSION:
         raise DatasetFormatError(f"{path}: unsupported container version {version}")
@@ -283,7 +283,7 @@ def load(path: Union[str, Path]) -> EnvDataset:
     if payload_start > len(body):
         raise DatasetFormatError(f"{path}: header length overruns file")
     try:
-        header = json.loads(body[header_start:payload_start].decode("utf-8"))
+        header = json.loads(bytes(body[header_start:payload_start]).decode("utf-8"))
         d = int(header["d"])
         m = int(header["m"])
         n_per_env = int(header["n_per_env"])

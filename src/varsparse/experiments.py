@@ -105,6 +105,7 @@ class ExperimentConfig:
             raise ValueError(f"design {self.design!r} is neither one of {DESIGN_KINDS} nor a file")
         if self.scm in ("nonlinear-1", "nonlinear-2") and self.d != 6:
             raise ValueError("the built-in nonlinear mechanisms are defined for d=6")
+        self.train_config(0)  # TrainConfig states the rules for the training fields
 
     def train_config(self, seed: int) -> TrainConfig:
         """The optimizer settings of one run seed, on its training substream."""

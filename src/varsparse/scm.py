@@ -8,7 +8,7 @@ constant and skips its mechanism and noise entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -161,7 +161,7 @@ class Scm:
     dag: DagAdjacency
     mechanisms: tuple[Mechanism, ...]
     noise: NoiseSpec
-    topo_order: Optional[tuple[int, ...]] = None
+    topo_order: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         d = self.dag.d
@@ -172,17 +172,7 @@ class Scm:
                 raise ValueError(f"mechanism {j} disagrees with the DAG about its parents")
         if self.noise.means.shape != (d,):
             raise ValueError("noise spec length must equal node count")
-        if self.topo_order is None:
-            object.__setattr__(self, "topo_order", self.dag.topological_order())
-        else:
-            order = tuple(self.topo_order)
-            pos = {node: k for k, node in enumerate(order)}
-            if sorted(order) != list(range(d)):
-                raise ValueError("topo_order must be a permutation of the nodes")
-            src, dst = np.nonzero(self.dag.edges)
-            if any(pos[int(i)] > pos[int(j)] for i, j in zip(src, dst)):
-                raise ValueError("topo_order is not a topological order of the DAG")
-            object.__setattr__(self, "topo_order", order)
+        object.__setattr__(self, "topo_order", self.dag.topological_order())
 
     @property
     def d(self) -> int:

@@ -13,9 +13,9 @@ where loss_var sums sigmoids of all entries (few nonzero variances overall),
 loss_env and loss_dim reward every row resp. column keeping at least one
 nonzero entry, loss_diag is a group norm over wrap-around diagonals of V
 (nonzeros should align on few diagonals), and loss_norm = (||lhat||_F - a)^2
-keeps the parameters away from the all-zero collapse.
-
-Gradients are analytic; the optimizer is a self-contained AdamW.
+keeps the parameters away from the all-zero collapse. Each term function
+returns its value and its analytic gradient (wrt V, or wrt lhat for
+loss_norm); the optimizer is a self-contained AdamW.
 """
 
 from __future__ import annotations
@@ -183,19 +183,22 @@ def variance_matrix(batches: Sequence[np.ndarray], model: UnmixingModel) -> np.n
     return _variances(_covariances(batches, model.d), model.lhat)
 
 
-def loss_var(v: np.ndarray) -> float:
+def loss_var(v: np.ndarray) -> tuple[float, np.ndarray]:
     """Sum of sigmoids over all variance entries."""
-    return float(expit(v).sum())
+    s = expit(v)
+    return float(s.sum()), s * (1.0 - s)
 
 
-def loss_env(v: np.ndarray) -> float:
+def loss_env(v: np.ndarray) -> tuple[float, np.ndarray]:
     """Minus the sum of sigmoids of row sums: every environment keeps signal."""
-    return float(-expit(v.sum(axis=1)).sum())
+    s = expit(v.sum(axis=1))
+    return float(-s.sum()), np.broadcast_to(-(s * (1.0 - s))[:, None], v.shape).copy()
 
 
-def loss_dim(v: np.ndarray) -> float:
+def loss_dim(v: np.ndarray) -> tuple[float, np.ndarray]:
     """Minus the sum of sigmoids of column sums: every dimension keeps signal."""
-    return float(-expit(v.sum(axis=0)).sum())
+    s = expit(v.sum(axis=0))
+    return float(-s.sum()), np.broadcast_to(-(s * (1.0 - s))[None, :], v.shape).copy()
 
 
 def _diag_offsets(e: int, d: int) -> np.ndarray:
@@ -204,54 +207,24 @@ def _diag_offsets(e: int, d: int) -> np.ndarray:
     return (np.arange(d)[None, :] - np.arange(e)[:, None]) % d
 
 
-def _diag_norms(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    e, d = arr.shape
-    offsets = _diag_offsets(e, d)
-    sums = np.zeros(d)
-    np.add.at(sums, offsets.ravel(), (arr * arr).ravel())
-    return np.sqrt(sums), offsets
-
-
-def loss_diag(v: np.ndarray) -> float:
+def loss_diag(v: np.ndarray) -> tuple[float, np.ndarray]:
     """Sum of Euclidean norms of the wrap-around diagonals (group sparsity)."""
-    norms, _ = _diag_norms(v)
-    return float(norms.sum())
-
-
-def loss_norm(model: UnmixingModel, norm_target: float = 1.0) -> float:
-    """Squared distance of the parameter Frobenius norm from its target."""
-    return float((np.linalg.norm(model.lhat) - norm_target) ** 2)
-
-
-def grad_loss_var(v: np.ndarray) -> np.ndarray:
-    s = expit(v)
-    return s * (1.0 - s)
-
-
-def grad_loss_env(v: np.ndarray) -> np.ndarray:
-    s = expit(v.sum(axis=1))
-    return np.broadcast_to(-(s * (1.0 - s))[:, None], v.shape).copy()
-
-
-def grad_loss_dim(v: np.ndarray) -> np.ndarray:
-    s = expit(v.sum(axis=0))
-    return np.broadcast_to(-(s * (1.0 - s))[None, :], v.shape).copy()
-
-
-def grad_loss_diag(v: np.ndarray) -> np.ndarray:
     # subgradient 0 on diagonals that are exactly zero
-    norms, offsets = _diag_norms(v)
+    offsets = _diag_offsets(*v.shape)
+    sums = np.zeros(v.shape[1])
+    np.add.at(sums, offsets.ravel(), (v * v).ravel())
+    norms = np.sqrt(sums)
     safe = np.where(norms > 0, norms, 1.0)
     scale = np.where(norms > 0, 1.0 / safe, 0.0)
-    return v * scale[offsets]
+    return float(norms.sum()), v * scale[offsets]
 
 
-def grad_loss_norm(model: UnmixingModel, norm_target: float = 1.0) -> np.ndarray:
+def loss_norm(lhat: np.ndarray, norm_target: float = 1.0) -> tuple[float, np.ndarray]:
+    """Squared distance of the parameter Frobenius norm from its target."""
     # subgradient 0 at the (non-differentiable) all-zero point
-    fro = np.linalg.norm(model.lhat)
-    if fro == 0.0:
-        return np.zeros_like(model.lhat)
-    return 2.0 * (fro - norm_target) * model.lhat / fro
+    fro = np.linalg.norm(lhat)
+    grad = 2.0 * (fro - norm_target) * lhat / fro if fro != 0.0 else np.zeros_like(lhat)
+    return float((fro - norm_target) ** 2), grad
 
 
 def _loss_and_grad(
@@ -287,11 +260,11 @@ def _loss_and_grad(
     scale = float(np.linalg.norm(v_dir)) / np.sqrt(v_dir.size)
     v = v_dir / scale if scale > 0 else v_dir
 
-    l_var = loss_var(v)
-    l_env = loss_env(v)
-    l_dim = loss_dim(v)
-    l_diag = loss_diag(v)
-    l_norm = loss_norm(model, weights.norm_target)
+    l_var, g_var = loss_var(v)
+    l_env, g_env = loss_env(v)
+    l_dim, g_dim = loss_dim(v)
+    l_diag, g_diag = loss_diag(v)
+    l_norm, g_norm = loss_norm(lhat, weights.norm_target)
     total = (
         l_var
         + weights.lambda_e * l_env
@@ -304,10 +277,10 @@ def _loss_and_grad(
     # (dV[e, j]/du_j = 2 S_e u_j) onto the unit directions, then through the
     # normalization (the tangent projection I - u u^T, scaled by 1/||l_j||)
     g_vn = (
-        grad_loss_var(v)
-        + weights.lambda_e * grad_loss_env(v)
-        + weights.lambda_m * grad_loss_dim(v)
-        + weights.lambda_diag * grad_loss_diag(v)
+        g_var
+        + weights.lambda_e * g_env
+        + weights.lambda_m * g_dim
+        + weights.lambda_diag * g_diag
     )
     if scale > 0:
         g_v = (g_vn - float((g_vn * v).sum()) * v / v.size) / scale
@@ -316,7 +289,7 @@ def _loss_and_grad(
     w = 2.0 * np.einsum("emd,ed->md", su, g_v)
     grad = (w - directions * (directions * w).sum(axis=0)) / safe_norms
     grad[:, col_norms == 0.0] = 0.0  # direction undefined; subgradient 0
-    grad += weights.lambda_norm * grad_loss_norm(model, weights.norm_target)
+    grad += weights.lambda_norm * g_norm
 
     if not (np.isfinite(total) and np.isfinite(grad).all()):
         raise NumericalError(
@@ -327,18 +300,10 @@ def _loss_and_grad(
 
 def total_loss(
     batches: Sequence[np.ndarray], model: UnmixingModel, weights: LossWeights
-) -> tuple[float, LossBreakdown]:
-    """Weighted objective value and its per-term breakdown."""
-    breakdown, _, _ = _loss_and_grad(_covariances(batches, model.d), model, weights)
-    return breakdown.total, breakdown
-
-
-def gradient(
-    batches: Sequence[np.ndarray], model: UnmixingModel, weights: LossWeights
-) -> np.ndarray:
-    """Exact gradient of the weighted objective with respect to lhat."""
-    _, grad, _ = _loss_and_grad(_covariances(batches, model.d), model, weights)
-    return grad
+) -> tuple[LossBreakdown, np.ndarray]:
+    """Per-term breakdown of the weighted objective and its exact gradient wrt lhat."""
+    breakdown, grad, _ = _loss_and_grad(_covariances(batches, model.d), model, weights)
+    return breakdown, grad
 
 
 @dataclass

@@ -29,12 +29,6 @@ from varsparse.unmixing import (
     LossWeights,
     TrainConfig,
     UnmixingModel,
-    grad_loss_diag,
-    grad_loss_dim,
-    grad_loss_env,
-    grad_loss_norm,
-    grad_loss_var,
-    gradient,
     loss_diag,
     loss_dim,
     loss_env,
@@ -165,27 +159,21 @@ def _grad_gap(analytic, numeric):
 def test_criterion_6_every_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     worst = 0.0
-    terms = [
-        (loss_var, grad_loss_var),
-        (loss_env, grad_loss_env),
-        (loss_dim, grad_loss_dim),
-        (loss_diag, grad_loss_diag),
-    ]
-    for fn, grad_fn in terms:
+    for term in (loss_var, loss_env, loss_dim, loss_diag):
         for k in range(20):
             shape = [(4, 4), (6, 3), (3, 5)][k % 3]
             v = np.abs(rng.normal(size=shape)) + 0.05  # keep FD steps inside the valid domain
-            worst = max(worst, _grad_gap(grad_fn(v), _fd(fn, v)))
+            worst = max(worst, _grad_gap(term(v)[1], _fd(lambda a: term(a)[0], v)))
     for k in range(20):
         model = UnmixingModel.initialize(3, seed=100 + k)
-        fn = lambda flat: loss_norm(UnmixingModel(flat.reshape(3, 3), init_seed=0), 1.0)
-        worst = max(worst, _grad_gap(grad_loss_norm(model, 1.0), _fd(fn, model.lhat.copy())))
+        fn = lambda flat: loss_norm(flat.reshape(3, 3), 1.0)[0]
+        worst = max(worst, _grad_gap(loss_norm(model.lhat, 1.0)[1], _fd(fn, model.lhat.copy())))
     weights = LossWeights()
     for k in range(20):
         batches = [rng.normal(size=(30, 3)) @ rng.normal(size=(3, 3)) for _ in range(3)]
         model = UnmixingModel.initialize(3, seed=200 + k)
-        fn = lambda flat: total_loss(batches, UnmixingModel(flat.reshape(3, 3), init_seed=0), weights)[0]
-        worst = max(worst, _grad_gap(gradient(batches, model, weights), _fd(fn, model.lhat.copy())))
+        fn = lambda flat: total_loss(batches, UnmixingModel(flat.reshape(3, 3), init_seed=0), weights)[0].total
+        worst = max(worst, _grad_gap(total_loss(batches, model, weights)[1], _fd(fn, model.lhat.copy())))
     _verdict(6, worst < 1e-4, f"worst relative error {worst:.3e} over 120 instances (need < 1e-4)")
 
 

@@ -61,6 +61,14 @@ def test_config_file_rejects_malformed_input(tmp_path, text, match):
         load_config_file(path)
 
 
+def test_config_values_are_literal(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[experiment]\nout_dir = runs/100%\n")
+    assert load_config_file(path)[0] == {"out_dir": "runs/100%"}
+    assert main(["check-design", "--config", str(path), "--design", "leave-one-out"]) == 0
+    assert "coverage ok" in capsys.readouterr().out
+
+
 def test_every_config_key_reaches_the_built_config(tmp_path):
     # d stays at its default 6: the built-in nonlinear mechanisms need it
     path = tmp_path / "all.ini"
@@ -164,6 +172,10 @@ def test_check_design_rejects_a_d_flag_that_differs_from_the_design_file(tmp_pat
     assert main(["check-design", "--design", str(path), "--d", "3"]) == 0
     capsys.readouterr()
     assert main(["check-design", "--design", str(path), "--d", "6"]) == 1
+    assert "design file is for d=3" in capsys.readouterr().err
+    config = tmp_path / "cfg.ini"
+    config.write_text("[experiment]\nd = 16\n")
+    assert main(["check-design", "--config", str(config), "--design", str(path)]) == 1
     assert "design file is for d=3" in capsys.readouterr().err
 
 

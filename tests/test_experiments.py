@@ -45,6 +45,9 @@ def test_config_defaults_match_benchmark_protocol():
         dict(design="latin-square"),
         dict(design="/no/such/file.json"),
         dict(scm="nonlinear-1", d=4),
+        dict(epochs=0),
+        dict(batch_size=1),
+        dict(learning_rate=-1.0),
     ],
 )
 def test_config_rejects_bad_values(kwargs):

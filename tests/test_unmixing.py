@@ -23,12 +23,6 @@ from varsparse.unmixing import (
     UnmixingModel,
     adamw_init,
     adamw_step,
-    grad_loss_diag,
-    grad_loss_dim,
-    grad_loss_env,
-    grad_loss_norm,
-    grad_loss_var,
-    gradient,
     load_checkpoint,
     loss_diag,
     loss_dim,
@@ -79,18 +73,23 @@ def _row_loss_and_grad(batches, model, weights):
     v_dir = np.stack([np.mean(yc * yc, axis=0) for yc in projected])
     scale = float(np.linalg.norm(v_dir)) / np.sqrt(v_dir.size)
     v = v_dir / scale if scale > 0 else v_dir
+    l_var, g_var = loss_var(v)
+    l_env, g_env = loss_env(v)
+    l_dim, g_dim = loss_dim(v)
+    l_diag, g_diag = loss_diag(v)
+    l_norm, g_norm = loss_norm(lhat, weights.norm_target)
     total = (
-        loss_var(v)
-        + weights.lambda_e * loss_env(v)
-        + weights.lambda_m * loss_dim(v)
-        + weights.lambda_diag * loss_diag(v)
-        + weights.lambda_norm * loss_norm(model, weights.norm_target)
+        l_var
+        + weights.lambda_e * l_env
+        + weights.lambda_m * l_dim
+        + weights.lambda_diag * l_diag
+        + weights.lambda_norm * l_norm
     )
     g_vn = (
-        grad_loss_var(v)
-        + weights.lambda_e * grad_loss_env(v)
-        + weights.lambda_m * grad_loss_dim(v)
-        + weights.lambda_diag * grad_loss_diag(v)
+        g_var
+        + weights.lambda_e * g_env
+        + weights.lambda_m * g_dim
+        + weights.lambda_diag * g_diag
     )
     g_v = (g_vn - float((g_vn * v).sum()) * v / v.size) / scale if scale > 0 else g_vn
     w = np.zeros_like(lhat)
@@ -98,7 +97,7 @@ def _row_loss_and_grad(batches, model, weights):
         w += (2.0 / bc.shape[0]) * (bc.T @ (yc * row))
     grad = (w - directions * (directions * w).sum(axis=0)) / safe_norms
     grad[:, col_norms == 0.0] = 0.0
-    grad += weights.lambda_norm * grad_loss_norm(model, weights.norm_target)
+    grad += weights.lambda_norm * g_norm
     return total, grad, v
 
 
@@ -199,13 +198,13 @@ def test_variance_matrix_rejects_tiny_batches():
 
 
 def test_loss_var_zero_matrix():
-    assert loss_var(np.zeros((3, 3))) == pytest.approx(4.5)
+    assert loss_var(np.zeros((3, 3)))[0] == pytest.approx(4.5)
 
 
 def test_loss_var_single_hot_entry():
     v = np.zeros((3, 3))
     v[1, 2] = 9.0
-    assert loss_var(v) == pytest.approx(8 * 0.5 + expit(9.0), abs=1e-12)
+    assert loss_var(v)[0] == pytest.approx(8 * 0.5 + expit(9.0), abs=1e-12)
 
 
 def test_loss_var_monotone_in_entries():
@@ -213,26 +212,26 @@ def test_loss_var_monotone_in_entries():
     for _ in range(20):
         v = rng.uniform(0, 3, size=(3, 4))
         bigger = v + rng.uniform(0, 1, size=v.shape)
-        assert loss_var(bigger) >= loss_var(v)
+        assert loss_var(bigger)[0] >= loss_var(v)[0]
 
 
 def test_loss_env_values():
-    assert loss_env(np.zeros((3, 3))) == pytest.approx(-1.5)
-    assert loss_env(np.diag([5.0, 5.0, 5.0])) == pytest.approx(-3 * expit(5.0), abs=1e-12)
-    assert loss_env(np.full((3, 3), 1e3)) == pytest.approx(-3.0, abs=1e-9)
+    assert loss_env(np.zeros((3, 3)))[0] == pytest.approx(-1.5)
+    assert loss_env(np.diag([5.0, 5.0, 5.0]))[0] == pytest.approx(-3 * expit(5.0), abs=1e-12)
+    assert loss_env(np.full((3, 3), 1e3))[0] == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_loss_dim_values():
-    assert loss_dim(np.zeros((3, 3))) == pytest.approx(-1.5)
-    assert loss_dim(np.diag([5.0, 5.0, 5.0])) == pytest.approx(-3 * expit(5.0), abs=1e-12)
-    assert loss_dim(np.full((3, 3), 1e3)) == pytest.approx(-3.0, abs=1e-9)
+    assert loss_dim(np.zeros((3, 3)))[0] == pytest.approx(-1.5)
+    assert loss_dim(np.diag([5.0, 5.0, 5.0]))[0] == pytest.approx(-3 * expit(5.0), abs=1e-12)
+    assert loss_dim(np.full((3, 3), 1e3))[0] == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_loss_dim_is_loss_env_of_transpose():
     rng = np.random.default_rng(1)
     for _ in range(10):
         v = rng.uniform(0, 2, size=(4, 3))
-        assert loss_dim(v) == pytest.approx(loss_env(v.T), abs=1e-12)
+        assert loss_dim(v)[0] == pytest.approx(loss_env(v.T)[0], abs=1e-12)
 
 
 def test_wrap_diagonal_indexing():
@@ -247,26 +246,25 @@ def test_wrap_diagonal_indexing():
 def test_loss_diag_prefers_single_occupied_diagonal():
     permuted = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     spread = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    assert loss_diag(permuted) == pytest.approx(np.sqrt(3.0))
-    assert loss_diag(spread) == pytest.approx(2.0 * np.sqrt(2.0))
-    assert loss_diag(spread) > loss_diag(permuted)
-    assert loss_diag(np.zeros((4, 4))) == 0.0
+    assert loss_diag(permuted)[0] == pytest.approx(np.sqrt(3.0))
+    assert loss_diag(spread)[0] == pytest.approx(2.0 * np.sqrt(2.0))
+    assert loss_diag(spread)[0] > loss_diag(permuted)[0]
+    assert loss_diag(np.zeros((4, 4)))[0] == 0.0
 
 
 def test_loss_diag_rectangular_rows_cycle_through_offsets():
     v = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     # both entries sit on offset (j - i) mod 4 == 0
-    assert loss_diag(v) == pytest.approx(np.sqrt(2.0))
+    assert loss_diag(v)[0] == pytest.approx(np.sqrt(2.0))
     v2 = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-    assert loss_diag(v2) == pytest.approx(2.0)
+    assert loss_diag(v2)[0] == pytest.approx(2.0)
 
 
 def test_loss_norm_values():
-    eye = UnmixingModel(np.eye(3) / np.sqrt(3.0), init_seed=0)
-    assert loss_norm(eye) == pytest.approx(0.0, abs=1e-15)
-    assert loss_norm(UnmixingModel(np.zeros((3, 3)), 0)) == pytest.approx(1.0)
-    tripled = UnmixingModel(3.0 * np.eye(3) / np.sqrt(3.0), init_seed=0)
-    assert loss_norm(tripled) == pytest.approx(4.0)
+    eye = np.eye(3) / np.sqrt(3.0)
+    assert loss_norm(eye)[0] == pytest.approx(0.0, abs=1e-15)
+    assert loss_norm(np.zeros((3, 3)))[0] == pytest.approx(1.0)
+    assert loss_norm(3.0 * eye)[0] == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------- invariances
@@ -277,15 +275,15 @@ def test_row_permutation_leaves_all_terms_but_diag_unchanged():
     for _ in range(10):
         v = rng.uniform(0, 2, size=(4, 4))
         perm = rng.permutation(4)
-        assert loss_var(v[perm]) == pytest.approx(loss_var(v), abs=1e-12)
-        assert loss_env(v[perm]) == pytest.approx(loss_env(v), abs=1e-12)
-        assert loss_dim(v[perm]) == pytest.approx(loss_dim(v), abs=1e-12)
+        assert loss_var(v[perm])[0] == pytest.approx(loss_var(v)[0], abs=1e-12)
+        assert loss_env(v[perm])[0] == pytest.approx(loss_env(v)[0], abs=1e-12)
+        assert loss_dim(v[perm])[0] == pytest.approx(loss_dim(v)[0], abs=1e-12)
 
 
 def test_loss_diag_changes_under_plain_row_swap():
     v = np.diag([1.0, 2.0, 3.0])
     swapped = v[[1, 0, 2]]
-    assert abs(loss_diag(swapped) - loss_diag(v)) > 0.1
+    assert abs(loss_diag(swapped)[0] - loss_diag(v)[0]) > 0.1
 
 
 def test_loss_diag_invariant_under_cyclic_co_shift():
@@ -294,19 +292,48 @@ def test_loss_diag_invariant_under_cyclic_co_shift():
         v = rng.uniform(0, 2, size=(5, 5))
         shift = int(rng.integers(1, 5))
         rolled = np.roll(np.roll(v, shift, axis=0), shift, axis=1)
-        assert loss_diag(rolled) == pytest.approx(loss_diag(v), abs=1e-12)
+        assert loss_diag(rolled)[0] == pytest.approx(loss_diag(v)[0], abs=1e-12)
+
+
+@st.composite
+def _stacks(draw):
+    """(covs, lhat): E in [2, 6] covariances of size d in [2, 6], some of them
+    rank-deficient as under a hard intervention, and a random lhat."""
+    n_envs = draw(st.integers(2, 6))
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = [rng.normal(size=(d, int(rng.integers(1, d + 1)))) for _ in range(n_envs)]
+    return np.stack([f @ f.T for f in factors]), rng.normal(size=(d, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks(), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_sparsity_terms_are_scale_free(stack, c, seed):
+    # only loss_norm sees the scale of lhat; the four V terms score directions
+    covs, lhat = stack
+    rng = np.random.default_rng(seed)
+    col_scales = rng.uniform(0.1, 10.0, size=lhat.shape[1]) * rng.choice([-1.0, 1.0], lhat.shape[1])
+    weights = LossWeights()
+    base, _, _ = unmixing._loss_and_grad(covs, UnmixingModel(lhat, 0), weights)
+    rescaled = (
+        unmixing._loss_and_grad(covs, UnmixingModel(lhat * col_scales, 0), weights)[0],
+        unmixing._loss_and_grad(c * covs, UnmixingModel(lhat, 0), weights)[0],
+    )
+    for other in rescaled:
+        for name in ("loss_var", "loss_env", "loss_dim", "loss_diag"):
+            assert _rel_err(getattr(other, name), getattr(base, name)) < 1e-12, name
 
 
 def test_ground_truth_unmixing_beats_identity_on_sparsity_term():
     ds = _chain_dataset()
     batches = [ds.train_observed(e) for e in range(3)]
-    identity = loss_var(variance_matrix(batches, UnmixingModel(np.eye(3), 0)))
+    identity = loss_var(variance_matrix(batches, UnmixingModel(np.eye(3), 0)))[0]
     rng = np.random.default_rng(4)
     for _ in range(5):
         perm = np.eye(3)[rng.permutation(3)]
         scales = np.diag(rng.uniform(0.5, 2.0, size=3) * rng.choice([-1.0, 1.0], size=3))
         lhat = np.linalg.inv(CHAIN_MIX) @ perm @ scales
-        truth = loss_var(variance_matrix(batches, UnmixingModel(lhat, 0)))
+        truth = loss_var(variance_matrix(batches, UnmixingModel(lhat, 0)))[0]
         assert truth < identity
 
 
@@ -324,24 +351,16 @@ def _fd_grad(fn, v, h=1e-5):
     return g
 
 
-@pytest.mark.parametrize(
-    "fn,grad_fn",
-    [
-        (loss_var, grad_loss_var),
-        (loss_env, grad_loss_env),
-        (loss_dim, grad_loss_dim),
-        (loss_diag, grad_loss_diag),
-    ],
-)
-def test_term_gradients_match_finite_differences(fn, grad_fn):
+@pytest.mark.parametrize("term", [loss_var, loss_env, loss_dim, loss_diag])
+def test_term_gradients_match_finite_differences(term):
     rng = np.random.default_rng(5)
     for i in range(20):
         shape = (3, 3) if i % 2 == 0 else (4, 3)
-        if fn is loss_diag and i % 2 != 0:
+        if term is loss_diag and i % 2 != 0:
             shape = (6, 3)  # rectangular diagonals exercise the cycling rule
         v = rng.uniform(0.05, 3.0, size=shape)
-        fd = _fd_grad(fn, v)
-        an = grad_fn(v)
+        fd = _fd_grad(lambda a: term(a)[0], v)
+        an = term(v)[1]
         worst = np.max(np.abs(fd - an) / np.maximum.reduce([np.abs(fd), np.abs(an), np.full(v.shape, 1e-12)]))
         assert worst < 1e-4
 
@@ -350,14 +369,14 @@ def test_norm_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     for _ in range(20):
         lhat = rng.normal(size=(4, 4))
-        fd = _fd_grad(lambda a: loss_norm(UnmixingModel(a, 0)), lhat)
-        an = grad_loss_norm(UnmixingModel(lhat, 0))
+        fd = _fd_grad(lambda a: loss_norm(a)[0], lhat)
+        an = loss_norm(lhat)[1]
         assert np.max(np.abs(fd - an)) < 1e-4
 
 
 def test_diag_subgradient_is_zero_on_empty_diagonals():
     v = np.diag([1.0, 2.0, 3.0])
-    g = grad_loss_diag(v)
+    g = loss_diag(v)[1]
     off = ~np.eye(3, dtype=bool)
     assert np.array_equal(g[off], np.zeros(6))
     assert (g[np.eye(3, dtype=bool)] > 0).all()
@@ -365,8 +384,8 @@ def test_diag_subgradient_is_zero_on_empty_diagonals():
 
 def test_norm_gradient_vanishes_at_target_norm():
     lhat = np.eye(3) / np.sqrt(3.0)
-    assert np.allclose(grad_loss_norm(UnmixingModel(lhat, 0)), 0.0, atol=1e-15)
-    assert np.array_equal(grad_loss_norm(UnmixingModel(np.zeros((2, 2)), 0)), np.zeros((2, 2)))
+    assert np.allclose(loss_norm(lhat)[1], 0.0, atol=1e-15)
+    assert np.array_equal(loss_norm(np.zeros((2, 2)))[1], np.zeros((2, 2)))
 
 
 def test_total_gradient_matches_finite_differences():
@@ -377,7 +396,7 @@ def test_total_gradient_matches_finite_differences():
         batches = _random_batches(rng)
         lhat = rng.normal(size=(3, 3)) * rng.uniform(0.3, 1.5)
         model = UnmixingModel(lhat, 0)
-        an = gradient(batches, model, weights)
+        _, an = total_loss(batches, model, weights)
         worst = 0.0
         for idx in np.ndindex(lhat.shape):
             lp = lhat.copy()
@@ -386,7 +405,7 @@ def test_total_gradient_matches_finite_differences():
             lm[idx] -= h
             fp, _ = total_loss(batches, UnmixingModel(lp, 0), weights)
             fm, _ = total_loss(batches, UnmixingModel(lm, 0), weights)
-            worst = max(worst, _rel_err((fp - fm) / (2 * h), an[idx]))
+            worst = max(worst, _rel_err((fp.total - fm.total) / (2 * h), an[idx]))
         assert worst < 1e-4
 
 
@@ -394,7 +413,7 @@ def test_gradient_zero_for_constant_batches_without_norm_term():
     weights = LossWeights(lambda_e=0.0, lambda_m=0.0, lambda_diag=0.0, lambda_norm=0.0)
     batches = [np.ones((8, 3)), 2.0 * np.ones((8, 3))]
     model = UnmixingModel(np.full((3, 3), 0.4), init_seed=0)
-    assert np.array_equal(gradient(batches, model, weights), np.zeros((3, 3)))
+    assert np.array_equal(total_loss(batches, model, weights)[1], np.zeros((3, 3)))
 
 
 def test_total_loss_breakdown_is_consistent():
@@ -402,8 +421,8 @@ def test_total_loss_breakdown_is_consistent():
     batches = _random_batches(rng)
     model = UnmixingModel(rng.normal(size=(3, 3)), 0)
     weights = LossWeights(lambda_e=0.7, lambda_m=1.3, lambda_diag=2.0, lambda_norm=0.5)
-    total, b = total_loss(batches, model, weights)
-    assert total == pytest.approx(
+    b, _ = total_loss(batches, model, weights)
+    assert b.total == pytest.approx(
         b.loss_var + 0.7 * b.loss_env + 1.3 * b.loss_dim + 2.0 * b.loss_diag + 0.5 * b.loss_norm,
         abs=1e-12,
     )
@@ -418,9 +437,9 @@ def test_total_loss_norm_weight_scales_norm_term_alone():
     model = UnmixingModel(rng.normal(size=(3, 3)), 0)
     bare = LossWeights(lambda_e=0.0, lambda_m=0.0, lambda_diag=0.0, lambda_norm=0.0)
     with_norm = LossWeights(lambda_e=0.0, lambda_m=0.0, lambda_diag=0.0, lambda_norm=5.0)
-    t0, _ = total_loss(batches, model, bare)
-    t1, _ = total_loss(batches, model, with_norm)
-    assert t1 - t0 == pytest.approx(5.0 * loss_norm(model), abs=1e-12)
+    b0, _ = total_loss(batches, model, bare)
+    b1, _ = total_loss(batches, model, with_norm)
+    assert b1.total - b0.total == pytest.approx(5.0 * loss_norm(model.lhat)[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------- optimizer
