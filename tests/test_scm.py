@@ -265,15 +265,18 @@ def test_sample_matches_per_column_reference(scm_and_targets, n, rng_seed):
 
 
 @pytest.mark.parametrize(
-    "design, digest",
+    "design, digest, scm",
     [
-        ("leave-one-out", "c5d3c1c43f778b9b35574b0d793c9331b2a1c5365b487ceecef087a1375f59c5"),
-        ("separating", "0fa231ff45fe2898309c0107a5bdab34af2cabafea009f51dfd8176964abfabf"),
+        ("leave-one-out", "c5d3c1c43f778b9b35574b0d793c9331b2a1c5365b487ceecef087a1375f59c5", "linear"),
+        ("separating", "0fa231ff45fe2898309c0107a5bdab34af2cabafea009f51dfd8176964abfabf", "linear"),
+        ("leave-one-out", "b4eab3391d7cd1f94ee8cab003569c3def108730ac73ead55bc296f579db2b75", "nonlinear-1"),
+        ("separating", "c3b611a3ecb5533d40a9a8b2de0193a9f88361d83ef4aa5c3e782cc11597aa85", "nonlinear-2"),
     ],
 )
-def test_small_dataset_bytes_are_pinned(design, digest):
+def test_small_dataset_bytes_are_pinned(design, digest, scm):
     # any change to sampling, mixing or the design constants moves this digest
-    dataset, _ = make_dataset(ExperimentConfig(d=6, n_per_env=64, design=design), seed=0)
+    config = ExperimentConfig(d=6, n_per_env=64, design=design, scm=scm)
+    dataset, _ = make_dataset(config, seed=0)
     h = hashlib.sha256()
     for z, x in zip(dataset.latents, dataset.observed):
         h.update(z.tobytes())
