@@ -12,6 +12,7 @@ formatting so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -214,14 +215,30 @@ def make_dataset(config: ExperimentConfig, seed: int) -> tuple[EnvDataset, dict]
 
 
 def regenerate(manifest: dict) -> EnvDataset:
-    """Rebuild the exact dataset a manifest describes (bit-identical)."""
-    if manifest.get("format") != "varsparse-manifest":
+    """Rebuild the exact dataset a manifest describes (bit-identical).
+
+    A missing or mistyped field raises ValueError("malformed manifest: ...")."""
+    if not isinstance(manifest, dict) or manifest.get("format") != "varsparse-manifest":
         raise ValueError("not a dataset manifest")
-    seeds = manifest["derived_seeds"]
-    scm = _scm(manifest["scm"], manifest["d"], manifest["p"], seeds)
-    envs = EnvironmentSet.from_json(json.dumps(manifest["environments"]))
-    mixing = MixingMatrix(np.array(manifest["mixing"], dtype=float))
-    return generate(scm, envs, mixing, manifest["n_per_env"], rng_seed=seeds["data"])
+    try:
+        kind, p = manifest["scm"], manifest["p"]
+        if kind == "linear" and not isinstance(p, (int, float)):
+            raise TypeError(f"p must be a number for a linear scm, got {p!r}")
+        d = operator.index(manifest["d"])
+        n_per_env = operator.index(manifest["n_per_env"])
+        seeds = {
+            key: operator.index(manifest["derived_seeds"][key])
+            for key in ("dag", "coefficients", "data")
+        }
+        environments = json.dumps(manifest["environments"])
+        entries = np.array(manifest["mixing"], dtype=float)
+    except KeyError as err:
+        raise ValueError(f"malformed manifest: missing field {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"malformed manifest: {err}") from err
+    scm = _scm(kind, d, p, seeds)
+    envs = EnvironmentSet.from_json(environments)
+    return generate(scm, envs, MixingMatrix(entries), n_per_env, rng_seed=seeds["data"])
 
 
 def test_split(dataset: EnvDataset) -> tuple[np.ndarray, np.ndarray]:

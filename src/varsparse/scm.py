@@ -1,8 +1,9 @@
 """Structural causal models with additive noise over DAGs, plus hard interventions.
 
-A model is a DAG, one mechanism per node, and independent Gaussian noise.
-Sampling walks the topological order; a hard intervention pins a node to a
-constant and skips its mechanism and noise entirely.
+A model is a DAG, one mechanism per node, and i.i.d. N(0, noise_variance) noise.
+A mechanism sees its node's DAG parents in ascending index order. Sampling walks
+the topological order; a hard intervention pins a node to a constant and skips
+its mechanism and noise entirely.
 """
 
 from __future__ import annotations
@@ -65,18 +66,9 @@ class DagAdjacency:
 class LinearMechanism:
     """f(z_pa, eta) = coeffs . z_pa + eta, one coefficient per parent."""
 
-    parents: tuple[int, ...]
     coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (len(self.parents),):
-            raise ValueError("need exactly one coefficient per parent")
-        object.__setattr__(self, "coeffs", coeffs)
-
     def evaluate(self, parent_values: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        if not self.parents:
-            return np.asarray(noise, dtype=float).copy()
         return parent_values @ self.coeffs + noise
 
 
@@ -84,11 +76,7 @@ class LinearMechanism:
 class QuadraticSumMechanism:
     """f(z_pa, eta) = sum of squared parent values + eta."""
 
-    parents: tuple[int, ...]
-
     def evaluate(self, parent_values: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        if not self.parents:
-            return np.asarray(noise, dtype=float).copy()
         return np.sum(parent_values * parent_values, axis=1) + noise
 
 
@@ -100,13 +88,11 @@ class Nonlinear2Mechanism:
     arrive in ascending parent-index order.
     """
 
-    parents: tuple[int, ...]
     node: int
 
     def evaluate(self, parent_values: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        noise = np.asarray(noise, dtype=float)
         if self.node == 1:
-            return noise.copy()
+            return noise
         if self.node == 2:
             (z1,) = parent_values.T
             return np.sin(z1) + noise
@@ -133,45 +119,19 @@ Mechanism = Union[LinearMechanism, QuadraticSumMechanism, Nonlinear2Mechanism]
 
 
 @dataclass(frozen=True, eq=False)
-class NoiseSpec:
-    """Independent Gaussian noise per node, eta_j ~ N(mean_j, variance_j)."""
-
-    means: np.ndarray
-    variances: np.ndarray
-
-    def __post_init__(self) -> None:
-        means = np.asarray(self.means, dtype=float)
-        variances = np.asarray(self.variances, dtype=float)
-        if means.ndim != 1 or means.shape != variances.shape:
-            raise ValueError("means and variances must be 1-d arrays of equal length")
-        if not (variances > 0).all():
-            raise ValueError("every noise variance must be strictly positive")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "variances", variances)
-
-    @classmethod
-    def iid(cls, d: int, mean: float = 0.0, variance: float = 0.1) -> "NoiseSpec":
-        return cls(np.full(d, mean), np.full(d, variance))
-
-
-@dataclass(frozen=True, eq=False)
 class Scm:
-    """Immutable model: DAG + per-node mechanisms + noise + cached topological order."""
+    """Immutable model: DAG + per-node mechanisms + noise variance + cached topological order."""
 
     dag: DagAdjacency
     mechanisms: tuple[Mechanism, ...]
-    noise: NoiseSpec
+    noise_variance: float = 0.1
     topo_order: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        d = self.dag.d
-        if len(self.mechanisms) != d:
-            raise ValueError(f"expected {d} mechanisms, got {len(self.mechanisms)}")
-        for j, mech in enumerate(self.mechanisms):
-            if tuple(mech.parents) != self.dag.parents(j):
-                raise ValueError(f"mechanism {j} disagrees with the DAG about its parents")
-        if self.noise.means.shape != (d,):
-            raise ValueError("noise spec length must equal node count")
+        if len(self.mechanisms) != self.dag.d:
+            raise ValueError(f"expected {self.dag.d} mechanisms, got {len(self.mechanisms)}")
+        if not 0.0 < self.noise_variance < math.inf:
+            raise ValueError(f"noise variance must be in (0, inf), got {self.noise_variance}")
         object.__setattr__(self, "topo_order", self.dag.topological_order())
 
     @property
@@ -181,8 +141,6 @@ class Scm:
 
 def sample_er_dag(d: int, p: float, rng_seed: int) -> DagAdjacency:
     """Erdos-Renyi DAG: random node order, each forward edge kept with probability p."""
-    if d < 1:
-        raise ValueError(f"node count must be >= 1, got {d}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
     rng = np.random.default_rng(rng_seed)
@@ -197,12 +155,10 @@ def sample_er_dag(d: int, p: float, rng_seed: int) -> DagAdjacency:
 def sample_linear_scm(dag: DagAdjacency, rng_seed: int) -> Scm:
     """Linear mechanisms with coefficients ~ U[-0.1, 1.0] and noise N(0, 0.1)."""
     rng = np.random.default_rng(rng_seed)
-    mechanisms = []
-    for j in range(dag.d):
-        parents = dag.parents(j)
-        coeffs = rng.uniform(-0.1, 1.0, size=len(parents))
-        mechanisms.append(LinearMechanism(parents, coeffs))
-    return Scm(dag, tuple(mechanisms), NoiseSpec.iid(dag.d))
+    mechanisms = tuple(
+        LinearMechanism(rng.uniform(-0.1, 1.0, size=len(dag.parents(j)))) for j in range(dag.d)
+    )
+    return Scm(dag, mechanisms)
 
 
 # Shared 6-node graph of the two builtin nonlinear models, 1-based edge list.
@@ -223,15 +179,12 @@ def builtin_nonlinear_scm(which: int) -> Scm:
     edges = np.zeros((d, d), dtype=bool)
     for i, j in _NONLINEAR_EDGES:
         edges[i - 1, j - 1] = True
-    dag = DagAdjacency(d, edges)
-    mechanisms: list[Mechanism] = []
-    for j in range(d):
-        parents = dag.parents(j)
-        if which == 1:
-            mechanisms.append(QuadraticSumMechanism(parents))
-        else:
-            mechanisms.append(Nonlinear2Mechanism(parents, node=j + 1))
-    return Scm(dag, tuple(mechanisms), NoiseSpec.iid(d))
+    mechanisms: tuple[Mechanism, ...]
+    if which == 1:
+        mechanisms = (QuadraticSumMechanism(),) * d
+    else:
+        mechanisms = tuple(Nonlinear2Mechanism(node=j + 1) for j in range(d))
+    return Scm(DagAdjacency(d, edges), mechanisms)
 
 
 def sample(
@@ -250,31 +203,22 @@ def sample(
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     d = scm.d
-    do: dict[int, float] = {}
-    if intervention is not None:
-        targets = tuple(intervention.targets)
-        values = tuple(intervention.values)
-        if len(targets) != len(values):
-            raise ValueError(
-                f"{len(targets)} intervention targets but {len(values)} constants"
-            )
-        do = dict(zip(targets, values))
-        out_of_range = [t for t in do if not 0 <= t < d]
-        if out_of_range:
-            raise ValueError(f"intervention targets {out_of_range} outside [0, {d})")
+    do = {} if intervention is None else dict(zip(intervention.targets, intervention.values))
+    out_of_range = [t for t in do if t >= d]  # InterventionRegime rejects negative targets
+    if out_of_range:
+        raise ValueError(f"intervention targets {out_of_range} outside [0, {d})")
     z = np.empty((n, d), dtype=float)
     if do:
         # one contiguous broadcast pins every target; free columns are overwritten below
         template = np.zeros(d)
         template[list(do)] = list(do.values())
         z[:] = template
-    stds = np.sqrt(scm.noise.variances)
+    std = np.sqrt(scm.noise_variance)
     for j in scm.topo_order:
         if j in do:
             continue
-        noise = substream(rng_seed, j).normal(scm.noise.means[j], stds[j], size=n)
-        parents = scm.mechanisms[j].parents
-        z[:, j] = scm.mechanisms[j].evaluate(z[:, parents], noise)
+        noise = substream(rng_seed, j).normal(0.0, std, size=n)
+        z[:, j] = scm.mechanisms[j].evaluate(z[:, scm.dag.parents(j)], noise)
     return z
 
 
@@ -286,10 +230,9 @@ def chain_example_scm() -> Scm:
     """
     edges = np.zeros((3, 3), dtype=bool)
     edges[0, 1] = edges[0, 2] = edges[1, 2] = True
-    dag = DagAdjacency(3, edges)
     mechanisms = (
-        LinearMechanism((), np.array([])),
-        LinearMechanism((0,), np.array([1.0])),
-        LinearMechanism((0, 1), np.array([1.0, 1.0])),
+        LinearMechanism(np.array([])),
+        LinearMechanism(np.array([1.0])),
+        LinearMechanism(np.array([1.0, 1.0])),
     )
-    return Scm(dag, mechanisms, NoiseSpec.iid(3, 0.0, 1.0))
+    return Scm(DagAdjacency(3, edges), mechanisms, noise_variance=1.0)

@@ -21,6 +21,7 @@ loss_norm); the optimizer is a self-contained AdamW.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -94,10 +95,10 @@ class LossWeights:
 
     def __post_init__(self) -> None:
         for name in ("lambda_e", "lambda_m", "lambda_diag", "lambda_norm"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.norm_target <= 0:
-            raise ValueError("norm_target must be positive")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
+        if not 0 < self.norm_target < math.inf:
+            raise ValueError("norm_target must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,13 @@ def test_readme_config_example_builds_and_names_every_key(tmp_path):
     assert build_config(args) == ExperimentConfig(out_dir="results")  # the defaults
 
 
+def test_readme_quick_start_prints_what_the_readme_quotes(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code, printed = re.search(r"```python\n(.*?)```.*?```text\n(.*?)```", readme, flags=re.S).groups()
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == printed
+
+
 def test_flags_override_config_file(tiny_config):
     parser = build_parser()
     args = parser.parse_args(["generate", "--config", tiny_config, "--d", "4", "--p", "0.25"])
@@ -149,6 +156,27 @@ def test_generate_from_a_design_file_records_its_path_and_regenerates(tmp_path, 
     design.unlink()  # the manifest alone regenerates the data
     assert main(["generate", "--from-manifest", str(a / "manifest.json"), "--out", str(b)]) == 0
     assert (a / "dataset.bin").read_bytes() == (b / "dataset.bin").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda m: {**m, "p": "x"},
+        lambda m: {**m, "n_per_env": "40"},
+        lambda m: [m],
+        lambda m: {k: v for k, v in m.items() if k != "derived_seeds"},
+    ],
+    ids=["p-string", "n-string", "json-list", "no-derived-seeds"],
+)
+def test_generate_from_malformed_manifest_exits_1_without_traceback(tmp_path, tiny_config, capsys, corrupt):
+    a = tmp_path / "a"
+    assert main(["generate", "--config", tiny_config, "--out", str(a)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads((a / "manifest.json").read_text()))))
+    capsys.readouterr()
+    assert main(["generate", "--from-manifest", str(bad), "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_check_design_passes_builtin_constructions(capsys):

@@ -147,6 +147,8 @@ def test_regime_validation():
         InterventionRegime((1, 1), (0.0, 0.0))
     with pytest.raises(ValueError, match="values"):
         InterventionRegime((1, 2), (0.0,))
+    with pytest.raises(ValueError, match="negative"):
+        InterventionRegime((0, -1), (0.0, 0.0))
     reg = InterventionRegime((3, 1), (0.3, 0.1))
     assert reg.targets == (1, 3)
     assert reg.values == (0.1, 0.3)  # pairing preserved under sorting

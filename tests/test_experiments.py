@@ -48,6 +48,9 @@ def test_config_defaults_match_benchmark_protocol():
         dict(epochs=0),
         dict(batch_size=1),
         dict(learning_rate=-1.0),
+        dict(learning_rate=float("nan")),
+        dict(learning_rate=float("inf")),
+        dict(p=float("nan")),
     ],
 )
 def test_config_rejects_bad_values(kwargs):

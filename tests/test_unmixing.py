@@ -600,6 +600,16 @@ def test_loss_weights_and_config_validation():
         LossWeights(lambda_diag=-1.0)
     with pytest.raises(ValueError, match="positive"):
         LossWeights(norm_target=0.0)
+    # NaN fails every comparison, so each bound must be stated as a range it has to lie in
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            LossWeights(lambda_e=bad)
+        with pytest.raises(ValueError, match="finite"):
+            LossWeights(lambda_diag=bad)
+        with pytest.raises(ValueError, match="finite"):
+            LossWeights(norm_target=bad)
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(learning_rate=bad)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
