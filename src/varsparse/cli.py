@@ -127,17 +127,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = build_config(args)
     seed = config.seeds[0]
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if getattr(args, "from_manifest", None):
         manifest = json.loads(Path(args.from_manifest).read_text())
         dataset = regenerate(manifest)
     else:
         dataset, manifest = make_dataset(config, seed)
+    try:  # read before writing: a manifest short of a summary field leaves no output
+        summary = f"seed {manifest['seed']}, {manifest['n_edges']} edges"
+    except KeyError as err:
+        raise ValueError(f"malformed manifest: missing field {err}") from err
+    out.mkdir(parents=True, exist_ok=True)
     save(dataset, out / "dataset.bin")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     paths = export_csv(dataset, out)
     print(f"wrote {out / 'dataset.bin'} ({dataset.n_envs} environments, {dataset.n_per_env} rows each)")
-    print(f"wrote {out / 'manifest.json'} (seed {manifest['seed']}, {manifest['n_edges']} edges)")
+    print(f"wrote {out / 'manifest.json'} ({summary})")
     print(f"wrote {len(paths)} per-environment CSV files under {out}")
     return EXIT_OK
 
@@ -180,6 +184,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ValueError("evaluate needs --data and --checkpoint")
     dataset = load(args.data)
     model, _ = load_checkpoint(args.checkpoint)
+    if model.d != dataset.d:
+        raise ValueError(f"checkpoint unmixes d={model.d} but the dataset has d={dataset.d}")
     test_latents, test_observed = test_split(dataset)
     result = mcc_between(test_latents, test_observed @ model.lhat)
     print(f"test-split mcc {result.score!r}")

@@ -1,9 +1,9 @@
 """Mixed multi-environment datasets: generation, train/test split, persistence.
 
-Ground-truth latents Z are drawn per environment, observations are their image
-under a fixed invertible square mixing. Both are kept: the latents only ever
+Ground-truth latents Z are drawn per environment; observations are derived once
+as their image under a fixed invertible square mixing. The latents only ever
 feed evaluation. Files round-trip bit-exactly through a small self-describing
-binary container with a trailing checksum.
+binary container with a trailing checksum; load checks its stored observations.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -33,8 +33,7 @@ _DET_MIN = 1e-6
 _COND_MAX = 1e6
 _TRAIN_FRACTION = 0.75  # n_train = floor(0.75 * n)
 _SAMPLE_RETRIES = 100
-_MIX_TOL = 1e-9  # atol and rtol of the observed == latents @ mixing check
-_CHECK_ROWS = 8192  # rows per chunk of that check
+_MIX_TOL = 1e-9  # atol and rtol of load's stored observed == latents @ mixing check
 
 
 class DatasetFormatError(ValueError):
@@ -94,71 +93,41 @@ def sample_mixing(d: int, rng_seed: int) -> MixingMatrix:
     )
 
 
-def _mixes_to(z: np.ndarray, x: np.ndarray, mixing: np.ndarray) -> bool:
-    """np.allclose(x, z @ mixing, atol=_MIX_TOL, rtol=_MIX_TOL), in row chunks.
-
-    Each chunk's product and |x - y| go through two preallocated buffers. A
-    chunk passes at once when every |x - y| - tol is <= 0: that needs every
-    tol = atol + rtol |y| finite, hence every y. Otherwise the chunk gets the
-    exact isclose predicate, (|x - y| <= tol and y finite) or x == y, which
-    also accepts equal infinities. The first failing chunk decides.
-    """
-    n = z.shape[0]
-    y = np.empty((min(n, _CHECK_ROWS), mixing.shape[1]))
-    diff = np.empty_like(y)
-    with np.errstate(invalid="ignore"):  # inf - inf, as isclose allows
-        for start in range(0, n, _CHECK_ROWS):
-            zc, xc = z[start : start + _CHECK_ROWS], x[start : start + _CHECK_ROWS]
-            yc, dc = y[: len(zc)], diff[: len(zc)]
-            np.matmul(zc, mixing, out=yc)
-            np.subtract(xc, yc, out=dc)
-            np.abs(dc, out=dc)
-            np.abs(yc, out=yc)
-            yc *= _MIX_TOL
-            yc += _MIX_TOL
-            dc -= yc
-            if dc.max() <= 0.0:  # a NaN maximum fails too
-                continue
-            yc = zc @ mixing
-            close = (np.abs(xc - yc) <= _MIX_TOL + _MIX_TOL * np.abs(yc)) & np.isfinite(yc)
-            if not (close | (xc == yc)).all():
-                return False
-    return True
-
-
 @dataclass(frozen=True, eq=False)
 class EnvDataset:
-    """Per-environment latents and observations plus the train/test row split.
+    """Per-environment latents, their mixing, and the train/test row split.
 
-    Rows [:n_train] of every environment are training rows, the rest test.
+    The observations are derived once, observed[e] = latents[e] @ mixing, and
+    every environment has n_per_env rows, the latents' row count. Rows
+    [:n_train] of every environment are training rows, the rest test.
     """
 
     envs: EnvironmentSet
     mixing: MixingMatrix
     latents: tuple[np.ndarray, ...]
-    observed: tuple[np.ndarray, ...]
-    n_per_env: int
     n_train: int
     seed: int
+    observed: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n_envs = len(self.envs.regimes)
-        if len(self.latents) != n_envs or len(self.observed) != n_envs:
-            raise ValueError("need one latent and one observed matrix per environment")
+        if n_envs == 0:
+            raise ValueError("need at least one environment")
+        if len(self.latents) != n_envs:
+            raise ValueError(f"{len(self.latents)} latent matrices for {n_envs} environments")
+        d = self.mixing.d
+        if self.envs.d != d:
+            raise ValueError(f"environment dimension {self.envs.d} != mixing rows {d}")
+        for e, z in enumerate(self.latents):  # n_per_env reads environment 0, 2-D once e=0 passes
+            if z.ndim != 2 or z.shape != (self.n_per_env, d):
+                raise ValueError(
+                    f"environment {e}: latents shaped {z.shape}, expected one (n, {d}) shape for all"
+                )
         if not 0 < self.n_train < self.n_per_env:
             raise ValueError(
                 f"split must leave both parts nonempty: n_train={self.n_train}, n={self.n_per_env}"
             )
-        d = self.mixing.d
-        if self.envs.d != d:
-            raise ValueError(f"environment dimension {self.envs.d} != mixing rows {d}")
-        for e, (z, x) in enumerate(zip(self.latents, self.observed)):
-            if z.shape != (self.n_per_env, d):
-                raise ValueError(f"environment {e}: latents shaped {z.shape}, expected {(self.n_per_env, d)}")
-            if x.shape != (self.n_per_env, d):
-                raise ValueError(f"environment {e}: observed shaped {x.shape}, expected {(self.n_per_env, d)}")
-            if not _mixes_to(z, x, self.mixing.entries):
-                raise ValueError(f"environment {e}: observed rows are not latents @ mixing")
+        object.__setattr__(self, "observed", tuple(z @ self.mixing.entries for z in self.latents))
 
     @property
     def d(self) -> int:
@@ -167,6 +136,10 @@ class EnvDataset:
     @property
     def n_envs(self) -> int:
         return len(self.latents)
+
+    @property
+    def n_per_env(self) -> int:
+        return self.latents[0].shape[0]
 
     def train_observed(self, e: int) -> np.ndarray:
         return self.observed[e][: self.n_train]
@@ -195,22 +168,12 @@ def generate(
         )
     if n_per_env < 4:
         raise ValueError("need at least 4 rows per environment for a 75/25 split")
-    latents = []
-    observed = []
-    for e, regime in enumerate(envs.regimes):
-        z = sample(scm, n_per_env, intervention=regime, rng_seed=derive_seed(rng_seed, e))
-        latents.append(z)
-        observed.append(z @ mixing.entries)
-    n_train = int(n_per_env * _TRAIN_FRACTION)
-    return EnvDataset(
-        envs=envs,
-        mixing=mixing,
-        latents=tuple(latents),
-        observed=tuple(observed),
-        n_per_env=n_per_env,
-        n_train=n_train,
-        seed=rng_seed,
+    latents = tuple(
+        sample(scm, n_per_env, intervention=regime, rng_seed=derive_seed(rng_seed, e))
+        for e, regime in enumerate(envs.regimes)
     )
+    n_train = int(n_per_env * _TRAIN_FRACTION)
+    return EnvDataset(envs=envs, mixing=mixing, latents=latents, n_train=n_train, seed=rng_seed)
 
 
 def _matrix_records(dataset: EnvDataset) -> list[tuple[str, np.ndarray]]:
@@ -301,9 +264,11 @@ def load(path: Union[str, Path]) -> EnvDataset:
         if end > len(body):
             raise DatasetFormatError(f"{path}: payload truncated at matrix {name}")
         try:
-            arrays[name] = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape).copy()
+            array = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape)
         except ValueError as err:  # an empty matrix with a dimension numpy cannot hold
             raise DatasetFormatError(f"{path}: matrix {name} shaped {shape}: {err}") from err
+        # stored observations are only checked against the derived ones: no copy
+        arrays[name] = array if name.startswith("observed_") else array.copy()
         offset = end
     if offset != len(body):
         raise DatasetFormatError(f"{path}: {len(body) - offset} trailing payload bytes")
@@ -319,17 +284,27 @@ def load(path: Union[str, Path]) -> EnvDataset:
             f"{path}: header says d={d}, m={m} but mixing is {arrays['mixing'].shape}"
         )
     try:
-        return EnvDataset(
+        dataset = EnvDataset(
             envs=envs,
             mixing=MixingMatrix(arrays["mixing"]),
             latents=tuple(arrays[f"latents_{e}"] for e in range(n_envs)),
-            observed=tuple(arrays[f"observed_{e}"] for e in range(n_envs)),
-            n_per_env=n_per_env,
             n_train=n_train,
             seed=seed,
         )
     except ValueError as err:
         raise DatasetFormatError(f"{path}: inconsistent contents: {err}") from err
+    if n_per_env != dataset.n_per_env:
+        raise DatasetFormatError(f"{path}: n_per_env={n_per_env} but latents have {dataset.n_per_env} rows")
+    for e, derived in enumerate(dataset.observed):
+        stored = arrays[f"observed_{e}"]
+        if stored.shape != derived.shape:
+            raise DatasetFormatError(f"{path}: observed_{e} is {stored.shape}, not {derived.shape}")
+        if not (
+            np.array_equal(stored, derived)  # what save writes; skips allclose's temporaries
+            or np.allclose(stored, derived, atol=_MIX_TOL, rtol=_MIX_TOL)
+        ):
+            raise DatasetFormatError(f"{path}: observed_{e} is not latents_{e} @ mixing")
+    return dataset
 
 
 def export_csv(dataset: EnvDataset, directory: Union[str, Path]) -> list[Path]:

@@ -179,6 +179,21 @@ def test_generate_from_malformed_manifest_exits_1_without_traceback(tmp_path, ti
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_generate_from_a_manifest_short_of_a_summary_field_writes_nothing(tmp_path, tiny_config, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["generate", "--config", tiny_config, "--out", str(a)]) == 0
+    manifest = json.loads((a / "manifest.json").read_text())
+    del manifest["n_edges"]  # regenerating does not need it, the summary line does
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["generate", "--from-manifest", str(bad), "--out", str(b)]) == 1
+    captured = capsys.readouterr()
+    assert "malformed manifest: missing field 'n_edges'" in captured.err
+    assert "wrote" not in captured.out
+    assert not (b / "dataset.bin").exists()
+
+
 def test_check_design_passes_builtin_constructions(capsys):
     assert main(["check-design", "--design", "leave-one-out", "--d", "6"]) == 0
     assert "coverage ok" in capsys.readouterr().out
@@ -299,6 +314,18 @@ def test_evaluate_reports_a_non_object_checkpoint_header(tmp_path, tiny_config, 
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not a JSON object" in err
+
+
+def test_evaluate_rejects_a_checkpoint_of_another_dimension(tmp_path, tiny_config, capsys):
+    d3, d4 = tmp_path / "d3", tmp_path / "d4"
+    main(["generate", "--config", tiny_config, "--out", str(d3)])
+    main(["train", "--config", tiny_config, "--data", str(d3 / "dataset.bin"), "--out", str(d3)])
+    main(["generate", "--config", tiny_config, "--d", "4", "--out", str(d4)])
+    capsys.readouterr()
+    code = main(["evaluate", "--data", str(d4 / "dataset.bin"), "--checkpoint", str(d3 / "checkpoint.bin")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: checkpoint unmixes d=3 but the dataset has d=4\n"
 
 
 def test_evaluate_requires_both_inputs(capsys):

@@ -19,8 +19,6 @@ from varsparse.data import (
     load,
     sample_mixing,
     save,
-    _CHECK_ROWS,
-    _mixes_to,
 )
 from varsparse.envs import (
     EnvironmentSet,
@@ -227,15 +225,7 @@ def _tiny_container_dataset():
         ),
     )
     latents = tuple(np.arange(12.0).reshape(4, 3) * (e + 1) - 5.0 * e for e in range(3))
-    return EnvDataset(
-        envs=envs,
-        mixing=MixingMatrix(CHAIN_MIX),
-        latents=latents,
-        observed=tuple(z @ CHAIN_MIX for z in latents),
-        n_per_env=4,
-        n_train=3,
-        seed=11,
-    )
+    return EnvDataset(envs=envs, mixing=MixingMatrix(CHAIN_MIX), latents=latents, n_train=3, seed=11)
 
 
 def test_container_bytes_are_pinned(tmp_path):
@@ -287,6 +277,8 @@ def test_load_rejects_a_wide_mixing(tmp_path):
             h["matrices"][0].update(shape=[0, 0]),
             h["matrices"][1].update(shape=[7, 3]),
         ),
+        # the 12 floats of observed_0, transposed: no broadcast may reach the caller
+        lambda h: h["matrices"][2].update(shape=[3, 4]),
     ],
 )
 def test_load_rejects_malformed_headers_with_format_errors(tmp_path, mutate):
@@ -296,6 +288,17 @@ def test_load_rejects_malformed_headers_with_format_errors(tmp_path, mutate):
     mutate(header)
     _write_container(path, json.dumps(header).encode(), payload)
     with pytest.raises(DatasetFormatError):
+        load(path)
+
+
+def test_load_rejects_a_container_with_no_environments(tmp_path):
+    path = tmp_path / "empty.vsds"
+    save(_tiny_container_dataset(), path)
+    header, payload = _split_container(path)
+    header["envs"]["regimes"] = []
+    header["matrices"] = header["matrices"][:1]
+    _write_container(path, json.dumps(header).encode(), payload[: 8 * 9])  # the mixing alone
+    with pytest.raises(DatasetFormatError, match="at least one environment"):
         load(path)
 
 
@@ -394,82 +397,64 @@ def test_csv_export(tmp_path):
 
 def test_dataset_validation():
     ds = _chain_dataset(n=40)
-    with pytest.raises(ValueError, match="not latents"):
-        EnvDataset(
-            envs=ds.envs,
-            mixing=ds.mixing,
-            latents=ds.latents,
-            observed=tuple(x + 1.0 for x in ds.observed),
-            n_per_env=ds.n_per_env,
-            n_train=ds.n_train,
-            seed=ds.seed,
-        )
     with pytest.raises(ValueError, match="split"):
         EnvDataset(
             envs=ds.envs,
             mixing=ds.mixing,
             latents=ds.latents,
-            observed=ds.observed,
-            n_per_env=ds.n_per_env,
             n_train=ds.n_per_env,
+            seed=ds.seed,
+        )
+    with pytest.raises(ValueError, match="at least one environment"):
+        EnvDataset(envs=EnvironmentSet(3, ()), mixing=ds.mixing, latents=(), n_train=1, seed=0)
+    with pytest.raises(ValueError, match="latents shaped"):
+        EnvDataset(
+            envs=ds.envs,
+            mixing=ds.mixing,
+            latents=(ds.latents[0], ds.latents[1][:-1], ds.latents[2]),
+            n_train=ds.n_train,
             seed=ds.seed,
         )
 
 
-def _reference_mixes_to(z, x, mixing):
-    with np.errstate(invalid="ignore"):  # BLAS flags rows holding an infinity
-        return np.allclose(x, z @ mixing, atol=1e-9, rtol=1e-9)
+def _with_observed_0(path, observed_0):
+    """Rewrite a saved container with another observed_0 record and a valid checksum."""
+    header, payload = _split_container(path)
+    sizes = [8 * int(np.prod(rec["shape"])) for rec in header["matrices"]]
+    start = sum(sizes[:2])  # records run mixing, latents_0, observed_0, ...
+    record = np.ascontiguousarray(observed_0, dtype="<f8").tobytes()
+    assert len(record) == sizes[2]
+    payload = payload[:start] + record + payload[start + sizes[2] :]
+    _write_container(path, json.dumps(header).encode(), payload)
 
 
-def _mixed_pair(n, d, seed):
-    """Latents, a mixing with no zero entry, and their product."""
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(n, d))
-    mixing = rng.uniform(0.5, 1.5, size=(d, d)) * rng.choice([-1.0, 1.0], size=(d, d))
-    return z, mixing, z @ mixing
+def test_load_accepts_stored_observations_within_tolerance(tmp_path):
+    ds = _tiny_container_dataset()
+    path = tmp_path / "tiny.vsds"
+    save(ds, path)
+    nudged = np.nextafter(ds.observed[0], np.inf)  # one ulp up: within 1e-9, not bit-equal
+    assert not np.array_equal(nudged, ds.observed[0])
+    _with_observed_0(path, nudged)
+    assert np.array_equal(load(path).observed[0], ds.latents[0] @ CHAIN_MIX)
 
 
-_EDGE_ROWS = (_CHECK_ROWS - 1, _CHECK_ROWS, _CHECK_ROWS + 1, 2 * _CHECK_ROWS + 1)
+def test_load_rejects_stored_observations_off_the_mixing(tmp_path):
+    path = tmp_path / "tiny.vsds"
+    ds = _tiny_container_dataset()
+    save(ds, path)
+    _with_observed_0(path, ds.observed[0] + 1.0)
+    with pytest.raises(DatasetFormatError, match="not latents_0 @ mixing"):
+        load(path)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.one_of(st.integers(4, 9000), st.sampled_from(_EDGE_ROWS)),
-    st.integers(1, 4),
-    st.integers(0, 2**32),
-    st.sampled_from(("none", "inside", "outside", "nan", "inf-equal", "inf-unequal")),
-    st.floats(0.0, 1.0, exclude_max=True),
-    st.floats(0.0, 1.0, exclude_max=True),
-)
-def test_chunked_mixing_check_agrees_with_allclose(n, d, seed, edit, row_at, col_at):
-    z, mixing, x = _mixed_pair(n, d, seed)
-    r, c = int(row_at * n), int(col_at * d)
-    y = x[r, c]
-    tol = 1e-9 + 1e-9 * abs(y)
-    if edit == "inside":
-        x[r, c] = y + 0.5 * tol
-    elif edit == "outside":
-        x[r, c] = y - 2.0 * tol
-    elif edit == "nan":
-        x[r, c] = np.nan
-    elif edit.startswith("inf"):
-        # one infinite latent makes the whole product row infinite, signs following mixing
-        z[r, c] = np.inf
-        x[r] = z[r] @ mixing
-        if edit == "inf-unequal":
-            x[r, c] = -x[r, c]
-    want = _reference_mixes_to(z, x, mixing)
-    assert want == (edit in ("none", "inside", "inf-equal"))
-    assert _mixes_to(z, x, mixing) == want
-
-
-@pytest.mark.parametrize("n", _EDGE_ROWS)
-def test_mixing_check_reaches_the_last_row(n):
-    z, mixing, x = _mixed_pair(n, 3, n)
-    assert _mixes_to(z, x, mixing)
-    x[-1, -1] += 1e-6
-    assert not _reference_mixes_to(z, x, mixing)
-    assert not _mixes_to(z, x, mixing)
+def test_load_rejects_a_row_count_the_latents_do_not_have(tmp_path):
+    path = tmp_path / "tiny.vsds"
+    save(_tiny_container_dataset(), path)
+    header, payload = _split_container(path)
+    header["n_per_env"] = 5
+    _write_container(path, json.dumps(header).encode(), payload)
+    with pytest.raises(DatasetFormatError, match="n_per_env"):
+        load(path)
 
 
 @st.composite
