@@ -12,7 +12,7 @@ import numpy as np
 
 from varsparse.experiments import ExperimentConfig, make_dataset, test_split
 from varsparse.metrics import disentanglement_check, mcc_between
-from varsparse.unmixing import train, variance_matrix
+from varsparse.unmixing import covariances, train, variance_matrix
 
 
 def main():
@@ -35,9 +35,9 @@ def main():
           f"({report.wall_time_s:.1f}s, gradient check {report.grad_check_rel_err:.2e})")
     print()
 
-    batches = [dataset.test_observed(e) for e in range(dataset.n_envs)]
+    covs = covariances([dataset.test_observed(e) for e in range(dataset.n_envs)], dataset.d)
     print("variance matrix of the learned representation (rows = environments):")
-    print(variance_matrix(batches, model))
+    print(variance_matrix(covs, model.lhat))
     print()
 
     effective = dataset.mixing.entries @ model.lhat

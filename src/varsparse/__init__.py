@@ -45,9 +45,10 @@ from .unmixing import (
     TrainReport,
     TrainingAborted,
     UnmixingModel,
+    covariances,
     load_checkpoint,
+    objective,
     save_checkpoint,
-    total_loss,
     train,
     variance_matrix,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "builtin_nonlinear_scm",
     "chain_example_scm",
     "check_sufficient_coverage",
+    "covariances",
     "coverage_from_supports",
     "disentanglement_check",
     "fit_fastica",
@@ -88,6 +90,7 @@ __all__ = [
     "load_checkpoint",
     "mcc",
     "mcc_between",
+    "objective",
     "pearson",
     "reproduce",
     "run_experiment",
@@ -97,7 +100,6 @@ __all__ = [
     "sample_mixing",
     "save_checkpoint",
     "separating_design",
-    "total_loss",
     "train",
     "transform",
     "variance_matrix",

@@ -168,7 +168,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     train_config = config.train_config(seed)
     model, report = train(dataset, config.weights, train_config)
-    save_checkpoint(model, out / "checkpoint.bin", train_config, epoch=config.epochs)
+    save_checkpoint(model, out / "checkpoint.bin", train_config)
     (out / "train_report.json").write_text(report.to_json() + "\n")
     report.to_csv(out / "train_losses.csv")
     test_latents, test_observed = test_split(dataset)

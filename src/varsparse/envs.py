@@ -11,10 +11,21 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from ._rng import substream
+
+
+def _integer(name: str, value) -> int:
+    """value as an int, refusing what is not one: bools, floats, strings."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=True)
@@ -28,8 +39,10 @@ class InterventionRegime:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        targets = tuple(int(t) for t in self.targets)
+        targets = tuple(_integer("target", t) for t in self.targets)
         values = tuple(float(v) for v in self.values)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"intervention values must be finite, got {values}")
         if len(targets) != len(values):
             raise ValueError(f"{len(targets)} targets but {len(values)} values")
         if len(set(targets)) != len(targets):
@@ -75,12 +88,12 @@ class EnvironmentSet:
     def from_json(cls, text: str) -> "EnvironmentSet":
         doc = json.loads(text)
         try:
-            d = int(doc["d"])
+            d = _integer("d", doc["d"])
             regimes = tuple(
                 InterventionRegime(tuple(r["targets"]), tuple(r["values"]))
                 for r in doc["regimes"]
             )
-        except (KeyError, TypeError, OverflowError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"malformed environment document: {err}") from err
         return cls(d, regimes)
 

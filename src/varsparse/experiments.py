@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"n_per_env must be >= 4, got {self.n_per_env}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be nonnegative, got {self.seeds}")
         if self.scm not in SCM_KINDS:
             raise ValueError(f"scm must be one of {SCM_KINDS}, got {self.scm!r}")
         if self.design not in DESIGN_KINDS and not Path(self.design).is_file():
@@ -321,7 +323,6 @@ def run_experiment(
     which: str,
     config: Optional[ExperimentConfig] = None,
     methods: Sequence[str] = METHODS,
-    d_limit: Optional[int] = None,
 ) -> list[ResultRow]:
     """All rows of one named grid, in deterministic (cell, seed, method) order."""
     config = config or ExperimentConfig()
@@ -332,8 +333,6 @@ def run_experiment(
         raise ValueError(f"unknown experiment {which!r} (pick one of {', '.join(GRIDS)})")
     rows = []
     for cell in [replace(config, **overrides) for overrides in GRIDS[which]]:
-        if d_limit is not None and cell.d > d_limit:
-            continue
         for seed in cell.seeds:
             rows.extend(_score_methods(which, cell, seed, methods))
     return rows
@@ -386,12 +385,11 @@ def reproduce(
     out_dir: Union[str, Path],
     config: Optional[ExperimentConfig] = None,
     methods: Sequence[str] = METHODS,
-    d_limit: Optional[int] = None,
 ) -> tuple[Path, Path, list[ResultRow]]:
     """Run one grid and write <which>.csv plus <which>_summary.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = run_experiment(which, config, methods, d_limit)
+    rows = run_experiment(which, config, methods)
     rows_path = out / f"{which}.csv"
     summary_path = out / f"{which}_summary.csv"
     write_rows_csv(rows, rows_path)

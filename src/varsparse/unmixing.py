@@ -15,7 +15,8 @@ nonzero entry, loss_diag is a group norm over wrap-around diagonals of V
 (nonzeros should align on few diagonals), and loss_norm = (||lhat||_F - a)^2
 keeps the parameters away from the all-zero collapse. Each term function
 returns its value and its analytic gradient (wrt V, or wrt lhat for
-loss_norm); the optimizer is a self-contained AdamW.
+loss_norm), and objective(covs, lhat, weights) combines them on the stack;
+the optimizer is a self-contained AdamW.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class UnmixingModel:
     """Learned linear unmixing, one square matrix of shape (d, d)."""
 
     lhat: np.ndarray
-    init_seed: int
 
     def __post_init__(self) -> None:
         lhat = np.asarray(self.lhat, dtype=float)
@@ -75,12 +75,12 @@ class UnmixingModel:
     def d(self) -> int:
         return self.lhat.shape[1]
 
-    @classmethod
-    def initialize(cls, d: int, seed: int) -> "UnmixingModel":
-        # uniform [-1/sqrt(d), 1/sqrt(d)]: E||lhat||_F^2 = d/3, near the norm target
-        rng = np.random.default_rng(seed)
-        bound = 1.0 / np.sqrt(d)
-        return cls(rng.uniform(-bound, bound, size=(d, d)), init_seed=seed)
+
+def _initial_lhat(d: int, seed: int) -> np.ndarray:
+    # uniform [-1/sqrt(d), 1/sqrt(d)]: E||lhat||_F^2 = d/3, near the norm target
+    rng = np.random.default_rng(seed)
+    bound = 1.0 / np.sqrt(d)
+    return rng.uniform(-bound, bound, size=(d, d))
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,8 @@ class TrainConfig:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ class TrainReport:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _covariances(batches: Sequence[np.ndarray], d: int) -> np.ndarray:
+def covariances(batches: Sequence[np.ndarray], d: int) -> np.ndarray:
     """(E, d, d) stack of the biased (divide-by-n) covariances of the batches."""
     covs = np.empty((len(batches), d, d))
     for e, batch in enumerate(batches):
@@ -174,14 +176,10 @@ def _covariances(batches: Sequence[np.ndarray], d: int) -> np.ndarray:
     return covs
 
 
-def _variances(covs: np.ndarray, lhat: np.ndarray) -> np.ndarray:
+def variance_matrix(covs: np.ndarray, lhat: np.ndarray) -> np.ndarray:
+    """(E, d) variances V[e, j] = l_j^T S_e l_j of each column of lhat under each covariance."""
     # l^T S l can round below zero where the true variance is exactly zero
     return np.maximum(np.einsum("emd,md->ed", covs @ lhat, lhat), 0.0)
-
-
-def variance_matrix(batches: Sequence[np.ndarray], model: UnmixingModel) -> np.ndarray:
-    """(E, d) biased (divide-by-n) per-column variances of each projected batch."""
-    return _variances(_covariances(batches, model.d), model.lhat)
 
 
 def loss_var(v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -228,10 +226,10 @@ def loss_norm(lhat: np.ndarray, norm_target: float = 1.0) -> tuple[float, np.nda
     return float((fro - norm_target) ** 2), grad
 
 
-def _loss_and_grad(
-    covs: np.ndarray, model: UnmixingModel, weights: LossWeights
+def objective(
+    covs: np.ndarray, lhat: np.ndarray, weights: LossWeights
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
-    """Shared forward+backward pass over an (E, d, d) covariance stack.
+    """The weighted objective at lhat over an (E, d, d) covariance stack.
 
     The four variance-based terms are evaluated on the variance matrix of
     the *unit-normalized* columns of lhat, so they score only the directions
@@ -249,10 +247,9 @@ def _loss_and_grad(
     group norm favors one evenly-spread wrap-around diagonal over hoarding
     by a factor of sqrt(d).
 
-    Returns (breakdown, gradient wrt lhat, variance matrix of the unit
-    directions).
+    Returns (per-term breakdown, exact gradient wrt lhat, variance matrix of
+    the unit directions).
     """
-    lhat = model.lhat
     col_norms = np.linalg.norm(lhat, axis=0)
     safe_norms = np.where(col_norms > 0.0, col_norms, 1.0)
     directions = lhat / safe_norms
@@ -299,14 +296,6 @@ def _loss_and_grad(
     return LossBreakdown(float(total), l_var, l_env, l_dim, l_diag, l_norm), grad, v
 
 
-def total_loss(
-    batches: Sequence[np.ndarray], model: UnmixingModel, weights: LossWeights
-) -> tuple[LossBreakdown, np.ndarray]:
-    """Per-term breakdown of the weighted objective and its exact gradient wrt lhat."""
-    breakdown, grad, _ = _loss_and_grad(_covariances(batches, model.d), model, weights)
-    return breakdown, grad
-
-
 @dataclass
 class AdamWState:
     """Optimizer state: parameters plus first/second moment accumulators."""
@@ -339,7 +328,7 @@ def adamw_step(state: AdamWState, grad: np.ndarray, config: TrainConfig) -> Adam
 
 def _directional_grad_check(
     covs: np.ndarray,
-    model: UnmixingModel,
+    lhat: np.ndarray,
     weights: LossWeights,
     grad: np.ndarray,
     rng: np.random.Generator,
@@ -349,12 +338,10 @@ def _directional_grad_check(
     """Max relative error of <grad, D> vs a central finite difference along D."""
     worst = 0.0
     for _ in range(n_directions):
-        direction = rng.normal(size=model.lhat.shape)
+        direction = rng.normal(size=lhat.shape)
         direction /= np.linalg.norm(direction)
-        plus = UnmixingModel(model.lhat + h * direction, model.init_seed)
-        minus = UnmixingModel(model.lhat - h * direction, model.init_seed)
-        f_plus, _, _ = _loss_and_grad(covs, plus, weights)
-        f_minus, _, _ = _loss_and_grad(covs, minus, weights)
+        f_plus, _, _ = objective(covs, lhat + h * direction, weights)
+        f_minus, _, _ = objective(covs, lhat - h * direction, weights)
         fd = (f_plus.total - f_minus.total) / (2.0 * h)
         analytic = float((grad * direction).sum())
         denom = max(abs(fd), abs(analytic), 1e-12)
@@ -382,9 +369,9 @@ def train(
         )
 
     started = time.perf_counter()
-    model = UnmixingModel.initialize(dataset.d, config.seed)
-    state = adamw_init(model.lhat)
-    covs = _covariances([dataset.train_observed(e) for e in range(n_envs)], dataset.d)
+    lhat = _initial_lhat(dataset.d, config.seed)
+    state = adamw_init(lhat)
+    covs = covariances([dataset.train_observed(e) for e in range(n_envs)], dataset.d)
     steps_per_epoch = -(-n_train // config.batch_size)
     report = TrainReport()
 
@@ -392,7 +379,7 @@ def train(
         sums = np.zeros(len(fields(LossBreakdown)))
         for step in range(steps_per_epoch):
             try:
-                breakdown, grad, _ = _loss_and_grad(covs, model, weights)
+                breakdown, grad, _ = objective(covs, lhat, weights)
             except NumericalError as err:
                 report.wall_time_s = time.perf_counter() - started
                 raise TrainingAborted(
@@ -402,32 +389,25 @@ def train(
                 # a stream of its own: switching the diagnostic off changes no result
                 check_rng = np.random.default_rng(derive_seed(config.seed, 1))
                 report.grad_check_rel_err = _directional_grad_check(
-                    covs, model, weights, grad, check_rng
+                    covs, lhat, weights, grad, check_rng
                 )
             state = adamw_step(state, grad, config)
-            model = UnmixingModel(state.theta, init_seed=config.seed)
+            lhat = state.theta
             sums += list(vars(breakdown).values())  # astuple would deep-copy each step
         # tolist: plain floats, so repr writes 52.5 and not np.float64(52.5)
         report.epoch_losses.append(LossBreakdown(*(sums / steps_per_epoch).tolist()))
 
-    report.final_variances = _variances(covs, model.lhat)
+    report.final_variances = variance_matrix(covs, lhat)
     report.wall_time_s = time.perf_counter() - started
-    return model, report
+    return UnmixingModel(lhat), report
 
 
-def save_checkpoint(
-    model: UnmixingModel,
-    path: Union[str, Path],
-    config: Optional[TrainConfig] = None,
-    epoch: Optional[int] = None,
-) -> None:
+def save_checkpoint(model: UnmixingModel, path: Union[str, Path], config: TrainConfig) -> None:
     """One-line JSON header, newline, then the row-major float64 parameters."""
     header = {
         "m": model.d,  # the row count; the model is square
         "d": model.d,
-        "init_seed": model.init_seed,
-        "epoch": epoch,
-        "config": None if config is None else vars(config).copy(),
+        "config": vars(config).copy(),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
     blob += np.ascontiguousarray(model.lhat, dtype="<f8").tobytes()
@@ -445,8 +425,8 @@ def load_checkpoint(path: Union[str, Path]) -> tuple[UnmixingModel, dict]:
         raise ValueError(f"{path}: malformed checkpoint header: {err}") from err
     if not isinstance(header, dict):
         raise ValueError(f"{path}: checkpoint header is not a JSON object")
-    m, d, init_seed = header.get("m"), header.get("d"), header.get("init_seed", 0)
-    for name, value in (("m", m), ("d", d), ("init_seed", init_seed)):
+    m, d = header.get("m"), header.get("d")
+    for name, value in (("m", m), ("d", d)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(f"{path}: checkpoint {name} must be a nonnegative integer, got {value!r}")
     if m != d:
@@ -455,4 +435,4 @@ def load_checkpoint(path: Union[str, Path]) -> tuple[UnmixingModel, dict]:
     if len(payload) != 8 * d * d:
         raise ValueError(f"{path}: expected {8 * d * d} payload bytes, found {len(payload)}")
     lhat = np.frombuffer(payload, dtype="<f8").reshape(d, d).copy()
-    return UnmixingModel(lhat, init_seed=init_seed), header
+    return UnmixingModel(lhat), header

@@ -28,13 +28,14 @@ from varsparse.scm import chain_example_scm, sample, sample_er_dag, sample_linea
 from varsparse.unmixing import (
     LossWeights,
     TrainConfig,
-    UnmixingModel,
+    _initial_lhat,
+    covariances,
     loss_diag,
     loss_dim,
     loss_env,
     loss_norm,
     loss_var,
-    total_loss,
+    objective,
     train,
 )
 
@@ -165,15 +166,15 @@ def test_criterion_6_every_gradient_matches_finite_differences():
             v = np.abs(rng.normal(size=shape)) + 0.05  # keep FD steps inside the valid domain
             worst = max(worst, _grad_gap(term(v)[1], _fd(lambda a: term(a)[0], v)))
     for k in range(20):
-        model = UnmixingModel.initialize(3, seed=100 + k)
+        lhat = _initial_lhat(3, seed=100 + k)
         fn = lambda flat: loss_norm(flat.reshape(3, 3), 1.0)[0]
-        worst = max(worst, _grad_gap(loss_norm(model.lhat, 1.0)[1], _fd(fn, model.lhat.copy())))
+        worst = max(worst, _grad_gap(loss_norm(lhat, 1.0)[1], _fd(fn, lhat.copy())))
     weights = LossWeights()
     for k in range(20):
-        batches = [rng.normal(size=(30, 3)) @ rng.normal(size=(3, 3)) for _ in range(3)]
-        model = UnmixingModel.initialize(3, seed=200 + k)
-        fn = lambda flat: total_loss(batches, UnmixingModel(flat.reshape(3, 3), init_seed=0), weights)[0].total
-        worst = max(worst, _grad_gap(total_loss(batches, model, weights)[1], _fd(fn, model.lhat.copy())))
+        covs = covariances([rng.normal(size=(30, 3)) @ rng.normal(size=(3, 3)) for _ in range(3)], 3)
+        lhat = _initial_lhat(3, seed=200 + k)
+        fn = lambda flat: objective(covs, flat.reshape(3, 3), weights)[0].total
+        worst = max(worst, _grad_gap(objective(covs, lhat, weights)[1], _fd(fn, lhat.copy())))
     _verdict(6, worst < 1e-4, f"worst relative error {worst:.3e} over 120 instances (need < 1e-4)")
 
 

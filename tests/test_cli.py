@@ -242,6 +242,8 @@ def test_check_design_missing_file_is_a_validation_error(tmp_path, capsys):
     [
         '{"d": 3, "regimes": [{"targets": [Infinity], "values": [1.0]}]}',
         '{"d": Infinity, "regimes": [{"targets": [0], "values": [1.0]}]}',
+        '{"d": 3, "regimes": [{"targets": [0], "values": [NaN]}]}',
+        '{"d": 3.9, "regimes": [{"targets": [0.7, true], "values": [1.0, 2.0]}]}',
     ],
 )
 def test_check_design_rejects_an_infinite_integer(tmp_path, capsys, text):
@@ -370,3 +372,5 @@ def test_usage_errors_use_validation_exit_code():
 def test_invalid_parameter_is_validation_exit(capsys):
     assert main(["generate", "--d", "1", "--out", "/tmp/never"]) == 1
     assert "error:" in capsys.readouterr().err
+    assert main(["generate", "--seed", "-1", "--out", "/tmp/never"]) == 1
+    assert "error: seeds must be nonnegative" in capsys.readouterr().err

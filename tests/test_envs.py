@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,6 +150,14 @@ def test_regime_validation():
         InterventionRegime((1, 2), (0.0,))
     with pytest.raises(ValueError, match="negative"):
         InterventionRegime((0, -1), (0.0, 0.0))
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="values must be finite"):
+            InterventionRegime((0,), (value,))
+    # targets are validated, not coerced: a bool or a float is no index
+    for target in (0.7, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="target must be an integer"):
+            InterventionRegime((target,), (0.0,))
+    assert InterventionRegime((np.int64(2),), (0.0,)).targets == (2,)
     reg = InterventionRegime((3, 1), (0.3, 0.1))
     assert reg.targets == (1, 3)
     assert reg.values == (0.1, 0.3)  # pairing preserved under sorting
@@ -170,6 +179,14 @@ def test_environment_set_json_round_trip():
     assert back.regimes == envs.regimes
     with pytest.raises(ValueError, match="malformed"):
         EnvironmentSet.from_json("{\"regimes\": []}")
+    for text in (
+        '{"d": 3.9, "regimes": []}',
+        '{"d": true, "regimes": []}',
+        '{"d": 3, "regimes": [{"targets": [0.7, true], "values": [1.0, 2.0]}]}',
+        '{"d": 3, "regimes": [{"targets": [0], "values": [NaN]}]}',
+    ):
+        with pytest.raises(ValueError, match="malformed"):
+            EnvironmentSet.from_json(text)
 
 
 @st.composite

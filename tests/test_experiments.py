@@ -41,6 +41,7 @@ def test_config_defaults_match_benchmark_protocol():
         dict(p=1.5),
         dict(n_per_env=3),
         dict(seeds=()),
+        dict(seeds=(0, -1)),
         dict(scm="cubic"),
         dict(design="latin-square"),
         dict(design="/no/such/file.json"),
@@ -177,10 +178,11 @@ def test_run_cell_raises_unexpected_errors(monkeypatch):
         raise ValueError("operands could not be broadcast together")
 
     monkeypatch.setattr(experiments, "fit_fastica", broken)
+    monkeypatch.setitem(experiments.GRIDS, "fig2a", experiments.GRIDS["fig2a"][:1])  # d=3 only
     with pytest.raises(ValueError, match="broadcast"):
         run_cell("unit", TINY, seed=0, method="fastica")
     with pytest.raises(ValueError, match="broadcast"):
-        run_experiment("fig2a", TINY, methods=("ours", "fastica"), d_limit=3)
+        run_experiment("fig2a", TINY, methods=("ours", "fastica"))
 
 
 def test_run_cell_nonlinear_rows_have_no_edge_probability():
@@ -189,9 +191,11 @@ def test_run_cell_nonlinear_rows_have_no_edge_probability():
     assert row.p is None and row.scm == "nonlinear-1"
 
 
-def test_grids_enumerate_documented_settings():
+def test_grids_enumerate_documented_settings(monkeypatch):
     base = ExperimentConfig(n_per_env=400, seeds=(0,), epochs=1, batch_size=64)
-    rows = run_experiment("fig2a", base, methods=("fastica",), d_limit=3)
+    assert [cell["d"] for cell in experiments.GRIDS["fig2a"]] == [3, 6, 10, 30]
+    monkeypatch.setitem(experiments.GRIDS, "fig2a", experiments.GRIDS["fig2a"][:1])  # d=3 only
+    rows = run_experiment("fig2a", base, methods=("fastica",))
     assert [r.d for r in rows] == [3]
     rows = run_experiment("fig2b", base, methods=("fastica",))
     assert [r.p for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -291,10 +295,11 @@ def test_csv_headers_and_failure_cells(tmp_path):
     assert slines[1] == "x,linear,3,0.5,100,ours,0.9,0.0,1"
 
 
-def test_reproduce_outputs_are_byte_identical_across_runs(tmp_path):
+def test_reproduce_outputs_are_byte_identical_across_runs(tmp_path, monkeypatch):
     cfg = ExperimentConfig(d=3, p=0.5, n_per_env=400, seeds=(0,), epochs=1, batch_size=64)
-    first = reproduce("fig2a", tmp_path / "a", cfg, methods=("fastica",), d_limit=3)
-    second = reproduce("fig2a", tmp_path / "b", cfg, methods=("fastica",), d_limit=3)
+    monkeypatch.setitem(experiments.GRIDS, "fig2a", experiments.GRIDS["fig2a"][:1])  # d=3 only
+    first = reproduce("fig2a", tmp_path / "a", cfg, methods=("fastica",))
+    second = reproduce("fig2a", tmp_path / "b", cfg, methods=("fastica",))
     assert first[0].read_bytes() == second[0].read_bytes()
     assert first[1].read_bytes() == second[1].read_bytes()
     assert first[0].name == "fig2a.csv" and first[1].name == "fig2a_summary.csv"

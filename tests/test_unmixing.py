@@ -23,14 +23,15 @@ from varsparse.unmixing import (
     UnmixingModel,
     adamw_init,
     adamw_step,
+    covariances,
     load_checkpoint,
     loss_diag,
     loss_dim,
     loss_env,
     loss_norm,
     loss_var,
+    objective,
     save_checkpoint,
-    total_loss,
     train,
     variance_matrix,
 )
@@ -62,9 +63,8 @@ def _rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
 
 
-def _row_loss_and_grad(batches, model, weights):
+def _row_objective(batches, lhat, weights):
     """Reference: the objective evaluated directly on the rows of each batch."""
-    lhat = model.lhat
     col_norms = np.linalg.norm(lhat, axis=0)
     safe_norms = np.where(col_norms > 0.0, col_norms, 1.0)
     directions = lhat / safe_norms
@@ -101,7 +101,7 @@ def _row_loss_and_grad(batches, model, weights):
     return total, grad, v
 
 
-def _row_variances(batches, lhat):
+def _row_variance_matrix(batches, lhat):
     """Reference: per-column variances of each projected batch."""
     out = []
     for b in batches:
@@ -143,18 +143,17 @@ def _problems(draw):
 @given(_problems())
 def test_covariance_kernel_matches_row_path(problem):
     batches, lhat = problem
-    model = UnmixingModel(lhat, init_seed=0)
     weights = LossWeights(lambda_e=0.7, lambda_m=1.3, lambda_diag=10.0, lambda_norm=5.0)
-    covs = unmixing._covariances(batches, model.d)
-    breakdown, grad, v = unmixing._loss_and_grad(covs, model, weights)
-    ref_total, ref_grad, ref_v = _row_loss_and_grad(batches, model, weights)
+    covs = covariances(batches, lhat.shape[0])
+    breakdown, grad, v = objective(covs, lhat, weights)
+    ref_total, ref_grad, ref_v = _row_objective(batches, lhat, weights)
     assert _close(breakdown.total, ref_total)
     assert _close(grad, ref_grad)
     assert _close(v, ref_v)
     # constant batches: both sides are rounding noise around a true zero
     data_scale = max(float(np.max((b @ lhat) ** 2)) for b in batches)
-    v_rows = _row_variances(batches, lhat)
-    assert _close(variance_matrix(batches, model), v_rows, scale=data_scale)
+    v_rows = _row_variance_matrix(batches, lhat)
+    assert _close(variance_matrix(covs, lhat), v_rows, scale=data_scale)
 
 
 # ---------------------------------------------------------------- variance_matrix
@@ -162,9 +161,8 @@ def test_covariance_kernel_matches_row_path(problem):
 
 def test_variance_matrix_ground_truth_unmixing_isolates_free_component():
     ds = _chain_dataset()
-    model = UnmixingModel(np.linalg.inv(CHAIN_MIX), init_seed=0)
-    batches = [ds.train_observed(e) for e in range(3)]
-    v = variance_matrix(batches, model)
+    covs = covariances([ds.train_observed(e) for e in range(3)], 3)
+    v = variance_matrix(covs, np.linalg.inv(CHAIN_MIX))
     # env 0 pins Z1 and Z2, so only the noise of Z3 survives (unit variance)
     assert v[0, 0] < 1e-12 and v[0, 1] < 1e-12
     assert v[0, 2] == pytest.approx(1.0, rel=0.1)
@@ -173,25 +171,22 @@ def test_variance_matrix_ground_truth_unmixing_isolates_free_component():
 
 
 def test_variance_matrix_constant_batch_gives_zero_row():
-    model = UnmixingModel(np.eye(3), init_seed=0)
-    batches = [np.ones((10, 3)), np.zeros((5, 3))]
-    v = variance_matrix(batches, model)
+    covs = covariances([np.ones((10, 3)), np.zeros((5, 3))], 3)
+    v = variance_matrix(covs, np.eye(3))
     assert np.array_equal(v, np.zeros((2, 3)))
 
 
 def test_variance_matrix_identity_on_mixed_data_sees_variance_everywhere():
     ds = _chain_dataset()
-    model = UnmixingModel(np.eye(3), init_seed=0)
-    v = variance_matrix([ds.train_observed(e) for e in range(3)], model)
+    v = variance_matrix(covariances([ds.train_observed(e) for e in range(3)], 3), np.eye(3))
     assert (v > EPS_VAR).all()
 
 
 def test_variance_matrix_rejects_tiny_batches():
-    model = UnmixingModel(np.eye(3), init_seed=0)
     with pytest.raises(ValueError, match="at least 2 rows"):
-        variance_matrix([np.ones((1, 3))], model)
+        covariances([np.ones((1, 3))], 3)
     with pytest.raises(ValueError, match="model expects 3"):
-        variance_matrix([np.ones((4, 2))], model)
+        covariances([np.ones((4, 2))], 3)
 
 
 # ---------------------------------------------------------------- loss terms
@@ -314,10 +309,10 @@ def test_sparsity_terms_are_scale_free(stack, c, seed):
     rng = np.random.default_rng(seed)
     col_scales = rng.uniform(0.1, 10.0, size=lhat.shape[1]) * rng.choice([-1.0, 1.0], lhat.shape[1])
     weights = LossWeights()
-    base, _, _ = unmixing._loss_and_grad(covs, UnmixingModel(lhat, 0), weights)
+    base, _, _ = objective(covs, lhat, weights)
     rescaled = (
-        unmixing._loss_and_grad(covs, UnmixingModel(lhat * col_scales, 0), weights)[0],
-        unmixing._loss_and_grad(c * covs, UnmixingModel(lhat, 0), weights)[0],
+        objective(covs, lhat * col_scales, weights)[0],
+        objective(c * covs, lhat, weights)[0],
     )
     for other in rescaled:
         for name in ("loss_var", "loss_env", "loss_dim", "loss_diag"):
@@ -326,14 +321,14 @@ def test_sparsity_terms_are_scale_free(stack, c, seed):
 
 def test_ground_truth_unmixing_beats_identity_on_sparsity_term():
     ds = _chain_dataset()
-    batches = [ds.train_observed(e) for e in range(3)]
-    identity = loss_var(variance_matrix(batches, UnmixingModel(np.eye(3), 0)))[0]
+    covs = covariances([ds.train_observed(e) for e in range(3)], 3)
+    identity = loss_var(variance_matrix(covs, np.eye(3)))[0]
     rng = np.random.default_rng(4)
     for _ in range(5):
         perm = np.eye(3)[rng.permutation(3)]
         scales = np.diag(rng.uniform(0.5, 2.0, size=3) * rng.choice([-1.0, 1.0], size=3))
         lhat = np.linalg.inv(CHAIN_MIX) @ perm @ scales
-        truth = loss_var(variance_matrix(batches, UnmixingModel(lhat, 0)))[0]
+        truth = loss_var(variance_matrix(covs, lhat))[0]
         assert truth < identity
 
 
@@ -393,35 +388,47 @@ def test_total_gradient_matches_finite_differences():
     weights = LossWeights()
     h = 1e-5
     for _ in range(20):
-        batches = _random_batches(rng)
+        covs = covariances(_random_batches(rng), 3)
         lhat = rng.normal(size=(3, 3)) * rng.uniform(0.3, 1.5)
-        model = UnmixingModel(lhat, 0)
-        _, an = total_loss(batches, model, weights)
+        _, an, _ = objective(covs, lhat, weights)
         worst = 0.0
         for idx in np.ndindex(lhat.shape):
             lp = lhat.copy()
             lp[idx] += h
             lm = lhat.copy()
             lm[idx] -= h
-            fp, _ = total_loss(batches, UnmixingModel(lp, 0), weights)
-            fm, _ = total_loss(batches, UnmixingModel(lm, 0), weights)
+            fp, _, _ = objective(covs, lp, weights)
+            fm, _, _ = objective(covs, lm, weights)
             worst = max(worst, _rel_err((fp.total - fm.total) / (2 * h), an[idx]))
         assert worst < 1e-4
 
 
+@settings(max_examples=200, deadline=None)
+@given(_stacks(), st.integers(0, 2**32 - 1))
+def test_objective_gradient_matches_central_difference_on_rank_deficient_stacks(stack, seed):
+    # E and d drawn apart, and stacks of rank below d as under hard interventions
+    covs, lhat = stack
+    direction = np.random.default_rng(seed).normal(size=lhat.shape)
+    direction /= np.linalg.norm(direction)
+    weights, h = LossWeights(), 1e-5
+    _, grad, _ = objective(covs, lhat, weights)
+    f_plus = objective(covs, lhat + h * direction, weights)[0].total
+    f_minus = objective(covs, lhat - h * direction, weights)[0].total
+    assert _rel_err((f_plus - f_minus) / (2 * h), float((grad * direction).sum())) < 1e-4
+
+
 def test_gradient_zero_for_constant_batches_without_norm_term():
     weights = LossWeights(lambda_e=0.0, lambda_m=0.0, lambda_diag=0.0, lambda_norm=0.0)
-    batches = [np.ones((8, 3)), 2.0 * np.ones((8, 3))]
-    model = UnmixingModel(np.full((3, 3), 0.4), init_seed=0)
-    assert np.array_equal(total_loss(batches, model, weights)[1], np.zeros((3, 3)))
+    covs = covariances([np.ones((8, 3)), 2.0 * np.ones((8, 3))], 3)
+    assert np.array_equal(objective(covs, np.full((3, 3), 0.4), weights)[1], np.zeros((3, 3)))
 
 
-def test_total_loss_breakdown_is_consistent():
+def test_objective_breakdown_is_consistent():
     rng = np.random.default_rng(8)
-    batches = _random_batches(rng)
-    model = UnmixingModel(rng.normal(size=(3, 3)), 0)
+    covs = covariances(_random_batches(rng), 3)
+    lhat = rng.normal(size=(3, 3))
     weights = LossWeights(lambda_e=0.7, lambda_m=1.3, lambda_diag=2.0, lambda_norm=0.5)
-    b, _ = total_loss(batches, model, weights)
+    b, _, _ = objective(covs, lhat, weights)
     assert b.total == pytest.approx(
         b.loss_var + 0.7 * b.loss_env + 1.3 * b.loss_dim + 2.0 * b.loss_diag + 0.5 * b.loss_norm,
         abs=1e-12,
@@ -431,15 +438,15 @@ def test_total_loss_breakdown_is_consistent():
     ]
 
 
-def test_total_loss_norm_weight_scales_norm_term_alone():
+def test_objective_norm_weight_scales_norm_term_alone():
     rng = np.random.default_rng(9)
-    batches = _random_batches(rng)
-    model = UnmixingModel(rng.normal(size=(3, 3)), 0)
+    covs = covariances(_random_batches(rng), 3)
+    lhat = rng.normal(size=(3, 3))
     bare = LossWeights(lambda_e=0.0, lambda_m=0.0, lambda_diag=0.0, lambda_norm=0.0)
     with_norm = LossWeights(lambda_e=0.0, lambda_m=0.0, lambda_diag=0.0, lambda_norm=5.0)
-    b0, _ = total_loss(batches, model, bare)
-    b1, _ = total_loss(batches, model, with_norm)
-    assert b1.total - b0.total == pytest.approx(5.0 * loss_norm(model.lhat)[0], abs=1e-12)
+    b0, _, _ = objective(covs, lhat, bare)
+    b1, _, _ = objective(covs, lhat, with_norm)
+    assert b1.total - b0.total == pytest.approx(5.0 * loss_norm(lhat)[0], abs=1e-12)
 
 
 # ---------------------------------------------------------------- optimizer
@@ -578,21 +585,20 @@ def test_training_aborted_carries_partial_report():
 
 
 def test_model_initialize_is_bounded_and_deterministic():
-    a = UnmixingModel.initialize(4, seed=5)
-    b = UnmixingModel.initialize(4, seed=5)
-    assert a.lhat.shape == (4, 4)
-    assert np.abs(a.lhat).max() <= 0.5  # 1/sqrt(4)
-    assert np.array_equal(a.lhat, b.lhat)
-    assert a.d == 4
+    a = unmixing._initial_lhat(4, seed=5)
+    assert a.shape == (4, 4)
+    assert np.abs(a).max() <= 0.5  # 1/sqrt(4)
+    assert np.array_equal(a, unmixing._initial_lhat(4, seed=5))
+    assert UnmixingModel(a).d == 4
 
 
 def test_model_rejects_non_finite_entries():
     with pytest.raises(ValueError, match="finite"):
-        UnmixingModel(np.array([[np.nan, 0.0]]), init_seed=0)
+        UnmixingModel(np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError, match="2-d"):
-        UnmixingModel(np.zeros(3), init_seed=0)
+        UnmixingModel(np.zeros(3))
     with pytest.raises(ValueError, match="square"):
-        UnmixingModel(np.zeros((4, 3)), init_seed=0)
+        UnmixingModel(np.zeros((4, 3)))
 
 
 def test_loss_weights_and_config_validation():
@@ -614,6 +620,8 @@ def test_loss_weights_and_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-1.0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        TrainConfig(seed=-1)
     defaults = TrainConfig(seed=0)
     assert (defaults.epochs, defaults.batch_size) == (50, 4096)
     assert defaults.learning_rate == pytest.approx(2e-3)
@@ -625,20 +633,29 @@ def test_loss_weights_and_config_validation():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    model = UnmixingModel.initialize(3, seed=9)
+    model = UnmixingModel(unmixing._initial_lhat(3, seed=9))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path, config=TrainConfig(seed=9), epoch=50)
+    save_checkpoint(model, path, TrainConfig(seed=9))
     loaded, header = load_checkpoint(path)
     assert np.array_equal(loaded.lhat, model.lhat)
-    assert loaded.init_seed == 9
-    assert header["epoch"] == 50
+    assert header["config"]["seed"] == 9
+    assert header["config"]["epochs"] == 50
     assert header["config"]["batch_size"] == 4096
 
 
+def test_checkpoint_loads_a_header_with_keys_it_does_not_use(tmp_path):
+    # the header of checkpoints written before init_seed and epoch were dropped
+    lhat = np.arange(9.0).reshape(3, 3)
+    path = tmp_path / "old.ckpt"
+    header = b'{"config": null, "d": 3, "epoch": 50, "init_seed": 9, "m": 3}'
+    path.write_bytes(header + b"\n" + lhat.astype("<f8").tobytes())
+    assert np.array_equal(load_checkpoint(path)[0].lhat, lhat)
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
-    model = UnmixingModel.initialize(3, seed=9)
+    model = UnmixingModel(unmixing._initial_lhat(3, seed=9))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path)
+    save_checkpoint(model, path, TrainConfig(seed=9))
     raw = path.read_bytes()
     truncated = tmp_path / "short.ckpt"
     truncated.write_bytes(raw[:-8])
@@ -662,7 +679,6 @@ def test_checkpoint_rejects_corruption(tmp_path):
         (b'{"m": true, "d": 3}', "m must be a nonnegative integer"),
         (b'{"m": -1, "d": -3}', "m must be a nonnegative integer"),
         (b'{"m": 3, "d": -3}', "d must be a nonnegative integer"),
-        (b'{"m": 3, "d": 3, "init_seed": [1]}', "init_seed must be a nonnegative integer"),
         (b'{"m": 2, "d": 3}', "square"),
     ],
 )
