@@ -4,6 +4,8 @@ Ground-truth latents Z are drawn per environment; observations are derived once
 as their image under a fixed invertible square mixing. The latents only ever
 feed evaluation. Files round-trip bit-exactly through a small self-describing
 binary container with a trailing checksum; load checks its stored observations.
+save and load stream the container a record or a few MiB at a time, so neither
+holds more than the dataset itself.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -34,6 +37,7 @@ _COND_MAX = 1e6
 _TRAIN_FRACTION = 0.75  # n_train = floor(0.75 * n)
 _SAMPLE_RETRIES = 100
 _MIX_TOL = 1e-9  # atol and rtol of load's stored observed == latents @ mixing check
+_IO_CHUNK = 4 << 20  # bytes load reads at a time: the checksum pass and the observed check
 
 
 class DatasetFormatError(ValueError):
@@ -185,7 +189,11 @@ def _matrix_records(dataset: EnvDataset) -> list[tuple[str, np.ndarray]]:
 
 
 def save(dataset: EnvDataset, path: Union[str, Path]) -> None:
-    """Write the container: magic, version, header JSON, float64 payload, sha256."""
+    """Write the container: magic, version, header JSON, float64 payload, sha256.
+
+    Each record goes out from its array's own buffer; a failed write removes
+    the partial file and re-raises.
+    """
     records = _matrix_records(dataset)
     header = {
         "d": dataset.d,
@@ -197,15 +205,20 @@ def save(dataset: EnvDataset, path: Union[str, Path]) -> None:
         "matrices": [{"name": name, "shape": list(arr.shape)} for name, arr in records],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<I", _VERSION)
-    blob += struct.pack("<Q", len(header_bytes))
-    blob += header_bytes
-    for _, arr in records:
-        blob += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    blob += hashlib.sha256(blob).digest()
-    Path(path).write_bytes(bytes(blob))
+    prefix = _MAGIC + struct.pack("<I", _VERSION) + struct.pack("<Q", len(header_bytes))
+    path = Path(path)
+    file = path.open("wb")  # a path that cannot be opened is left as it was
+    try:
+        with file:
+            digest = hashlib.sha256()
+            arrays = (np.ascontiguousarray(arr, dtype="<f8") for _, arr in records)
+            for piece in (prefix + header_bytes, *arrays):
+                file.write(piece)
+                digest.update(piece)
+            file.write(digest.digest())
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _matrix_specs(matrices: object) -> list[tuple[str, tuple[int, ...]]]:
@@ -227,83 +240,138 @@ def _matrix_specs(matrices: object) -> list[tuple[str, tuple[int, ...]]]:
     return specs
 
 
-def load(path: Union[str, Path]) -> EnvDataset:
-    """Read a container written by save, verifying structure and checksum."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(_MAGIC) + 4 + 8 + 32:
-        raise DatasetFormatError(f"{path}: file too short to be a dataset container")
-    body, digest = memoryview(raw)[:-32], raw[-32:]  # a view: slicing bytes would copy the body
-    if hashlib.sha256(body).digest() != digest:
-        raise DatasetChecksumError(f"{path}: checksum mismatch, file corrupted")
-    if body[:4] != _MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic {bytes(body[:4])!r}")
-    (version,) = struct.unpack_from("<I", body, 4)
-    if version != _VERSION:
-        raise DatasetFormatError(f"{path}: unsupported container version {version}")
-    (header_len,) = struct.unpack_from("<Q", body, 8)
-    header_start = 16
-    payload_start = header_start + header_len
-    if payload_start > len(body):
-        raise DatasetFormatError(f"{path}: header length overruns file")
-    try:
-        header = json.loads(bytes(body[header_start:payload_start]).decode("utf-8"))
-        d = int(header["d"])
-        m = int(header["m"])
-        n_per_env = int(header["n_per_env"])
-        n_train = int(header["n_train"])
-        seed = int(header["seed"])
-        envs = EnvironmentSet.from_json(json.dumps(header["envs"]))
-        specs = _matrix_specs(header["matrices"])
-    except (ValueError, KeyError, TypeError, OverflowError) as err:
-        raise DatasetFormatError(f"{path}: malformed header: {err}") from err
+def _read_into(file: BinaryIO, path: Union[str, Path], array: np.ndarray) -> None:
+    """Fill a C-contiguous array with the file's next bytes."""
+    view = array.reshape(-1).view(np.uint8)  # a view: the array is contiguous
+    done = 0
+    while done < view.size:
+        n = file.readinto(view[done:])
+        if not n:
+            raise DatasetFormatError(f"{path}: file ended while being read")
+        done += n
 
-    arrays: dict[str, np.ndarray] = {}
-    offset = payload_start
-    for name, shape in specs:
-        end = offset + 8 * math.prod(shape)
-        if end > len(body):
-            raise DatasetFormatError(f"{path}: payload truncated at matrix {name}")
-        try:
-            array = np.frombuffer(body[offset:end], dtype="<f8").reshape(shape)
-        except ValueError as err:  # an empty matrix with a dimension numpy cannot hold
-            raise DatasetFormatError(f"{path}: matrix {name} shaped {shape}: {err}") from err
-        # stored observations are only checked against the derived ones: no copy
-        arrays[name] = array if name.startswith("observed_") else array.copy()
-        offset = end
-    if offset != len(body):
-        raise DatasetFormatError(f"{path}: {len(body) - offset} trailing payload bytes")
 
-    n_envs = len(envs.regimes)
-    expected = {"mixing"} | {f"latents_{e}" for e in range(n_envs)} | {
-        f"observed_{e}" for e in range(n_envs)
-    }
-    if set(arrays) != expected:
-        raise DatasetFormatError(f"{path}: matrix set does not match environment count")
-    if arrays["mixing"].shape != (d, m):
-        raise DatasetFormatError(
-            f"{path}: header says d={d}, m={m} but mixing is {arrays['mixing'].shape}"
-        )
-    try:
-        dataset = EnvDataset(
-            envs=envs,
-            mixing=MixingMatrix(arrays["mixing"]),
-            latents=tuple(arrays[f"latents_{e}"] for e in range(n_envs)),
-            n_train=n_train,
-            seed=seed,
-        )
-    except ValueError as err:
-        raise DatasetFormatError(f"{path}: inconsistent contents: {err}") from err
-    if n_per_env != dataset.n_per_env:
-        raise DatasetFormatError(f"{path}: n_per_env={n_per_env} but latents have {dataset.n_per_env} rows")
-    for e, derived in enumerate(dataset.observed):
-        stored = arrays[f"observed_{e}"]
-        if stored.shape != derived.shape:
-            raise DatasetFormatError(f"{path}: observed_{e} is {stored.shape}, not {derived.shape}")
+def _body_digest(file: BinaryIO, path: Union[str, Path], body_len: int) -> bytes:
+    """sha256 of the file's first body_len bytes, read through one reused buffer."""
+    digest = hashlib.sha256()
+    buffer = np.empty(_IO_CHUNK, np.uint8)
+    for start in range(0, body_len, _IO_CHUNK):
+        piece = buffer[: min(_IO_CHUNK, body_len - start)]
+        _read_into(file, path, piece)
+        digest.update(piece)
+    return digest.digest()
+
+
+def _matches_stored(file: BinaryIO, path: Union[str, Path], derived: np.ndarray) -> bool:
+    """Is the record at the file position bit-equal to derived, or within _MIX_TOL?
+
+    The stored record is read and compared a chunk of rows at a time.
+    """
+    rows = max(1, _IO_CHUNK // derived[0].nbytes)
+    buffer = np.empty((min(rows, len(derived)), derived.shape[1]), "<f8")
+    for start in range(0, len(derived), rows):
+        part = derived[start : start + rows]
+        stored = buffer[: len(part)]
+        _read_into(file, path, stored)
         if not (
-            np.array_equal(stored, derived)  # what save writes; skips allclose's temporaries
-            or np.allclose(stored, derived, atol=_MIX_TOL, rtol=_MIX_TOL)
+            np.array_equal(stored, part)  # what save writes; skips allclose's temporaries
+            or np.allclose(stored, part, atol=_MIX_TOL, rtol=_MIX_TOL)
         ):
-            raise DatasetFormatError(f"{path}: observed_{e} is not latents_{e} @ mixing")
+            return False
+    return True
+
+
+def load(path: Union[str, Path]) -> EnvDataset:
+    """Read a container written by save, verifying structure and checksum.
+
+    The whole body is hashed before anything is parsed. Each record is then
+    read straight into its final array; the stored observations are compared
+    with the derived ones a chunk at a time and never held whole.
+    """
+    with open(path, "rb") as file:
+        body_len = os.fstat(file.fileno()).st_size - 32
+        if body_len < len(_MAGIC) + 4 + 8:
+            raise DatasetFormatError(f"{path}: file too short to be a dataset container")
+        body_digest = _body_digest(file, path, body_len)
+        if body_digest != file.read(32):
+            raise DatasetChecksumError(f"{path}: checksum mismatch, file corrupted")
+        file.seek(0)
+        magic, version, header_len = struct.unpack("<4sIQ", file.read(16))
+        if magic != _MAGIC:
+            raise DatasetFormatError(f"{path}: bad magic {magic!r}")
+        if version != _VERSION:
+            raise DatasetFormatError(f"{path}: unsupported container version {version}")
+        payload_start = 16 + header_len
+        if payload_start > body_len:
+            raise DatasetFormatError(f"{path}: header length overruns file")
+        try:
+            header = json.loads(file.read(header_len).decode("utf-8"))
+            d = int(header["d"])
+            m = int(header["m"])
+            n_per_env = int(header["n_per_env"])
+            n_train = int(header["n_train"])
+            seed = int(header["seed"])
+            envs = EnvironmentSet.from_json(json.dumps(header["envs"]))
+            specs = _matrix_specs(header["matrices"])
+        except (ValueError, KeyError, TypeError, OverflowError) as err:
+            raise DatasetFormatError(f"{path}: malformed header: {err}") from err
+
+        arrays: dict[str, np.ndarray] = {}
+        offsets: dict[str, int] = {}  # where each stored observation starts
+        offset = payload_start
+        for name, shape in specs:
+            end = offset + 8 * math.prod(shape)
+            if end > body_len:
+                raise DatasetFormatError(f"{path}: payload truncated at matrix {name}")
+            stays_on_disk = name.startswith("observed_")  # only compared with the derived one
+            try:
+                # the stand-in of a stored observation holds its shape and no data
+                array = np.broadcast_to(0.0, shape) if stays_on_disk else np.empty(shape, "<f8")
+            except ValueError as err:  # a shape numpy cannot hold
+                raise DatasetFormatError(f"{path}: matrix {name} shaped {shape}: {err}") from err
+            if stays_on_disk:
+                offsets[name] = offset
+            else:
+                file.seek(offset)
+                _read_into(file, path, array)
+            arrays[name] = array
+            offset = end
+        if offset != body_len:
+            raise DatasetFormatError(f"{path}: {body_len - offset} trailing payload bytes")
+
+        n_envs = len(envs.regimes)
+        expected = {"mixing"} | {f"latents_{e}" for e in range(n_envs)} | {
+            f"observed_{e}" for e in range(n_envs)
+        }
+        if set(arrays) != expected:
+            raise DatasetFormatError(f"{path}: matrix set does not match environment count")
+        if arrays["mixing"].shape != (d, m):
+            raise DatasetFormatError(
+                f"{path}: header says d={d}, m={m} but mixing is {arrays['mixing'].shape}"
+            )
+        try:
+            dataset = EnvDataset(
+                envs=envs,
+                mixing=MixingMatrix(arrays["mixing"]),
+                latents=tuple(arrays[f"latents_{e}"] for e in range(n_envs)),
+                n_train=n_train,
+                seed=seed,
+            )
+        except ValueError as err:
+            raise DatasetFormatError(f"{path}: inconsistent contents: {err}") from err
+        if n_per_env != dataset.n_per_env:
+            raise DatasetFormatError(
+                f"{path}: n_per_env={n_per_env} but latents have {dataset.n_per_env} rows"
+            )
+        for e, derived in enumerate(dataset.observed):
+            name = f"observed_{e}"
+            if arrays[name].shape != derived.shape:
+                raise DatasetFormatError(
+                    f"{path}: {name} is {arrays[name].shape}, not {derived.shape}"
+                )
+            file.seek(offsets[name])
+            if not _matches_stored(file, path, derived):
+                raise DatasetFormatError(f"{path}: {name} is not latents_{e} @ mixing")
     return dataset
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -28,6 +29,13 @@ def _integer(name: str, value) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _real(name: str, value) -> float:
+    """value as a float, refusing what is not a real number: bools, strings, None."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True, eq=True)
 class InterventionRegime:
     """Hard intervention do(Z_t = v) for (t, v) in zip(targets, values).
@@ -40,7 +48,7 @@ class InterventionRegime:
 
     def __post_init__(self) -> None:
         targets = tuple(_integer("target", t) for t in self.targets)
-        values = tuple(float(v) for v in self.values)
+        values = tuple(_real("intervention value", v) for v in self.values)
         if not all(map(math.isfinite, values)):
             raise ValueError(f"intervention values must be finite, got {values}")
         if len(targets) != len(values):

@@ -1,12 +1,18 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varsparse import data
 from varsparse.data import (
     DatasetChecksumError,
     DatasetFormatError,
@@ -26,6 +32,7 @@ from varsparse.envs import (
     leave_one_out_design,
     separating_design,
 )
+from varsparse.experiments import ExperimentConfig, make_dataset
 from varsparse.scm import chain_example_scm, sample, sample_er_dag, sample_linear_scm
 
 CHAIN_MIX = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
@@ -271,6 +278,7 @@ def test_load_rejects_a_wide_mixing(tmp_path):
         lambda h: h["matrices"][1].update(name=["latents_0"]),
         lambda h: h.update(d=float("inf")),
         lambda h: h["envs"]["regimes"][0].update(targets=[float("inf")]),
+        lambda h: h["envs"]["regimes"][0].update(targets=[0], values=["1.5"]),
         # an empty mixing, its 9 floats handed to the next matrix
         lambda h: (
             h.update(d=0, m=0),
@@ -445,6 +453,89 @@ def test_load_rejects_stored_observations_off_the_mixing(tmp_path):
     _with_observed_0(path, ds.observed[0] + 1.0)
     with pytest.raises(DatasetFormatError, match="not latents_0 @ mixing"):
         load(path)
+
+
+@pytest.mark.parametrize("chunk", [40, 72])  # 1 and 3 rows of 3 floats; neither divides the body
+def test_load_checks_across_chunk_boundaries(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(data, "_IO_CHUNK", chunk)
+    ds = _tiny_container_dataset()
+    path = tmp_path / "tiny.vsds"
+    save(ds, path)
+    back = load(path)
+    for e in range(ds.n_envs):
+        assert back.latents[e].tobytes() == ds.latents[e].tobytes()
+        assert back.observed[e].tobytes() == ds.observed[e].tobytes()
+
+    off = ds.observed[0].copy()
+    off[-1] += 1.0  # the last row sits in the last chunk
+    _with_observed_0(path, off)
+    with pytest.raises(DatasetFormatError, match="not latents_0 @ mixing"):
+        load(path)
+    _with_observed_0(path, np.nextafter(ds.observed[0], np.inf))
+    assert np.array_equal(load(path).observed[0], ds.observed[0])
+
+    raw = bytearray(path.read_bytes())
+    raw[-33] ^= 0x01  # the last byte the checksum covers
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DatasetChecksumError):
+        load(path)
+
+
+def test_save_and_load_hold_no_second_copy(tmp_path):
+    # tracemalloc sees NumPy's data buffers as well as Python's own objects
+    ds, _ = make_dataset(ExperimentConfig(d=6, p=0.5, n_per_env=20000), 0)
+    nbytes = ds.mixing.entries.nbytes + sum(a.nbytes for a in ds.latents + ds.observed)
+    assert nbytes > 10e6
+    path = tmp_path / "ds.vsds"
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        save(ds, path)
+        save_rise = tracemalloc.get_traced_memory()[1] - before
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = load(path)
+        load_rise = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert back.observed[-1].tobytes() == ds.observed[-1].tobytes()
+    assert save_rise < 1e6
+    assert load_rise <= nbytes + data._IO_CHUNK
+
+
+_SAVE_BEYOND_A_FILE_SIZE_LIMIT = """
+import errno, resource, sys
+import numpy as np
+from varsparse.data import MixingMatrix, generate, save
+from varsparse.envs import leave_one_out_design
+from varsparse.scm import chain_example_scm
+
+ds = generate(chain_example_scm(), leave_one_out_design(3, 1), MixingMatrix(np.eye(3)), 400, 0)
+resource.setrlimit(resource.RLIMIT_FSIZE, (10000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    save(ds, sys.argv[1])
+except OSError as err:
+    print(errno.errorcode[err.errno])
+"""
+
+
+def test_a_failed_save_leaves_no_partial_file(tmp_path):
+    pytest.importorskip("resource")
+    path = tmp_path / "ds.vsds"
+    env = dict(os.environ)
+    src = str(Path(data.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # past the limit, write raises OSError(EFBIG): Python ignores SIGXFSZ
+    proc = subprocess.run(
+        [sys.executable, "-c", _SAVE_BEYOND_A_FILE_SIZE_LIMIT, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "EFBIG"
+    assert not path.exists()
 
 
 def test_load_rejects_a_row_count_the_latents_do_not_have(tmp_path):

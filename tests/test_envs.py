@@ -158,6 +158,11 @@ def test_regime_validation():
         with pytest.raises(ValueError, match="target must be an integer"):
             InterventionRegime((target,), (0.0,))
     assert InterventionRegime((np.int64(2),), (0.0,)).targets == (2,)
+    # so are values: a bool or a string is no number
+    for value in (True, np.True_, "1.5", None, 1j):
+        with pytest.raises(ValueError, match="intervention value must be a real number"):
+            InterventionRegime((0,), (value,))
+    assert InterventionRegime((0, 1), (np.float32(0.5), 2)).values == (0.5, 2.0)
     reg = InterventionRegime((3, 1), (0.3, 0.1))
     assert reg.targets == (1, 3)
     assert reg.values == (0.1, 0.3)  # pairing preserved under sorting
@@ -184,6 +189,8 @@ def test_environment_set_json_round_trip():
         '{"d": true, "regimes": []}',
         '{"d": 3, "regimes": [{"targets": [0.7, true], "values": [1.0, 2.0]}]}',
         '{"d": 3, "regimes": [{"targets": [0], "values": [NaN]}]}',
+        '{"d": 2, "regimes": [{"targets": [0], "values": [true]}]}',
+        '{"d": 2, "regimes": [{"targets": [1], "values": ["1.5"]}]}',
     ):
         with pytest.raises(ValueError, match="malformed"):
             EnvironmentSet.from_json(text)
