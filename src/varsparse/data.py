@@ -22,7 +22,7 @@ from typing import BinaryIO, Union
 import numpy as np
 
 from ._rng import derive_seed
-from .envs import EnvironmentSet
+from .envs import EnvironmentSet, _integer
 from .scm import Scm, sample
 
 # Relative zero-variance threshold: a column counts as constant when its
@@ -180,12 +180,14 @@ def generate(
     return EnvDataset(envs=envs, mixing=mixing, latents=latents, n_train=n_train, seed=rng_seed)
 
 
-def _matrix_records(dataset: EnvDataset) -> list[tuple[str, np.ndarray]]:
-    records = [("mixing", dataset.mixing.entries)]
-    for e in range(dataset.n_envs):
-        records.append((f"latents_{e}", dataset.latents[e]))
-        records.append((f"observed_{e}", dataset.observed[e]))
-    return records
+def _layout(d: int, n_envs: int, n_per_env: int) -> list[dict]:
+    """The container's records in file order: the d x d mixing, then each
+    environment's (n_per_env, d) latents and observations."""
+    layout = [{"name": "mixing", "shape": [d, d]}]
+    for e in range(n_envs):
+        layout.append({"name": f"latents_{e}", "shape": [n_per_env, d]})
+        layout.append({"name": f"observed_{e}", "shape": [n_per_env, d]})
+    return layout
 
 
 def save(dataset: EnvDataset, path: Union[str, Path]) -> None:
@@ -194,7 +196,6 @@ def save(dataset: EnvDataset, path: Union[str, Path]) -> None:
     Each record goes out from its array's own buffer; a failed write removes
     the partial file and re-raises.
     """
-    records = _matrix_records(dataset)
     header = {
         "d": dataset.d,
         "m": dataset.d,  # kept for the container format: the mixing is d x d
@@ -202,8 +203,11 @@ def save(dataset: EnvDataset, path: Union[str, Path]) -> None:
         "n_train": dataset.n_train,
         "seed": dataset.seed,
         "envs": json.loads(dataset.envs.to_json()),
-        "matrices": [{"name": name, "shape": list(arr.shape)} for name, arr in records],
+        "matrices": _layout(dataset.d, dataset.n_envs, dataset.n_per_env),
     }
+    records = [dataset.mixing.entries]  # in _layout's order
+    for latents, observed in zip(dataset.latents, dataset.observed):
+        records += [latents, observed]
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     prefix = _MAGIC + struct.pack("<I", _VERSION) + struct.pack("<Q", len(header_bytes))
     path = Path(path)
@@ -211,7 +215,7 @@ def save(dataset: EnvDataset, path: Union[str, Path]) -> None:
     try:
         with file:
             digest = hashlib.sha256()
-            arrays = (np.ascontiguousarray(arr, dtype="<f8") for _, arr in records)
+            arrays = (np.ascontiguousarray(arr, dtype="<f8") for arr in records)
             for piece in (prefix + header_bytes, *arrays):
                 file.write(piece)
                 digest.update(piece)
@@ -219,25 +223,6 @@ def save(dataset: EnvDataset, path: Union[str, Path]) -> None:
     except BaseException:
         path.unlink(missing_ok=True)
         raise
-
-
-def _matrix_specs(matrices: object) -> list[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of each header matrix entry; ValueError unless well formed."""
-    if not isinstance(matrices, list):
-        raise ValueError(f"matrices must be a list, got {type(matrices).__name__}")
-    specs = []
-    for rec in matrices:
-        if not (
-            isinstance(rec, dict)
-            and isinstance(rec.get("name"), str)
-            and isinstance(rec.get("shape"), list)
-        ):
-            raise ValueError(f"matrix entry needs a string name and a list shape: {rec!r}")
-        shape = tuple(rec["shape"])
-        if not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape):
-            raise ValueError(f"matrix {rec['name']} has a bad shape {rec['shape']!r}")
-        specs.append((rec["name"], shape))
-    return specs
 
 
 def _read_into(file: BinaryIO, path: Union[str, Path], array: np.ndarray) -> None:
@@ -282,11 +267,12 @@ def _matches_stored(file: BinaryIO, path: Union[str, Path], derived: np.ndarray)
 
 
 def load(path: Union[str, Path]) -> EnvDataset:
-    """Read a container written by save, verifying structure and checksum.
+    """Read a container written by save, verifying checksum and layout.
 
-    The whole body is hashed before anything is parsed. Each record is then
-    read straight into its final array; the stored observations are compared
-    with the derived ones a chunk at a time and never held whole.
+    The whole body is hashed before anything is parsed, and the header must
+    list exactly the records _layout gives for its counts. Each latents record
+    is then read straight into its final array; the stored observations are
+    compared with the derived ones a chunk at a time and never held whole.
     """
     with open(path, "rb") as file:
         body_len = os.fstat(file.fileno()).st_size - 32
@@ -306,72 +292,44 @@ def load(path: Union[str, Path]) -> EnvDataset:
             raise DatasetFormatError(f"{path}: header length overruns file")
         try:
             header = json.loads(file.read(header_len).decode("utf-8"))
-            d = int(header["d"])
-            m = int(header["m"])
-            n_per_env = int(header["n_per_env"])
-            n_train = int(header["n_train"])
-            seed = int(header["seed"])
+            counts = [_integer(k, header[k]) for k in ("d", "m", "n_per_env", "n_train", "seed")]
+            if min(counts) < 0:
+                raise ValueError(f"d, m, n_per_env, n_train and seed must be nonnegative: {counts}")
+            d, m, n_per_env, n_train, seed = counts
             envs = EnvironmentSet.from_json(json.dumps(header["envs"]))
-            specs = _matrix_specs(header["matrices"])
+            matrices = header["matrices"]
         except (ValueError, KeyError, TypeError, OverflowError) as err:
             raise DatasetFormatError(f"{path}: malformed header: {err}") from err
-
-        arrays: dict[str, np.ndarray] = {}
-        offsets: dict[str, int] = {}  # where each stored observation starts
-        offset = payload_start
-        for name, shape in specs:
-            end = offset + 8 * math.prod(shape)
-            if end > body_len:
-                raise DatasetFormatError(f"{path}: payload truncated at matrix {name}")
-            stays_on_disk = name.startswith("observed_")  # only compared with the derived one
-            try:
-                # the stand-in of a stored observation holds its shape and no data
-                array = np.broadcast_to(0.0, shape) if stays_on_disk else np.empty(shape, "<f8")
-            except ValueError as err:  # a shape numpy cannot hold
-                raise DatasetFormatError(f"{path}: matrix {name} shaped {shape}: {err}") from err
-            if stays_on_disk:
-                offsets[name] = offset
-            else:
-                file.seek(offset)
-                _read_into(file, path, array)
-            arrays[name] = array
-            offset = end
-        if offset != body_len:
-            raise DatasetFormatError(f"{path}: {body_len - offset} trailing payload bytes")
-
+        if m != d:
+            raise DatasetFormatError(f"{path}: header says d={d} but m={m}: the mixing is d x d")
         n_envs = len(envs.regimes)
-        expected = {"mixing"} | {f"latents_{e}" for e in range(n_envs)} | {
-            f"observed_{e}" for e in range(n_envs)
-        }
-        if set(arrays) != expected:
-            raise DatasetFormatError(f"{path}: matrix set does not match environment count")
-        if arrays["mixing"].shape != (d, m):
+        layout = _layout(d, n_envs, n_per_env)
+        # compared as JSON: in Python [4.0, 3] == [4, 3] and True == 1
+        if json.dumps(matrices, sort_keys=True) != json.dumps(layout, sort_keys=True):
             raise DatasetFormatError(
-                f"{path}: header says d={d}, m={m} but mixing is {arrays['mixing'].shape}"
+                f"{path}: header says d={d}, {n_envs} environments, n_per_env={n_per_env}, "
+                "but lists other matrices than that layout"
             )
-        try:
+        payload_len = 8 * sum(math.prod(rec["shape"]) for rec in layout)
+        if body_len - payload_start != payload_len:
+            raise DatasetFormatError(f"{path}: payload is not its layout's {payload_len} bytes")
+
+        try:  # at d=0 the size check leaves n_per_env unbounded: numpy may refuse the shape
+            mixing = np.empty((d, d), "<f8")
+            latents = tuple(np.empty((n_per_env, d), "<f8") for _ in range(n_envs))
+            _read_into(file, path, mixing)
+            for z in latents:
+                _read_into(file, path, z)
+                file.seek(z.nbytes, os.SEEK_CUR)  # past the stored observations, checked below
             dataset = EnvDataset(
-                envs=envs,
-                mixing=MixingMatrix(arrays["mixing"]),
-                latents=tuple(arrays[f"latents_{e}"] for e in range(n_envs)),
-                n_train=n_train,
-                seed=seed,
+                envs=envs, mixing=MixingMatrix(mixing), latents=latents, n_train=n_train, seed=seed
             )
         except ValueError as err:
             raise DatasetFormatError(f"{path}: inconsistent contents: {err}") from err
-        if n_per_env != dataset.n_per_env:
-            raise DatasetFormatError(
-                f"{path}: n_per_env={n_per_env} but latents have {dataset.n_per_env} rows"
-            )
-        for e, derived in enumerate(dataset.observed):
-            name = f"observed_{e}"
-            if arrays[name].shape != derived.shape:
-                raise DatasetFormatError(
-                    f"{path}: {name} is {arrays[name].shape}, not {derived.shape}"
-                )
-            file.seek(offsets[name])
+        for e, derived in enumerate(dataset.observed):  # every record is derived.nbytes long
+            file.seek(payload_start + mixing.nbytes + (2 * e + 1) * derived.nbytes)
             if not _matches_stored(file, path, derived):
-                raise DatasetFormatError(f"{path}: {name} is not latents_{e} @ mixing")
+                raise DatasetFormatError(f"{path}: observed_{e} is not latents_{e} @ mixing")
     return dataset
 
 

@@ -12,7 +12,6 @@ formatting so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -21,7 +20,14 @@ import numpy as np
 
 from ._rng import derive_seed
 from .data import EnvDataset, MixingDrawsExhausted, MixingMatrix, generate, sample_mixing
-from .envs import EnvironmentSet, check_sufficient_coverage, leave_one_out_design, separating_design
+from .envs import (
+    EnvironmentSet,
+    _integer,
+    _real,
+    check_sufficient_coverage,
+    leave_one_out_design,
+    separating_design,
+)
 from .ica import IcaModel, IcaRankError, fit_fastica, transform
 from .metrics import mcc_between
 from .scm import Scm, builtin_nonlinear_scm, sample_er_dag, sample_linear_scm
@@ -224,12 +230,12 @@ def regenerate(manifest: dict) -> EnvDataset:
         raise ValueError("not a dataset manifest")
     try:
         kind, p = manifest["scm"], manifest["p"]
-        if kind == "linear" and not isinstance(p, (int, float)):
-            raise TypeError(f"p must be a number for a linear scm, got {p!r}")
-        d = operator.index(manifest["d"])
-        n_per_env = operator.index(manifest["n_per_env"])
+        if kind == "linear":
+            p = _real("p", p)
+        d = _integer("d", manifest["d"])
+        n_per_env = _integer("n_per_env", manifest["n_per_env"])
         seeds = {
-            key: operator.index(manifest["derived_seeds"][key])
+            key: _integer(f"derived seed {key}", manifest["derived_seeds"][key])
             for key in ("dag", "coefficients", "data")
         }
         environments = json.dumps(manifest["environments"])

@@ -165,8 +165,10 @@ def test_generate_from_a_design_file_records_its_path_and_regenerates(tmp_path, 
         lambda m: {**m, "n_per_env": "40"},
         lambda m: [m],
         lambda m: {k: v for k, v in m.items() if k != "derived_seeds"},
+        lambda m: {**m, "derived_seeds": {**m["derived_seeds"], "data": True}},
+        lambda m: {**m, "p": True},
     ],
-    ids=["p-string", "n-string", "json-list", "no-derived-seeds"],
+    ids=["p-string", "n-string", "json-list", "no-derived-seeds", "seed-bool", "p-bool"],
 )
 def test_generate_from_malformed_manifest_exits_1_without_traceback(tmp_path, tiny_config, capsys, corrupt):
     a = tmp_path / "a"

@@ -262,7 +262,7 @@ def test_load_rejects_a_wide_mixing(tmp_path):
         rec["shape"] = list(arr.shape)
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in matrices)
     _write_container(path, json.dumps(header).encode(), payload)
-    with pytest.raises(DatasetFormatError, match="mixing must be a nonempty square matrix"):
+    with pytest.raises(DatasetFormatError, match="header says d=3 but m=4"):
         load(path)
 
 
@@ -287,6 +287,13 @@ def test_load_rejects_a_wide_mixing(tmp_path):
         ),
         # the 12 floats of observed_0, transposed: no broadcast may reach the caller
         lambda h: h["matrices"][2].update(shape=[3, 4]),
+        # counts that int() would coerce or that no dataset has
+        lambda h: h.update(d=3.7),
+        lambda h: h.update(n_train=2.9),
+        lambda h: h.update(n_train=True),
+        lambda h: h.update(seed="11"),
+        lambda h: h.update(seed=-4),
+        lambda h: h.update(n_per_env="4"),
     ],
 )
 def test_load_rejects_malformed_headers_with_format_errors(tmp_path, mutate):
@@ -295,6 +302,47 @@ def test_load_rejects_malformed_headers_with_format_errors(tmp_path, mutate):
     header, payload = _split_container(path)
     mutate(header)
     _write_container(path, json.dumps(header).encode(), payload)
+    with pytest.raises(DatasetFormatError):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        # a junk latents_0 listed before the real one
+        lambda recs: recs[:1] + [("latents_0", np.full((4, 3), 7.0))] + recs[1:],
+        # observed_0 listed before latents_0
+        lambda recs: [recs[0], recs[2], recs[1], *recs[3:]],
+        # one more record after the last environment's
+        lambda recs: recs + [("latents_3", np.zeros((4, 3)))],
+    ],
+    ids=["duplicate-name", "out-of-order", "extra-record"],
+)
+def test_load_rejects_records_off_the_saved_layout(tmp_path, records):
+    path = tmp_path / "tiny.vsds"
+    ds = _tiny_container_dataset()
+    save(ds, path)
+    header, _ = _split_container(path)
+    recs = [("mixing", ds.mixing.entries)]
+    for e in range(ds.n_envs):
+        recs += [(f"latents_{e}", ds.latents[e]), (f"observed_{e}", ds.observed[e])]
+    recs = records(recs)
+    header["matrices"] = [{"name": name, "shape": list(a.shape)} for name, a in recs]
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in recs)
+    _write_container(path, json.dumps(header).encode(), payload)
+    with pytest.raises(DatasetFormatError, match="header says"):
+        load(path)
+
+
+def test_load_rejects_empty_records_numpy_cannot_shape(tmp_path):
+    # with d=0 every record holds 0 bytes whatever n_per_env says
+    path = tmp_path / "tiny.vsds"
+    save(_tiny_container_dataset(), path)
+    header, _ = _split_container(path)
+    header.update(d=0, m=0, n_per_env=2**62)
+    for rec in header["matrices"]:
+        rec["shape"] = [0, 0] if rec["name"] == "mixing" else [2**62, 0]
+    _write_container(path, json.dumps(header).encode(), b"")
     with pytest.raises(DatasetFormatError):
         load(path)
 
