@@ -43,7 +43,7 @@ def main():
     effective = dataset.mixing.entries @ model.lhat
     print("effective matrix mixing @ lhat:")
     print(effective)
-    verdict = disentanglement_check(effective, tol=1e-2)
+    verdict = disentanglement_check(effective)
     print(verdict)
     print()
 

@@ -256,7 +256,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TrainingAborted, NumericalError) as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:  # json.JSONDecodeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

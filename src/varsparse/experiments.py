@@ -94,7 +94,6 @@ class ExperimentConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     epochs: int = 50
     batch_size: int = 4096
-    learning_rate: float = 2e-3
     out_dir: str = "."
 
     def __post_init__(self) -> None:
@@ -121,7 +120,6 @@ class ExperimentConfig:
         return TrainConfig(
             epochs=self.epochs,
             batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
             seed=derive_seed(seed, SEED_TRAIN),
         )
 

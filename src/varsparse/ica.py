@@ -24,10 +24,14 @@ _RANK_RTOL = 1e-10
 # OpenBLAS thread on a 2-CPU x86-64 machine, chunks of 2048-8192 rows cost
 # 52-55 ms per iteration and chunks of 16384 rows 65 ms.
 _CHUNK = 8192
+# Fixed-point iteration cap, and the largest change in |cos| between a row of
+# the rotation and its update at which the iteration counts as converged
+_MAX_ITER = 500
+_TOL = 1e-6
 
 
 class IcaConvergenceWarning(UserWarning):
-    """Fixed-point iteration hit max_iter before reaching tol."""
+    """Fixed-point iteration hit _MAX_ITER before reaching _TOL."""
 
 
 class IcaRankError(ValueError):
@@ -61,13 +65,7 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
     return inv_sqrt @ w
 
 
-def fit_fastica(
-    x: np.ndarray,
-    d: int,
-    seed: int = 0,
-    max_iter: int = 500,
-    tol: float = 1e-6,
-) -> IcaModel:
+def fit_fastica(x: np.ndarray, d: int, seed: int = 0) -> IcaModel:
     """Fit d independent components to the rows of x, which has d columns.
 
     Deterministic for a fixed seed. Raises IcaRankError on a rank-deficient
@@ -99,7 +97,7 @@ def fit_fastica(
     ones = np.ones(len(buf))  # column sums through BLAS: faster than g.sum(axis=0)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         gx = np.zeros((d, d))  # sum of g^T x over the rows
         g2 = np.zeros(d)  # sum of g^2 over the rows
         for start in range(0, n, _CHUNK):
@@ -115,12 +113,12 @@ def fit_fastica(
         # directions are sign-ambiguous; compare |cos| of old vs new rows
         drift = np.max(np.abs(np.abs(np.sum(w_new * w, axis=1)) - 1.0))
         w = w_new
-        if drift < tol:
+        if drift < _TOL:
             converged = True
             break
     if not converged:
         warnings.warn(
-            f"FastICA did not converge within {max_iter} iterations",
+            f"FastICA did not converge within {_MAX_ITER} iterations",
             IcaConvergenceWarning,
         )
     return IcaModel(mean, whitening, w, converged, iterations)

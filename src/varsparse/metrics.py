@@ -16,6 +16,9 @@ from scipy.optimize import linear_sum_assignment
 
 from .data import EPS_VAR
 
+# disentanglement_check treats entries below this share of the largest as zero
+_STRUCTURE_TOL = 1e-2
+
 
 @dataclass(frozen=True)
 class MccResult:
@@ -109,12 +112,12 @@ class DisentanglementReport:
         )
 
 
-def disentanglement_check(effective: np.ndarray, tol: float = 1e-2) -> DisentanglementReport:
+def disentanglement_check(effective: np.ndarray) -> DisentanglementReport:
     """Test whether a square effective matrix is a scaled permutation.
 
-    Entries below tol * max|entry| are treated as zero; the check passes iff
-    every column keeps at most one entry, at least d columns keep exactly
-    one, and the kept entries cover every row.
+    Entries below _STRUCTURE_TOL * max|entry| are treated as zero; the check
+    passes iff every column keeps at most one entry, at least d columns keep
+    exactly one, and the kept entries cover every row.
     """
     arr = np.asarray(effective, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -122,7 +125,7 @@ def disentanglement_check(effective: np.ndarray, tol: float = 1e-2) -> Disentang
     if not np.isfinite(arr).all():
         raise ValueError("effective matrix must be finite")
     d = arr.shape[0]
-    threshold = tol * np.abs(arr).max(initial=0.0)
+    threshold = _STRUCTURE_TOL * np.abs(arr).max(initial=0.0)
     surviving = np.abs(arr) > threshold
     survivors = tuple(
         tuple(int(i) for i in np.flatnonzero(surviving[:, j])) for j in range(d)

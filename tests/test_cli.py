@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from varsparse import cli
 from varsparse.cli import _SECTIONS, build_config, build_parser, load_config_file, main
 from varsparse.envs import EnvironmentSet, InterventionRegime, leave_one_out_design
 from varsparse.experiments import ExperimentConfig
@@ -49,6 +50,8 @@ def test_config_seed_lists_accept_commas_and_spaces(tmp_path):
     "text,match",
     [
         ("[experiment]\nwidth = 3\n", "unknown config key"),
+        ("[train]\nlearning_rate = 0.002\n", r"unknown config key \[train\] learning_rate"),
+        ("[weights]\nnorm_target = 1.0\n", r"unknown config key \[weights\] norm_target"),
         ("[plotting]\ncolor = red\n", "unknown config section"),
         ("[experiment]\nd = three\n", "bad config value"),
         ("not an ini file", "cannot parse config"),
@@ -76,15 +79,15 @@ def test_every_config_key_reaches_the_built_config(tmp_path):
         "[experiment]\nd = 6\np = 0.25\nn_per_env = 1234\nseeds = 7, 8\n"
         "design = separating\nscm = nonlinear-2\nout_dir = results/all\n"
         "[weights]\nlambda_e = 0.5\nlambda_m = 2.0\nlambda_diag = 3.0\n"
-        "lambda_norm = 4.0\nnorm_target = 0.75\n"
-        "[train]\nepochs = 3\nbatch_size = 100\nlearning_rate = 0.01\n"
+        "lambda_norm = 4.0\n"
+        "[train]\nepochs = 3\nbatch_size = 100\n"
     )
-    assert sum(len(section) for section in load_config_file(path)) == 15
+    assert sum(len(section) for section in load_config_file(path)) == 13
     cfg = build_config(build_parser().parse_args(["generate", "--config", str(path)]))
     assert cfg == ExperimentConfig(
         d=6, p=0.25, n_per_env=1234, seeds=(7, 8), design="separating", scm="nonlinear-2",
-        out_dir="results/all", weights=LossWeights(0.5, 2.0, 3.0, 4.0, 0.75),
-        epochs=3, batch_size=100, learning_rate=0.01,
+        out_dir="results/all", weights=LossWeights(0.5, 2.0, 3.0, 4.0),
+        epochs=3, batch_size=100,
     )
     default = ExperimentConfig()
     assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == ["d"]
@@ -196,6 +199,16 @@ def test_generate_from_a_manifest_short_of_a_summary_field_writes_nothing(tmp_pa
     assert not (b / "dataset.bin").exists()
 
 
+def test_a_programming_error_propagates_instead_of_exiting_1(tmp_path, tiny_config, monkeypatch):
+    # every input path turns its own KeyError into ValueError; one that escapes is a bug
+    def broken(config, seed):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "make_dataset", broken)
+    with pytest.raises(KeyError, match="bug"):
+        main(["generate", "--config", tiny_config, "--out", str(tmp_path / "run")])
+
+
 def test_check_design_passes_builtin_constructions(capsys):
     assert main(["check-design", "--design", "leave-one-out", "--d", "6"]) == 0
     assert "coverage ok" in capsys.readouterr().out
@@ -288,7 +301,7 @@ def test_train_numerical_blowup_exits_with_abort_code(tmp_path, tiny_config, cap
     out = tmp_path / "run"
     main(["generate", "--config", tiny_config, "--out", str(out)])
     cfg = tmp_path / "explode.ini"
-    cfg.write_text(TINY_INI + "learning_rate = 1e150\n")
+    cfg.write_text(TINY_INI + "[weights]\nlambda_diag = 1e308\n")  # a non-finite objective
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["train", "--config", str(cfg), "--data", str(out / "dataset.bin"), "--out", str(out)])
     assert code == 2

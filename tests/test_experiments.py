@@ -1,13 +1,13 @@
 import json
 import warnings
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
 
 import varsparse.data as data
 import varsparse.experiments as experiments
+import varsparse.ica as ica
 from varsparse.experiments import (
     ExperimentConfig,
     ResultRow,
@@ -22,6 +22,7 @@ from varsparse.experiments import (
     write_summary_csv,
 )
 from varsparse.ica import IcaConvergenceWarning, fit_fastica
+from varsparse.unmixing import ADAMW_LEARNING_RATE, LossWeights
 
 TINY = ExperimentConfig(d=3, p=0.5, n_per_env=1200, seeds=(0,), epochs=3, batch_size=200)
 
@@ -30,7 +31,7 @@ def test_config_defaults_match_benchmark_protocol():
     cfg = ExperimentConfig()
     assert cfg.d == 6 and cfg.p == 0.5 and cfg.n_per_env == 100_000
     assert cfg.seeds == (0, 1, 2, 3, 4)
-    assert cfg.epochs == 50 and cfg.batch_size == 4096 and cfg.learning_rate == 2e-3
+    assert cfg.epochs == 50 and cfg.batch_size == 4096 and ADAMW_LEARNING_RATE == 2e-3
 
 
 @pytest.mark.parametrize(
@@ -48,9 +49,6 @@ def test_config_defaults_match_benchmark_protocol():
         dict(scm="nonlinear-1", d=4),
         dict(epochs=0),
         dict(batch_size=1),
-        dict(learning_rate=-1.0),
-        dict(learning_rate=float("nan")),
-        dict(learning_rate=float("inf")),
         dict(p=float("nan")),
     ],
 )
@@ -123,7 +121,7 @@ def test_run_cell_both_methods_return_scores():
 
 
 def test_run_cell_records_fastica_non_convergence(monkeypatch):
-    monkeypatch.setattr(experiments, "fit_fastica", partial(fit_fastica, max_iter=1))
+    monkeypatch.setattr(ica, "_MAX_ITER", 1)
     with pytest.warns(IcaConvergenceWarning):
         row = run_cell("unit", TINY, seed=0, method="fastica")
     assert row.error == "" and np.isfinite(row.mcc)
@@ -131,9 +129,7 @@ def test_run_cell_records_fastica_non_convergence(monkeypatch):
 
 
 def test_run_cell_records_failures_as_rows():
-    exploding = ExperimentConfig(
-        d=3, p=0.5, n_per_env=1200, seeds=(0,), epochs=2, batch_size=200, learning_rate=1e150
-    )
+    exploding = replace(TINY, weights=LossWeights(lambda_diag=1e308))  # a non-finite objective
     with np.errstate(over="ignore", invalid="ignore"):
         row = run_cell("unit", exploding, seed=0, method="ours")
     assert np.isnan(row.mcc)
@@ -197,7 +193,10 @@ def test_grids_enumerate_documented_settings(monkeypatch):
     monkeypatch.setitem(experiments.GRIDS, "fig2a", experiments.GRIDS["fig2a"][:1])  # d=3 only
     rows = run_experiment("fig2a", base, methods=("fastica",))
     assert [r.d for r in rows] == [3]
-    rows = run_experiment("fig2b", base, methods=("fastica",))
+    with warnings.catch_warnings():
+        # FastICA need not converge on 400 rows; the row records ica_converged
+        warnings.simplefilter("ignore", IcaConvergenceWarning)
+        rows = run_experiment("fig2b", base, methods=("fastica",))
     assert [r.p for r in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
     rows = run_experiment("fig2c", base, methods=("fastica",))
     assert [r.n_per_env for r in rows] == [10_000, 50_000, 100_000, 200_000]

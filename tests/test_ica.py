@@ -1,10 +1,12 @@
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varsparse.ica as ica
 from varsparse.ica import (
     _CHUNK,
     IcaConvergenceWarning,
@@ -82,10 +84,11 @@ def test_scaling_input_columns_does_not_change_recovery():
     assert mcc_between(sources, rescaled).score >= 0.95
 
 
-def test_non_convergence_warns_and_flags():
+def test_non_convergence_warns_and_flags(monkeypatch):
     _, mixed = _mixed_uniforms(seed=9, n=5_000)
-    with pytest.warns(IcaConvergenceWarning):
-        model = fit_fastica(mixed, d=2, seed=0, max_iter=1)
+    monkeypatch.setattr(ica, "_MAX_ITER", 1)
+    with pytest.warns(IcaConvergenceWarning, match="within 1 iterations"):
+        model = fit_fastica(mixed, d=2, seed=0)
     assert not model.converged
     assert model.n_iter == 1
 
@@ -163,9 +166,10 @@ def _chunk_boundary_samples(draw):
 @given(_chunk_boundary_samples(), st.sampled_from([2, 100]))
 def test_chunked_iteration_matches_the_unchunked_reference(sample, max_iter):
     x, seed = sample
-    with warnings.catch_warnings():
+    # patched in the body: Hypothesis reruns it, and a function-scoped fixture would not reset
+    with patch.object(ica, "_MAX_ITER", max_iter), warnings.catch_warnings():
         warnings.simplefilter("ignore", IcaConvergenceWarning)
-        model = fit_fastica(x, d=x.shape[1], seed=seed, max_iter=max_iter)
+        model = fit_fastica(x, d=x.shape[1], seed=seed)
     xw = (x - model.mean) @ model.whitening
     rotation, n_iter, converged = _reference_iteration(xw, seed, max_iter, tol=1e-6)
     assert model.n_iter == n_iter

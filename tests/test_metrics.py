@@ -231,9 +231,10 @@ def test_check_passes_random_scaled_permutations():
 
 def test_check_tolerates_noise_below_threshold_only():
     base = np.diag([1.0, 1.0, 1.0])
-    report = disentanglement_check(base + 5e-3, tol=1e-2)
+    # the threshold is 1e-2 of the largest entry
+    report = disentanglement_check(base + 5e-3)
     assert report.passed
-    report = disentanglement_check(base + 5e-2, tol=1e-2)
+    report = disentanglement_check(base + 5e-2)
     assert not report.passed
 
 

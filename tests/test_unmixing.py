@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -15,7 +15,9 @@ from varsparse.unmixing import (
     ADAMW_BETA1,
     ADAMW_BETA2,
     ADAMW_EPS,
+    ADAMW_LEARNING_RATE,
     ADAMW_WEIGHT_DECAY,
+    NORM_TARGET,
     AdamWState,
     LossWeights,
     TrainConfig,
@@ -77,7 +79,7 @@ def _row_objective(batches, lhat, weights):
     l_env, g_env = loss_env(v)
     l_dim, g_dim = loss_dim(v)
     l_diag, g_diag = loss_diag(v)
-    l_norm, g_norm = loss_norm(lhat, weights.norm_target)
+    l_norm, g_norm = loss_norm(lhat)
     total = (
         l_var
         + weights.lambda_e * l_env
@@ -453,19 +455,17 @@ def test_objective_norm_weight_scales_norm_term_alone():
 
 
 def test_adamw_zero_gradient_is_pure_weight_decay():
-    config = TrainConfig(seed=0)
     theta = np.array([[1.0, -2.0], [0.5, 4.0]])
     state = adamw_init(theta)
-    new = adamw_step(state, np.zeros_like(theta), config)
-    assert np.allclose(new.theta, theta * (1.0 - config.learning_rate * ADAMW_WEIGHT_DECAY), atol=1e-15)
+    new = adamw_step(state, np.zeros_like(theta))
+    assert np.allclose(new.theta, theta * (1.0 - ADAMW_LEARNING_RATE * ADAMW_WEIGHT_DECAY), atol=1e-15)
 
 
 def test_adamw_first_step_closed_form():
-    config = TrainConfig(seed=0)
     theta = np.array([[0.3, -0.7]])
     state = adamw_init(theta)
-    new = adamw_step(state, np.ones_like(theta), config)
-    expected = theta - config.learning_rate * (
+    new = adamw_step(state, np.ones_like(theta))
+    expected = theta - ADAMW_LEARNING_RATE * (
         1.0 / (1.0 + ADAMW_EPS) + ADAMW_WEIGHT_DECAY * theta
     )
     assert np.allclose(new.theta, expected, atol=1e-12)
@@ -473,19 +473,18 @@ def test_adamw_first_step_closed_form():
 
 
 def test_adamw_two_step_hand_trace():
-    config = TrainConfig(learning_rate=0.1, seed=0)
     theta = np.array([[1.0, 2.0], [3.0, 4.0]])
     g1 = np.array([[1.0, -1.0], [0.5, 0.0]])
     g2 = np.array([[-1.0, 1.0], [0.5, 2.0]])
-    state = adamw_step(adamw_step(adamw_init(theta), g1, config), g2, config)
+    state = adamw_step(adamw_step(adamw_init(theta), g1), g2)
 
-    # beta1 0.9, beta2 0.999, eps 1e-8, weight decay 1e-2 on the pre-step value
+    # step 2e-3, beta1 0.9, beta2 0.999, eps 1e-8, weight decay 1e-2 on the pre-step value
     m = 0.1 * g1
     v = 0.001 * g1 * g1
-    th = theta - 0.1 * ((m / (1 - 0.9)) / (np.sqrt(v / (1 - 0.999)) + 1e-8) + 0.01 * theta)
+    th = theta - 2e-3 * ((m / (1 - 0.9)) / (np.sqrt(v / (1 - 0.999)) + 1e-8) + 0.01 * theta)
     m = 0.9 * m + 0.1 * g2
     v = 0.999 * v + 0.001 * g2 * g2
-    th = th - 0.1 * ((m / (1 - 0.9**2)) / (np.sqrt(v / (1 - 0.999**2)) + 1e-8) + 0.01 * th)
+    th = th - 2e-3 * ((m / (1 - 0.9**2)) / (np.sqrt(v / (1 - 0.999**2)) + 1e-8) + 0.01 * th)
     assert np.allclose(state.theta, th, atol=1e-12)
     assert state.t == 2
 
@@ -493,7 +492,7 @@ def test_adamw_two_step_hand_trace():
 def test_adamw_rejects_shape_mismatch():
     state = adamw_init(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="shape"):
-        adamw_step(state, np.zeros((3, 2)), TrainConfig(seed=0))
+        adamw_step(state, np.zeros((3, 2)))
 
 
 def test_adamw_state_fields():
@@ -555,9 +554,15 @@ def test_train_rejects_degenerate_inputs():
     )
     with pytest.raises(ValueError, match="at least 2 environments"):
         train(ds, LossWeights(), TrainConfig(seed=0))
-    ds2 = _chain_dataset(n=1_000)
-    with pytest.raises(ValueError, match="exceeds"):
-        train(ds2, LossWeights(), TrainConfig(batch_size=4096, seed=0))
+
+
+def test_train_takes_one_step_per_epoch_from_any_batch_size_past_the_train_rows():
+    # training is full-batch: batch_size only sets ceil(n_train / batch_size) steps
+    ds = _chain_dataset(n=1_000)
+    whole, report_whole = train(ds, LossWeights(), TrainConfig(epochs=3, batch_size=ds.n_train, seed=0))
+    huge, report_huge = train(ds, LossWeights(), TrainConfig(epochs=3, batch_size=10**6, seed=0))
+    assert np.array_equal(whole.lhat, huge.lhat)
+    assert report_whole.epoch_losses == report_huge.epoch_losses
 
 
 def test_grad_check_diagnostic_leaves_training_unchanged(monkeypatch):
@@ -573,12 +578,13 @@ def test_grad_check_diagnostic_leaves_training_unchanged(monkeypatch):
 
 def test_training_aborted_carries_partial_report():
     ds = _chain_dataset(n=2_000, seed=3)
-    # a learning rate this absurd overflows the parameters within a few steps
-    config = TrainConfig(epochs=5, batch_size=500, learning_rate=1e150, seed=0)
+    # a weight this large overflows the objective at the first evaluation
+    config = TrainConfig(epochs=5, batch_size=500, seed=0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAborted) as err:
-        train(ds, LossWeights(), config)
-    assert isinstance(err.value.report.epoch_losses, list)
-    assert err.value.epoch >= 0 and err.value.step >= 0
+        train(ds, LossWeights(lambda_diag=1e308), config)
+    assert "aborted at epoch 0, step 0" in str(err.value) and "total=inf" in str(err.value)
+    assert (err.value.epoch, err.value.step) == (0, 0)
+    assert err.value.report.epoch_losses == [] and err.value.report.wall_time_s > 0
 
 
 # ---------------------------------------------------------------- model/config types
@@ -604,27 +610,21 @@ def test_model_rejects_non_finite_entries():
 def test_loss_weights_and_config_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         LossWeights(lambda_diag=-1.0)
-    with pytest.raises(ValueError, match="positive"):
-        LossWeights(norm_target=0.0)
     # NaN fails every comparison, so each bound must be stated as a range it has to lie in
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             LossWeights(lambda_e=bad)
         with pytest.raises(ValueError, match="finite"):
             LossWeights(lambda_diag=bad)
-        with pytest.raises(ValueError, match="finite"):
-            LossWeights(norm_target=bad)
-        with pytest.raises(ValueError, match="finite"):
-            TrainConfig(learning_rate=bad)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         TrainConfig(seed=-1)
     defaults = TrainConfig(seed=0)
     assert (defaults.epochs, defaults.batch_size) == (50, 4096)
-    assert defaults.learning_rate == pytest.approx(2e-3)
+    assert [f.name for f in fields(TrainConfig)] == ["epochs", "batch_size", "seed"]
+    assert [f.name for f in fields(LossWeights)] == ["lambda_e", "lambda_m", "lambda_diag", "lambda_norm"]
+    assert (ADAMW_LEARNING_RATE, NORM_TARGET) == (2e-3, 1.0)
     assert (ADAMW_BETA1, ADAMW_BETA2) == (0.9, 0.999)
     assert (ADAMW_EPS, ADAMW_WEIGHT_DECAY) == (1e-8, 1e-2)
 
