@@ -49,6 +49,9 @@ def test_config_defaults_match_benchmark_protocol():
         dict(scm="nonlinear-1", d=4),
         dict(epochs=0),
         dict(batch_size=1),
+        dict(scm="nonlinear-2", d=3),
+        dict(p=float("inf")),
+        dict(seeds=(-3,)),
         dict(p=float("nan")),
     ],
 )
