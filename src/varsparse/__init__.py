@@ -23,10 +23,13 @@ from .ica import IcaConvergenceWarning, IcaModel, fit_fastica, transform
 from .metrics import (
     DisentanglementReport,
     MccResult,
+    PooledMoments,
     disentanglement_check,
     mcc,
     mcc_between,
+    moments_pearson,
     pearson,
+    pooled_moments,
 )
 from .scm import (
     DagAdjacency,
@@ -70,6 +73,7 @@ __all__ = [
     "MccResult",
     "MixingMatrix",
     "NumericalError",
+    "PooledMoments",
     "ResultRow",
     "Scm",
     "SummaryRow",
@@ -90,8 +94,10 @@ __all__ = [
     "load_checkpoint",
     "mcc",
     "mcc_between",
+    "moments_pearson",
     "objective",
     "pearson",
+    "pooled_moments",
     "reproduce",
     "run_experiment",
     "sample",

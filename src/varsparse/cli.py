@@ -27,9 +27,9 @@ from .experiments import (
     ExperimentConfig,
     build_design,
     make_dataset,
+    pooled_test_moments,
     regenerate,
     reproduce,
-    test_split,
 )
 from .metrics import disentanglement_check, mcc_between
 from .unmixing import (
@@ -171,8 +171,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(model, out / "checkpoint.bin", train_config)
     (out / "train_report.json").write_text(report.to_json() + "\n")
     report.to_csv(out / "train_losses.csv")
-    test_latents, test_observed = test_split(dataset)
-    score = mcc_between(test_latents, test_observed @ model.lhat).score
+    score = mcc_between(pooled_test_moments(dataset), (model.lhat, 0.0)).score
     print(f"final training loss {float(report.epoch_losses[-1].total)!r}")
     print(f"test-split mcc {score!r}")
     print(f"wrote {out / 'checkpoint.bin'}")
@@ -186,8 +185,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     if model.d != dataset.d:
         raise ValueError(f"checkpoint unmixes d={model.d} but the dataset has d={dataset.d}")
-    test_latents, test_observed = test_split(dataset)
-    result = mcc_between(test_latents, test_observed @ model.lhat)
+    result = mcc_between(pooled_test_moments(dataset), (model.lhat, 0.0))
     print(f"test-split mcc {result.score!r}")
     print(f"matched pairs (reference -> learned): {result.permutation}")
     effective = dataset.mixing.entries @ model.lhat

@@ -28,8 +28,8 @@ from .envs import (
     leave_one_out_design,
     separating_design,
 )
-from .ica import IcaModel, IcaRankError, fit_fastica, transform
-from .metrics import mcc_between
+from .ica import IcaModel, IcaRankError, fit_fastica
+from .metrics import PooledMoments, mcc_between, pooled_moments
 from .scm import Scm, builtin_nonlinear_scm, sample_er_dag, sample_linear_scm
 from .unmixing import LossWeights, NumericalError, TrainConfig, TrainingAborted, train
 
@@ -256,6 +256,13 @@ def test_split(dataset: EnvDataset) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def pooled_test_moments(dataset: EnvDataset) -> PooledMoments:
+    """Pooled moments of the test rows [latents | observed] over the environments."""
+    return pooled_moments(
+        (dataset.test_latents(e), dataset.test_observed(e)) for e in range(dataset.n_envs)
+    )
+
+
 def evaluate_method(
     dataset: EnvDataset, method: str, config: ExperimentConfig, seed: int
 ) -> float:
@@ -266,19 +273,21 @@ def evaluate_method(
 def _fit_and_score(
     dataset: EnvDataset, method: str, config: ExperimentConfig, seed: int
 ) -> tuple[float, Optional[IcaModel]]:
-    """evaluate_method's score, plus the fitted FastICA model (None for ours)."""
-    test_latents, test_observed = test_split(dataset)
+    """evaluate_method's score, plus the fitted FastICA model (None for ours).
+
+    Both methods learn a linear map (x - offset) @ unmixing, scored from the
+    pooled test moments."""
     ica = None
     if method == "ours":
         model, _ = train(dataset, config.weights, config.train_config(seed))
-        learned = test_observed @ model.lhat
+        learned = (model.lhat, 0.0)
     elif method == "fastica":
         pooled = np.vstack([dataset.train_observed(e) for e in range(dataset.n_envs)])
         ica = fit_fastica(pooled, dataset.d, seed=derive_seed(seed, SEED_ICA))
-        learned = transform(ica, test_observed)
+        learned = (ica.whitening @ ica.rotation.T, ica.mean)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return mcc_between(test_latents, learned).score, ica
+    return mcc_between(pooled_test_moments(dataset), learned).score, ica
 
 
 def _score_methods(

@@ -21,6 +21,7 @@ the optimizer is a self-contained AdamW.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -33,6 +34,7 @@ from scipy.special import expit
 
 from ._rng import derive_seed
 from .data import EnvDataset
+from .envs import _integer
 
 # AdamW step size, moment decays, denominator guard and decoupled weight decay
 ADAMW_LEARNING_RATE = 2e-3
@@ -110,6 +112,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "seed"):
+            _integer(name, getattr(self, name))  # NaN or 2.5 would fail late, in range()
         if self.epochs < 1 or self.batch_size < 2:
             raise ValueError("need epochs >= 1 and batch_size >= 2")
         if self.seed < 0:
@@ -190,37 +194,51 @@ def loss_var(v: np.ndarray) -> tuple[float, np.ndarray]:
 def loss_env(v: np.ndarray) -> tuple[float, np.ndarray]:
     """Minus the sum of sigmoids of row sums: every environment keeps signal."""
     s = expit(v.sum(axis=1))
-    return float(-s.sum()), np.broadcast_to(-(s * (1.0 - s))[:, None], v.shape).copy()
+    grad = np.empty_like(v)
+    grad[...] = -(s * (1.0 - s))[:, None]
+    return float(-s.sum()), grad
 
 
 def loss_dim(v: np.ndarray) -> tuple[float, np.ndarray]:
     """Minus the sum of sigmoids of column sums: every dimension keeps signal."""
     s = expit(v.sum(axis=0))
-    return float(-s.sum()), np.broadcast_to(-(s * (1.0 - s))[None, :], v.shape).copy()
+    grad = np.empty_like(v)
+    grad[...] = -(s * (1.0 - s))[None, :]
+    return float(-s.sum()), grad
 
 
+@functools.lru_cache(maxsize=16)
 def _diag_offsets(e: int, d: int) -> np.ndarray:
     # offset (j - i) mod d identifies the wrap-around diagonal of entry (i, j);
-    # for e != d rows keep cycling through the d offsets
-    return (np.arange(d)[None, :] - np.arange(e)[:, None]) % d
+    # for e != d rows keep cycling through the d offsets. Cached per shape,
+    # so the shared array is read-only.
+    offsets = (np.arange(d)[None, :] - np.arange(e)[:, None]) % d
+    offsets.flags.writeable = False
+    return offsets
 
 
 def loss_diag(v: np.ndarray) -> tuple[float, np.ndarray]:
     """Sum of Euclidean norms of the wrap-around diagonals (group sparsity)."""
     # subgradient 0 on diagonals that are exactly zero
     offsets = _diag_offsets(*v.shape)
-    sums = np.zeros(v.shape[1])
-    np.add.at(sums, offsets.ravel(), (v * v).ravel())
+    # bincount adds the weights into each bin in index order, as np.add.at does
+    sums = np.bincount(offsets.ravel(), weights=(v * v).ravel(), minlength=v.shape[1])
     norms = np.sqrt(sums)
     safe = np.where(norms > 0, norms, 1.0)
     scale = np.where(norms > 0, 1.0 / safe, 0.0)
     return float(norms.sum()), v * scale[offsets]
 
 
+def _frobenius(a: np.ndarray) -> np.floating:
+    # np.linalg.norm(a)'s own arithmetic, without its dispatch
+    flat = a.ravel(order="K")
+    return np.sqrt(flat.dot(flat))
+
+
 def loss_norm(lhat: np.ndarray) -> tuple[float, np.ndarray]:
     """Squared distance of the parameter Frobenius norm from NORM_TARGET."""
     # subgradient 0 at the (non-differentiable) all-zero point
-    fro = np.linalg.norm(lhat)
+    fro = _frobenius(lhat)
     grad = 2.0 * (fro - NORM_TARGET) * lhat / fro if fro != 0.0 else np.zeros_like(lhat)
     return float((fro - NORM_TARGET) ** 2), grad
 
@@ -249,12 +267,12 @@ def objective(
     Returns (per-term breakdown, exact gradient wrt lhat, variance matrix of
     the unit directions).
     """
-    col_norms = np.linalg.norm(lhat, axis=0)
+    col_norms = np.sqrt(np.add.reduce(lhat * lhat, axis=0))  # np.linalg.norm(lhat, axis=0)
     safe_norms = np.where(col_norms > 0.0, col_norms, 1.0)
     directions = lhat / safe_norms
     su = covs @ directions  # S_e U, shape (E, d, d)
     v_dir = np.einsum("emd,md->ed", su, directions)
-    scale = float(np.linalg.norm(v_dir)) / np.sqrt(v_dir.size)
+    scale = float(_frobenius(v_dir)) / np.sqrt(v_dir.size)
     v = v_dir / scale if scale > 0 else v_dir
 
     l_var, g_var = loss_var(v)

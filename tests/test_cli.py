@@ -9,8 +9,10 @@ import pytest
 from varsparse import cli
 from varsparse.cli import _SECTIONS, build_config, build_parser, load_config_file, main
 from varsparse.envs import EnvironmentSet, InterventionRegime, leave_one_out_design
+from varsparse import data, experiments
 from varsparse.experiments import ExperimentConfig
-from varsparse.unmixing import LossWeights
+from varsparse.metrics import mcc_between
+from varsparse.unmixing import LossWeights, load_checkpoint
 
 TINY_INI = """\
 [experiment]
@@ -319,6 +321,10 @@ def test_evaluate_scores_checkpoint(tmp_path, tiny_config, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "test-split mcc" in text and "matched pairs" in text
+    # the printed score is the row MCC of the test split, read off its moments
+    z, x = experiments.test_split(data.load(out / "dataset.bin"))
+    rows = mcc_between(z, x @ load_checkpoint(out / "checkpoint.bin")[0].lhat).score
+    assert abs(float(re.search(r"test-split mcc (\S+)", text).group(1)) - rows) <= 1e-12
 
 
 def test_evaluate_reports_a_non_object_checkpoint_header(tmp_path, tiny_config, capsys):

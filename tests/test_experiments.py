@@ -21,8 +21,9 @@ from varsparse.experiments import (
     write_rows_csv,
     write_summary_csv,
 )
-from varsparse.ica import IcaConvergenceWarning, fit_fastica
-from varsparse.unmixing import ADAMW_LEARNING_RATE, LossWeights
+from varsparse.ica import IcaConvergenceWarning, fit_fastica, transform
+from varsparse.metrics import mcc_between
+from varsparse.unmixing import ADAMW_LEARNING_RATE, LossWeights, train
 
 TINY = ExperimentConfig(d=3, p=0.5, n_per_env=1200, seeds=(0,), epochs=3, batch_size=200)
 
@@ -53,6 +54,9 @@ def test_config_defaults_match_benchmark_protocol():
         dict(p=float("inf")),
         dict(seeds=(-3,)),
         dict(p=float("nan")),
+        dict(epochs=float("nan")),
+        dict(epochs=2.5),
+        dict(batch_size=2.5),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -109,6 +113,18 @@ def test_zero_edge_probability_recorded_in_manifest():
 def test_regenerate_rejects_foreign_documents():
     with pytest.raises(ValueError, match="manifest"):
         regenerate({"format": "something-else"})
+
+
+@pytest.mark.parametrize("method", experiments.METHODS)
+def test_methods_are_scored_from_test_moments_as_the_test_rows_score(method):
+    dataset, _ = make_dataset(TINY, 0)
+    score, fitted = experiments._fit_and_score(dataset, method, TINY, 0)
+    z, x = experiments.test_split(dataset)
+    if method == "ours":
+        learned = x @ train(dataset, TINY.weights, TINY.train_config(0))[0].lhat
+    else:
+        learned = transform(fitted, x)
+    assert abs(score - mcc_between(z, learned).score) <= 1e-12
 
 
 def test_run_cell_both_methods_return_scores():

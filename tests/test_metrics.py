@@ -13,7 +13,9 @@ from varsparse.metrics import (
     disentanglement_check,
     mcc,
     mcc_between,
+    moments_pearson,
     pearson,
+    pooled_moments,
 )
 
 CHAIN_MIX = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0]])
@@ -125,6 +127,78 @@ def test_pearson_zeroes_exactly_the_zero_variance_columns(pair):
     if live_x.size and live_y.size:
         full = np.corrcoef(x[:, live_x], y[:, live_y], rowvar=False)[: live_x.size, live_x.size :]
         assert np.allclose(c[np.ix_(live_x, live_y)], full, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- moments form
+
+
+def test_pooled_moments_match_the_stacked_rows():
+    rng = np.random.default_rng(11)
+    blocks = [(rng.normal(size=(n, 3)) + rng.normal(size=3) * 4, rng.normal(size=(n, 2)) - 7.0)
+              for n in (5, 40, 13)]
+    moments = pooled_moments(blocks)
+    rows = np.vstack([np.hstack(block) for block in blocks])
+    assert moments.n_reference == 3
+    assert np.allclose(moments.mean, rows.mean(axis=0), rtol=0, atol=1e-12)
+    assert np.allclose(moments.cov, np.cov(rows, rowvar=False, bias=True), rtol=0, atol=1e-12)
+
+
+def test_pooled_moments_reject_mismatched_blocks():
+    with pytest.raises(ValueError, match="at least 2 rows"):
+        pooled_moments([(np.ones((1, 2)), np.ones((1, 2)))])
+    with pytest.raises(ValueError, match="equal rows"):
+        pooled_moments([(np.ones((3, 2)), np.ones((4, 2)))])
+    with pytest.raises(ValueError, match="column counts"):
+        pooled_moments([(np.ones((3, 2)), np.ones((3, 2))), (np.ones((3, 1)), np.ones((3, 3)))])
+    with pytest.raises(ValueError, match="rows"):
+        moments_pearson(pooled_moments([(np.eye(3), np.eye(3))]), np.eye(2), 0.0)
+
+
+@st.composite
+def _blocks_and_maps(draw):
+    """(blocks, unmixing, offset, constant, dead): 1-4 blocks of unequal sizes whose means
+    shift like intervened environments, observed = latents @ mixing + noise,
+    maybe a reference column constant over every row, maybe an all-zero
+    column of the learned map, and a zero or nonzero offset."""
+    d = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # with few rows per column every correlation is near +-1 and the best
+    # permutation a tie, so the pooled rows number at least 4 d
+    sizes = draw(st.lists(st.integers(2, 80), min_size=1, max_size=4).filter(lambda s: sum(s) >= 4 * d))
+    mixing = rng.normal(size=(d, d))
+    constant = draw(st.one_of(st.none(), st.integers(0, d - 1)))
+    blocks = []
+    for n in sizes:
+        z = rng.normal(size=(n, d)) + rng.uniform(-5.0, 5.0, size=d)
+        if constant is not None:
+            z[:, constant] = 2.5
+        blocks.append((z, z @ mixing + 0.1 * rng.normal(size=(n, d))))
+    unmixing = rng.normal(size=(d, d))
+    dead = draw(st.one_of(st.none(), st.integers(0, d - 1)))
+    if dead is not None:
+        unmixing[:, dead] = 0.0
+    offset = draw(st.sampled_from(["zero", "vector"]))
+    offset = 0.0 if offset == "zero" else rng.uniform(-10.0, 10.0, size=d)
+    return blocks, unmixing, offset, constant, dead
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks_and_maps())
+def test_moments_mcc_matches_the_row_mcc(problem):
+    blocks, unmixing, offset, constant, dead = problem
+    z = np.vstack([block[0] for block in blocks])
+    x = np.vstack([block[1] for block in blocks])
+    rows = mcc_between(z, (x - offset) @ unmixing)
+    moments = mcc_between(pooled_moments(blocks), (unmixing, offset))
+    assert abs(moments.score - rows.score) <= 1e-12
+    assert moments.permutation == rows.permutation
+    c = moments_pearson(pooled_moments(blocks), unmixing, offset)
+    assert np.allclose(c, pearson(z, (x - offset) @ unmixing), rtol=0, atol=1e-12)
+    # a constant reference column and an all-zero learned column are dead on both paths
+    if constant is not None:
+        assert np.array_equal(c[constant], np.zeros(len(c)))
+    if dead is not None:
+        assert np.array_equal(c[:, dead], np.zeros(len(c)))
 
 
 # ---------------------------------------------------------------- mcc

@@ -161,6 +161,90 @@ def test_covariance_kernel_matches_row_path(problem):
 # ---------------------------------------------------------------- variance_matrix
 
 
+def _reference_objective(covs, lhat, weights):
+    """The objective as first written: np.linalg.norm, np.add.at and copied
+    broadcasts. The lean objective must match it bit for bit."""
+    col_norms = np.linalg.norm(lhat, axis=0)
+    safe_norms = np.where(col_norms > 0.0, col_norms, 1.0)
+    directions = lhat / safe_norms
+    su = covs @ directions
+    v_dir = np.einsum("emd,md->ed", su, directions)
+    scale = float(np.linalg.norm(v_dir)) / np.sqrt(v_dir.size)
+    v = v_dir / scale if scale > 0 else v_dir
+
+    s = expit(v)
+    l_var, g_var = float(s.sum()), s * (1.0 - s)
+    s = expit(v.sum(axis=1))
+    l_env, g_env = float(-s.sum()), np.broadcast_to(-(s * (1.0 - s))[:, None], v.shape).copy()
+    s = expit(v.sum(axis=0))
+    l_dim, g_dim = float(-s.sum()), np.broadcast_to(-(s * (1.0 - s))[None, :], v.shape).copy()
+    offsets = (np.arange(v.shape[1])[None, :] - np.arange(v.shape[0])[:, None]) % v.shape[1]
+    sums = np.zeros(v.shape[1])
+    np.add.at(sums, offsets.ravel(), (v * v).ravel())
+    norms = np.sqrt(sums)
+    diag_scale = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
+    l_diag, g_diag = float(norms.sum()), v * diag_scale[offsets]
+    fro = np.linalg.norm(lhat)
+    g_norm = 2.0 * (fro - NORM_TARGET) * lhat / fro if fro != 0.0 else np.zeros_like(lhat)
+    l_norm = float((fro - NORM_TARGET) ** 2)
+
+    total = (
+        l_var
+        + weights.lambda_e * l_env
+        + weights.lambda_m * l_dim
+        + weights.lambda_diag * l_diag
+        + weights.lambda_norm * l_norm
+    )
+    g_vn = (
+        g_var
+        + weights.lambda_e * g_env
+        + weights.lambda_m * g_dim
+        + weights.lambda_diag * g_diag
+    )
+    g_v = (g_vn - float((g_vn * v).sum()) * v / v.size) / scale if scale > 0 else g_vn
+    w = 2.0 * np.einsum("emd,ed->md", su, g_v)
+    grad = (w - directions * (directions * w).sum(axis=0)) / safe_norms
+    grad[:, col_norms == 0.0] = 0.0
+    grad += weights.lambda_norm * g_norm
+    breakdown = (float(total), l_var, l_env, l_dim, l_diag, l_norm)
+    return breakdown, grad, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_problems())
+def test_objective_matches_the_reference_formulation_bit_for_bit(problem):
+    batches, lhat = problem
+    weights = LossWeights(lambda_e=0.7, lambda_m=1.3, lambda_diag=10.0, lambda_norm=5.0)
+    covs = covariances(batches, lhat.shape[0])
+    breakdown, grad, v = objective(covs, lhat, weights)
+    ref_breakdown, ref_grad, ref_v = _reference_objective(covs, lhat, weights)
+    assert tuple(vars(breakdown).values()) == ref_breakdown
+    assert np.array_equal(grad, ref_grad)
+    assert np.array_equal(v, ref_v)
+
+
+def test_objective_matches_the_reference_with_a_zero_column_and_more_envs_than_dims():
+    rng = np.random.default_rng(17)
+    covs = covariances(_random_batches(rng, n_envs=7, n=50, m=4), 4)
+    for zero_col in (None, 2):
+        lhat = rng.normal(size=(4, 4))
+        if zero_col is not None:
+            lhat[:, zero_col] = 0.0
+        breakdown, grad, v = objective(covs, lhat, LossWeights())
+        ref_breakdown, ref_grad, ref_v = _reference_objective(covs, lhat, LossWeights())
+        assert tuple(vars(breakdown).values()) == ref_breakdown
+        assert np.array_equal(grad, ref_grad) and np.array_equal(v, ref_v)
+        if zero_col is not None:
+            assert np.array_equal(grad[:, zero_col], np.zeros(4))
+
+
+def test_diag_offsets_are_cached_and_read_only():
+    offsets = unmixing._diag_offsets(5, 3)
+    assert unmixing._diag_offsets(5, 3) is offsets
+    with pytest.raises(ValueError, match="read-only"):
+        offsets[0, 0] = 1
+
+
 def test_variance_matrix_ground_truth_unmixing_isolates_free_component():
     ds = _chain_dataset()
     covs = covariances([ds.train_observed(e) for e in range(3)], 3)
@@ -620,6 +704,12 @@ def test_loss_weights_and_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         TrainConfig(seed=-1)
+    # a float or bool count would pass the range checks and fail later, in range()
+    for bad in (dict(epochs=float("nan")), dict(epochs=2.5), dict(epochs=True),
+                dict(batch_size=2.5), dict(batch_size=float("inf")), dict(seed=1.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            TrainConfig(**bad)
+    assert TrainConfig(epochs=np.int64(2), batch_size=np.int64(8)).epochs == 2
     defaults = TrainConfig(seed=0)
     assert (defaults.epochs, defaults.batch_size) == (50, 4096)
     assert [f.name for f in fields(TrainConfig)] == ["epochs", "batch_size", "seed"]
