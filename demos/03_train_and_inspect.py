@@ -27,7 +27,7 @@ def main():
         d=args.d, n_per_env=args.n, seeds=(args.seed,), epochs=args.epochs, batch_size=1024
     )
     dataset, _ = make_dataset(config, args.seed)
-    model, report = train(dataset, config.weights, config.train_config(args.seed))
+    model, report = train(dataset, config.train_config(args.seed))
 
     np.set_printoptions(precision=5, suppress=True)
     first, last = report.epoch_losses[0], report.epoch_losses[-1]

@@ -42,7 +42,6 @@ from .scm import (
 )
 from .unmixing import (
     LossBreakdown,
-    LossWeights,
     NumericalError,
     TrainConfig,
     TrainReport,
@@ -69,7 +68,6 @@ __all__ = [
     "IcaModel",
     "InterventionRegime",
     "LossBreakdown",
-    "LossWeights",
     "MccResult",
     "MixingMatrix",
     "NumericalError",

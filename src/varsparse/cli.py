@@ -1,9 +1,9 @@
 """Command-line front end: generate datasets, validate intervention designs,
 train and evaluate unmixing models, and reproduce the benchmark grids as CSV.
 
-Configuration comes from an INI-style file (sections ``[experiment]``,
-``[weights]``, ``[train]``) with command-line flags taking precedence over
-file values. Exit codes: 0 on success, 1 on validation or I/O failure, 2 when
+Configuration comes from an INI-style file (sections ``[experiment]`` and
+``[train]``) with command-line flags taking precedence over file values.
+Exit codes: 0 on success, 1 on validation or I/O failure, 2 when
 optimization aborts on non-finite numbers.
 """
 
@@ -33,7 +33,6 @@ from .experiments import (
 )
 from .metrics import disentanglement_check, mcc_between
 from .unmixing import (
-    LossWeights,
     NumericalError,
     TrainConfig,
     TrainingAborted,
@@ -56,14 +55,11 @@ def _parsers(cls: type) -> dict:
     return {f.name: _seed_list if f.name == "seeds" else type(f.default) for f in fields(cls)}
 
 
-# Config-file keys are the config dataclasses' fields. [train] holds those
-# ExperimentConfig fields that TrainConfig shares; weights is its own section.
+# Config-file keys are ExperimentConfig's fields. [train] holds those that
+# TrainConfig shares; [experiment] holds the rest.
 _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 _SECTIONS = {
-    "experiment": {
-        k: v for k, v in _parsers(ExperimentConfig).items() if k not in {"weights", *_TRAIN_FIELDS}
-    },
-    "weights": _parsers(LossWeights),
+    "experiment": {k: v for k, v in _parsers(ExperimentConfig).items() if k not in _TRAIN_FIELDS},
     "train": {k: v for k, v in _parsers(ExperimentConfig).items() if k in _TRAIN_FIELDS},
 }
 
@@ -97,8 +93,8 @@ def _parse_section(parser: configparser.ConfigParser, name: str, schema: dict) -
     return out
 
 
-def load_config_file(path: str) -> tuple[dict, dict, dict]:
-    """Read the three sections of a config file into typed dicts."""
+def load_config_file(path: str) -> tuple[dict, dict]:
+    """Read the two sections of a config file into typed dicts."""
     parser = configparser.ConfigParser(interpolation=None)  # values are literal: '%' is no escape
     text = Path(path).read_text()
     try:
@@ -113,14 +109,14 @@ def load_config_file(path: str) -> tuple[dict, dict, dict]:
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge config file then flags into a validated ExperimentConfig."""
-    exp, weight_kwargs, train_kwargs = {}, {}, {}
+    exp, train_kwargs = {}, {}
     if getattr(args, "config", None):
-        exp, weight_kwargs, train_kwargs = load_config_file(args.config)
+        exp, train_kwargs = load_config_file(args.config)
     for flag, name in _FLAG_FIELDS.items():
         value = getattr(args, flag, None)
         if value is not None:
             exp[name] = (value,) if name == "seeds" else value
-    return ExperimentConfig(weights=LossWeights(**weight_kwargs), **exp, **train_kwargs)
+    return ExperimentConfig(**exp, **train_kwargs)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -167,7 +163,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_config = config.train_config(seed)
-    model, report = train(dataset, config.weights, train_config)
+    model, report = train(dataset, train_config)
     save_checkpoint(model, out / "checkpoint.bin", train_config)
     (out / "train_report.json").write_text(report.to_json() + "\n")
     report.to_csv(out / "train_losses.csv")

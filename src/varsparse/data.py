@@ -69,6 +69,8 @@ class MixingMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.size == 0:
             raise ValueError(f"mixing must be a nonempty square matrix, got shape {entries.shape}")
+        if not np.isfinite(entries).all():
+            raise ValueError("mixing entries must be finite")
         svals = np.linalg.svd(entries, compute_uv=False)
         if svals[-1] <= 0 or svals[0] / svals[-1] >= _COND_MAX:
             raise ValueError(

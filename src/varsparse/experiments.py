@@ -12,7 +12,7 @@ formatting so identical configs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -31,7 +31,7 @@ from .envs import (
 from .ica import IcaModel, IcaRankError, fit_fastica
 from .metrics import PooledMoments, mcc_between, pooled_moments
 from .scm import Scm, builtin_nonlinear_scm, sample_er_dag, sample_linear_scm
-from .unmixing import LossWeights, NumericalError, TrainConfig, TrainingAborted, train
+from .unmixing import NumericalError, TrainConfig, TrainingAborted, train
 
 # substream purposes hung off each run seed
 SEED_SCM = 0
@@ -91,22 +91,29 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     design: str = "leave-one-out"
     scm: str = "linear"
-    weights: LossWeights = field(default_factory=LossWeights)
     epochs: int = 50
     batch_size: int = 4096
     out_dir: str = "."
 
     def __post_init__(self) -> None:
-        if self.d < 2:
+        # a float or bool count would pass the range checks and fail later, in
+        # make_dataset; NumPy integers are stored as ints, which JSON can write
+        d, n_per_env = _integer("d", self.d), _integer("n_per_env", self.n_per_env)
+        seeds = tuple(_integer("seed", seed) for seed in self.seeds)
+        for name, value in (("d", d), ("n_per_env", n_per_env), ("seeds", seeds)):
+            object.__setattr__(self, name, value)
+        if d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
-        if not 0.0 <= self.p <= 1.0:
+        if not 0.0 <= _real("p", self.p) <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if self.n_per_env < 4:
+        if n_per_env < 4:
             raise ValueError(f"n_per_env must be >= 4, got {self.n_per_env}")
-        if not self.seeds:
+        if not seeds:
             raise ValueError("seeds must be nonempty")
-        if min(self.seeds) < 0:
+        if min(seeds) < 0:
             raise ValueError(f"seeds must be nonnegative, got {self.seeds}")
+        if len(set(seeds)) < len(seeds):  # summarize would count a repeat as another seed
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if self.scm not in SCM_KINDS:
             raise ValueError(f"scm must be one of {SCM_KINDS}, got {self.scm!r}")
         if self.design not in DESIGN_KINDS and not Path(self.design).is_file():
@@ -237,7 +244,7 @@ def regenerate(manifest: dict) -> EnvDataset:
             for key in ("dag", "coefficients", "data")
         }
         environments = json.dumps(manifest["environments"])
-        entries = np.array(manifest["mixing"], dtype=float)
+        entries = np.array([[_real("mixing entry", x) for x in row] for row in manifest["mixing"]])
     except KeyError as err:
         raise ValueError(f"malformed manifest: missing field {err}") from err
     except (TypeError, ValueError) as err:
@@ -279,7 +286,7 @@ def _fit_and_score(
     pooled test moments."""
     ica = None
     if method == "ours":
-        model, _ = train(dataset, config.weights, config.train_config(seed))
+        model, _ = train(dataset, config.train_config(seed))
         learned = (model.lhat, 0.0)
     elif method == "fastica":
         pooled = np.vstack([dataset.train_observed(e) for e in range(dataset.n_envs)])

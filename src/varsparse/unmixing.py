@@ -7,7 +7,8 @@ data enter only through each environment's covariance S_e, since
 V[e, j] = l_j^T S_e l_j, so training is full-batch on the (E, d, d) stack of
 train covariances. The objective pushes V toward a permuted diagonal:
 
-  total = loss_var + le * loss_env + lm * loss_dim + ld * loss_diag + ln * loss_norm
+  total = loss_var + LAMBDA_E * loss_env + LAMBDA_M * loss_dim
+          + LAMBDA_DIAG * loss_diag + LAMBDA_NORM * loss_norm
 
 where loss_var sums sigmoids of all entries (few nonzero variances overall),
 loss_env and loss_dim reward every row resp. column keeping at least one
@@ -15,15 +16,14 @@ nonzero entry, loss_diag is a group norm over wrap-around diagonals of V
 (nonzeros should align on few diagonals), and loss_norm = (||lhat||_F - 1)^2
 keeps the parameters away from the all-zero collapse. Each term function
 returns its value and its analytic gradient (wrt V, or wrt lhat for
-loss_norm), and objective(covs, lhat, weights) combines them on the stack;
-the optimizer is a self-contained AdamW.
+loss_norm), and objective(covs, lhat) combines them on the stack with the
+fixed weights LAMBDA_*; the optimizer is a self-contained AdamW.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -46,6 +46,11 @@ ADAMW_WEIGHT_DECAY = 1e-2
 # scale-free, so this only sets ||lhat||_F, which MCC and the relative
 # structural check both ignore.
 NORM_TARGET = 1.0
+# Weights of the four terms added to loss_var
+LAMBDA_E = 1.0
+LAMBDA_M = 1.0
+LAMBDA_DIAG = 10.0
+LAMBDA_NORM = 5.0
 
 
 class NumericalError(RuntimeError):
@@ -88,21 +93,6 @@ def _initial_lhat(d: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(d)
     return rng.uniform(-bound, bound, size=(d, d))
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the four terms added to loss_var."""
-
-    lambda_e: float = 1.0
-    lambda_m: float = 1.0
-    lambda_diag: float = 10.0
-    lambda_norm: float = 5.0
-
-    def __post_init__(self) -> None:
-        for name in ("lambda_e", "lambda_m", "lambda_diag", "lambda_norm"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -243,9 +233,7 @@ def loss_norm(lhat: np.ndarray) -> tuple[float, np.ndarray]:
     return float((fro - NORM_TARGET) ** 2), grad
 
 
-def objective(
-    covs: np.ndarray, lhat: np.ndarray, weights: LossWeights
-) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
+def objective(covs: np.ndarray, lhat: np.ndarray) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """The weighted objective at lhat over an (E, d, d) covariance stack.
 
     The four variance-based terms are evaluated on the variance matrix of
@@ -282,21 +270,16 @@ def objective(
     l_norm, g_norm = loss_norm(lhat)
     total = (
         l_var
-        + weights.lambda_e * l_env
-        + weights.lambda_m * l_dim
-        + weights.lambda_diag * l_diag
-        + weights.lambda_norm * l_norm
+        + LAMBDA_E * l_env
+        + LAMBDA_M * l_dim
+        + LAMBDA_DIAG * l_diag
+        + LAMBDA_NORM * l_norm
     )
 
     # dtotal/dV, pulled back through the per-environment variance map
     # (dV[e, j]/du_j = 2 S_e u_j) onto the unit directions, then through the
     # normalization (the tangent projection I - u u^T, scaled by 1/||l_j||)
-    g_vn = (
-        g_var
-        + weights.lambda_e * g_env
-        + weights.lambda_m * g_dim
-        + weights.lambda_diag * g_diag
-    )
+    g_vn = g_var + LAMBDA_E * g_env + LAMBDA_M * g_dim + LAMBDA_DIAG * g_diag
     if scale > 0:
         g_v = (g_vn - float((g_vn * v).sum()) * v / v.size) / scale
     else:
@@ -304,7 +287,7 @@ def objective(
     w = 2.0 * np.einsum("emd,ed->md", su, g_v)
     grad = (w - directions * (directions * w).sum(axis=0)) / safe_norms
     grad[:, col_norms == 0.0] = 0.0  # direction undefined; subgradient 0
-    grad += weights.lambda_norm * g_norm
+    grad += LAMBDA_NORM * g_norm
 
     if not (np.isfinite(total) and np.isfinite(grad).all()):
         raise NumericalError(
@@ -344,11 +327,7 @@ def adamw_step(state: AdamWState, grad: np.ndarray) -> AdamWState:
 
 
 def _directional_grad_check(
-    covs: np.ndarray,
-    lhat: np.ndarray,
-    weights: LossWeights,
-    grad: np.ndarray,
-    rng: np.random.Generator,
+    covs: np.ndarray, lhat: np.ndarray, grad: np.ndarray, rng: np.random.Generator
 ) -> float:
     """Max relative error of <grad, D> vs a central finite difference along D,
     over three random unit directions D."""
@@ -357,8 +336,8 @@ def _directional_grad_check(
     for _ in range(3):
         direction = rng.normal(size=lhat.shape)
         direction /= np.linalg.norm(direction)
-        f_plus, _, _ = objective(covs, lhat + h * direction, weights)
-        f_minus, _, _ = objective(covs, lhat - h * direction, weights)
+        f_plus, _, _ = objective(covs, lhat + h * direction)
+        f_minus, _, _ = objective(covs, lhat - h * direction)
         fd = (f_plus.total - f_minus.total) / (2.0 * h)
         analytic = float((grad * direction).sum())
         denom = max(abs(fd), abs(analytic), 1e-12)
@@ -366,9 +345,7 @@ def _directional_grad_check(
     return worst
 
 
-def train(
-    dataset: EnvDataset, weights: LossWeights, config: TrainConfig
-) -> tuple[UnmixingModel, TrainReport]:
+def train(dataset: EnvDataset, config: TrainConfig) -> tuple[UnmixingModel, TrainReport]:
     """Full-batch minimization of the objective over the dataset's train split.
 
     The train rows enter once, as the stack of per-environment covariances;
@@ -392,7 +369,7 @@ def train(
         sums = np.zeros(len(fields(LossBreakdown)))
         for step in range(steps_per_epoch):
             try:
-                breakdown, grad, _ = objective(covs, lhat, weights)
+                breakdown, grad, _ = objective(covs, lhat)
             except NumericalError as err:
                 report.wall_time_s = time.perf_counter() - started
                 raise TrainingAborted(
@@ -401,9 +378,7 @@ def train(
             if epoch == 0 and step == 0:
                 # a stream of its own: switching the diagnostic off changes no result
                 check_rng = np.random.default_rng(derive_seed(config.seed, 1))
-                report.grad_check_rel_err = _directional_grad_check(
-                    covs, lhat, weights, grad, check_rng
-                )
+                report.grad_check_rel_err = _directional_grad_check(covs, lhat, grad, check_rng)
             state = adamw_step(state, grad)
             lhat = state.theta
             sums += list(vars(breakdown).values())  # astuple would deep-copy each step

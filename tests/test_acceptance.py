@@ -26,7 +26,6 @@ from varsparse.experiments import ExperimentConfig, run_cell
 from varsparse.metrics import _STRUCTURE_TOL, disentanglement_check, mcc
 from varsparse.scm import chain_example_scm, sample, sample_er_dag, sample_linear_scm
 from varsparse.unmixing import (
-    LossWeights,
     TrainConfig,
     _initial_lhat,
     covariances,
@@ -169,12 +168,11 @@ def test_criterion_6_every_gradient_matches_finite_differences():
         lhat = _initial_lhat(3, seed=100 + k)
         fn = lambda flat: loss_norm(flat.reshape(3, 3))[0]
         worst = max(worst, _grad_gap(loss_norm(lhat)[1], _fd(fn, lhat.copy())))
-    weights = LossWeights()
     for k in range(20):
         covs = covariances([rng.normal(size=(30, 3)) @ rng.normal(size=(3, 3)) for _ in range(3)], 3)
         lhat = _initial_lhat(3, seed=200 + k)
-        fn = lambda flat: objective(covs, flat.reshape(3, 3), weights)[0].total
-        worst = max(worst, _grad_gap(objective(covs, lhat, weights)[1], _fd(fn, lhat.copy())))
+        fn = lambda flat: objective(covs, flat.reshape(3, 3))[0].total
+        worst = max(worst, _grad_gap(objective(covs, lhat)[1], _fd(fn, lhat.copy())))
     _verdict(6, worst < 1e-4, f"worst relative error {worst:.3e} over 120 instances (need < 1e-4)")
 
 
@@ -239,7 +237,7 @@ def test_criterion_9_trained_composition_is_scaled_permutation():
             chain_example_scm(), CHAIN_ENVS, MixingMatrix(CHAIN_MIX), 100_000,
             rng_seed=derive_seed(seed, 1),
         )
-        model, _ = train(dataset, LossWeights(), TrainConfig(seed=derive_seed(seed, 4)))
+        model, _ = train(dataset, TrainConfig(seed=derive_seed(seed, 4)))
         effective = CHAIN_MIX @ model.lhat
         passes += disentanglement_check(effective).passed
     dense_fails = not disentanglement_check(CHAIN_MIX).passed

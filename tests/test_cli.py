@@ -12,7 +12,8 @@ from varsparse.envs import EnvironmentSet, InterventionRegime, leave_one_out_des
 from varsparse import data, experiments
 from varsparse.experiments import ExperimentConfig
 from varsparse.metrics import mcc_between
-from varsparse.unmixing import LossWeights, load_checkpoint
+import varsparse.unmixing as unmixing
+from varsparse.unmixing import load_checkpoint
 
 TINY_INI = """\
 [experiment]
@@ -34,15 +35,15 @@ def tiny_config(tmp_path):
 
 
 def test_config_file_parses_sections(tiny_config):
-    exp, weights, train = load_config_file(tiny_config)
+    exp, train = load_config_file(tiny_config)
     assert exp == {"d": 3, "p": 0.5, "n_per_env": 1200, "seeds": (0,)}
-    assert weights == {} and train == {"epochs": 3, "batch_size": 200}
+    assert train == {"epochs": 3, "batch_size": 200}
 
 
 def test_config_seed_lists_accept_commas_and_spaces(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("[experiment]\nseeds = 0, 1, 2\n")
-    exp, _, _ = load_config_file(path)
+    exp, _ = load_config_file(path)
     assert exp["seeds"] == (0, 1, 2)
     path.write_text("[experiment]\nseeds = 3 4\n")
     assert load_config_file(path)[0]["seeds"] == (3, 4)
@@ -53,7 +54,7 @@ def test_config_seed_lists_accept_commas_and_spaces(tmp_path):
     [
         ("[experiment]\nwidth = 3\n", "unknown config key"),
         ("[train]\nlearning_rate = 0.002\n", r"unknown config key \[train\] learning_rate"),
-        ("[weights]\nnorm_target = 1.0\n", r"unknown config key \[weights\] norm_target"),
+        ("[weights]\nnorm_target = 1.0\n", r"unknown config section \[weights\]"),
         ("[plotting]\ncolor = red\n", "unknown config section"),
         ("[experiment]\nd = three\n", "bad config value"),
         ("not an ini file", "cannot parse config"),
@@ -64,6 +65,16 @@ def test_config_file_rejects_malformed_input(tmp_path, text, match):
     path.write_text(text)
     with pytest.raises(ValueError, match=match):
         load_config_file(path)
+
+
+def test_config_file_with_a_weights_section_exits_1(tmp_path, capsys):
+    # the loss weights are constants of varsparse.unmixing, not settings
+    path = tmp_path / "weights.ini"
+    path.write_text(TINY_INI + "[weights]\nlambda_diag = 10.0\n")
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+    assert "unknown config section [weights]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_values_are_literal(tmp_path, capsys):
@@ -80,20 +91,16 @@ def test_every_config_key_reaches_the_built_config(tmp_path):
     path.write_text(
         "[experiment]\nd = 6\np = 0.25\nn_per_env = 1234\nseeds = 7, 8\n"
         "design = separating\nscm = nonlinear-2\nout_dir = results/all\n"
-        "[weights]\nlambda_e = 0.5\nlambda_m = 2.0\nlambda_diag = 3.0\n"
-        "lambda_norm = 4.0\n"
         "[train]\nepochs = 3\nbatch_size = 100\n"
     )
-    assert sum(len(section) for section in load_config_file(path)) == 13
+    assert sum(len(section) for section in load_config_file(path)) == 9
     cfg = build_config(build_parser().parse_args(["generate", "--config", str(path)]))
     assert cfg == ExperimentConfig(
         d=6, p=0.25, n_per_env=1234, seeds=(7, 8), design="separating", scm="nonlinear-2",
-        out_dir="results/all", weights=LossWeights(0.5, 2.0, 3.0, 4.0),
-        epochs=3, batch_size=100,
+        out_dir="results/all", epochs=3, batch_size=100,
     )
     default = ExperimentConfig()
     assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == ["d"]
-    assert all(getattr(cfg.weights, f.name) != getattr(default.weights, f.name) for f in fields(LossWeights))
 
 
 def test_readme_config_example_builds_and_names_every_key(tmp_path):
@@ -172,8 +179,13 @@ def test_generate_from_a_design_file_records_its_path_and_regenerates(tmp_path, 
         lambda m: {k: v for k, v in m.items() if k != "derived_seeds"},
         lambda m: {**m, "derived_seeds": {**m["derived_seeds"], "data": True}},
         lambda m: {**m, "p": True},
+        lambda m: {**m, "mixing": [[str(x) for x in row] for row in m["mixing"]]},
+        lambda m: {**m, "mixing": [[True, *row[1:]] for row in m["mixing"]]},
     ],
-    ids=["p-string", "n-string", "json-list", "no-derived-seeds", "seed-bool", "p-bool"],
+    ids=[
+        "p-string", "n-string", "json-list", "no-derived-seeds", "seed-bool", "p-bool",
+        "mixing-string", "mixing-bool",
+    ],
 )
 def test_generate_from_malformed_manifest_exits_1_without_traceback(tmp_path, tiny_config, capsys, corrupt):
     a = tmp_path / "a"
@@ -299,13 +311,12 @@ def test_train_without_dataset_is_a_validation_error(capsys):
     assert main(["train", "--data", "/no/such/dataset.bin"]) == 1
 
 
-def test_train_numerical_blowup_exits_with_abort_code(tmp_path, tiny_config, capsys):
+def test_train_numerical_blowup_exits_with_abort_code(tmp_path, tiny_config, capsys, monkeypatch):
     out = tmp_path / "run"
     main(["generate", "--config", tiny_config, "--out", str(out)])
-    cfg = tmp_path / "explode.ini"
-    cfg.write_text(TINY_INI + "[weights]\nlambda_diag = 1e308\n")  # a non-finite objective
+    monkeypatch.setattr(unmixing, "LAMBDA_DIAG", 1e308)  # a non-finite objective
     with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train", "--config", str(cfg), "--data", str(out / "dataset.bin"), "--out", str(out)])
+        code = main(["train", "--config", tiny_config, "--data", str(out / "dataset.bin"), "--out", str(out)])
     assert code == 2
     assert "numerical abort" in capsys.readouterr().err
 

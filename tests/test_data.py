@@ -66,6 +66,15 @@ def test_mixing_rejects_singular_and_thin_matrices():
         MixingMatrix(near_singular)
 
 
+def test_mixing_rejects_non_finite_entries_by_name():
+    # a NaN once reached the SVD and failed there as LinAlgError
+    for bad in (np.nan, np.inf, -np.inf):
+        entries = np.eye(3)
+        entries[1, 2] = bad
+        with pytest.raises(ValueError, match="mixing entries must be finite"):
+            MixingMatrix(entries)
+
+
 def test_identity_mixing_leaves_data_unchanged():
     ds = generate(
         chain_example_scm(),

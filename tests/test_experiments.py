@@ -1,6 +1,7 @@
+import hashlib
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import varsparse.data as data
 import varsparse.experiments as experiments
 import varsparse.ica as ica
+import varsparse.unmixing as unmixing
 from varsparse.experiments import (
     ExperimentConfig,
     ResultRow,
@@ -23,7 +25,7 @@ from varsparse.experiments import (
 )
 from varsparse.ica import IcaConvergenceWarning, fit_fastica, transform
 from varsparse.metrics import mcc_between
-from varsparse.unmixing import ADAMW_LEARNING_RATE, LossWeights, train
+from varsparse.unmixing import ADAMW_LEARNING_RATE, train
 
 TINY = ExperimentConfig(d=3, p=0.5, n_per_env=1200, seeds=(0,), epochs=3, batch_size=200)
 
@@ -33,6 +35,9 @@ def test_config_defaults_match_benchmark_protocol():
     assert cfg.d == 6 and cfg.p == 0.5 and cfg.n_per_env == 100_000
     assert cfg.seeds == (0, 1, 2, 3, 4)
     assert cfg.epochs == 50 and cfg.batch_size == 4096 and ADAMW_LEARNING_RATE == 2e-3
+    assert [f.name for f in fields(ExperimentConfig)] == [
+        "d", "p", "n_per_env", "seeds", "design", "scm", "epochs", "batch_size", "out_dir"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -57,11 +62,27 @@ def test_config_defaults_match_benchmark_protocol():
         dict(epochs=float("nan")),
         dict(epochs=2.5),
         dict(batch_size=2.5),
+        dict(d=6.5),
+        dict(seeds=(0.5,)),
+        dict(p=True),
+        dict(seeds=(True,)),
+        dict(p="0.5"),
+        dict(seeds=(0, 0)),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         ExperimentConfig(**kwargs)
+
+
+def test_config_accepts_numpy_scalars():
+    cfg = ExperimentConfig(
+        d=np.int64(3), p=np.float64(0.5), n_per_env=np.int64(400), seeds=(np.int64(0), np.int32(1))
+    )
+    assert cfg == ExperimentConfig(d=3, p=0.5, n_per_env=400, seeds=(0, 1))
+    assert all(type(n) is int for n in (cfg.d, cfg.n_per_env, *cfg.seeds))
+    _, manifest = make_dataset(cfg, cfg.seeds[1])
+    assert json.loads(json.dumps(manifest))["d"] == 3
 
 
 def test_build_scm_kinds():
@@ -110,6 +131,23 @@ def test_zero_edge_probability_recorded_in_manifest():
     assert manifest["n_edges"] == 0
 
 
+@pytest.mark.parametrize(
+    "entry,match",
+    [
+        # "0.5" once regenerated the same dataset as 0.5, and true one mixed by 1.0
+        ("0.5", "malformed manifest: mixing entry must be a real number"),
+        (True, "malformed manifest: mixing entry must be a real number"),
+        (None, "malformed manifest: mixing entry must be a real number"),
+        (float("nan"), "mixing entries must be finite"),
+    ],
+)
+def test_regenerate_reads_mixing_entries_as_finite_real_numbers(entry, match):
+    _, manifest = make_dataset(TINY, seed=5)
+    manifest["mixing"][1][2] = entry
+    with pytest.raises(ValueError, match=match):
+        regenerate(manifest)
+
+
 def test_regenerate_rejects_foreign_documents():
     with pytest.raises(ValueError, match="manifest"):
         regenerate({"format": "something-else"})
@@ -121,10 +159,21 @@ def test_methods_are_scored_from_test_moments_as_the_test_rows_score(method):
     score, fitted = experiments._fit_and_score(dataset, method, TINY, 0)
     z, x = experiments.test_split(dataset)
     if method == "ours":
-        learned = x @ train(dataset, TINY.weights, TINY.train_config(0))[0].lhat
+        learned = x @ train(dataset, TINY.train_config(0))[0].lhat
     else:
         learned = transform(fitted, x)
     assert abs(score - mcc_between(z, learned).score) <= 1e-12
+
+
+def test_training_output_is_pinned_bit_for_bit():
+    # lhat's bytes and the last epoch's loss as training computes them since
+    # the objective became one kernel over the covariance stack; a refactor of
+    # the objective or the optimizer must leave both exactly as they are
+    dataset, _ = make_dataset(TINY, 0)
+    model, report = train(dataset, TINY.train_config(0))
+    digest = hashlib.sha256(np.ascontiguousarray(model.lhat, dtype="<f8").tobytes()).hexdigest()
+    assert digest == "c42e39e609e739c24c69514f6e3064c53cb8f4a93ccd964284e41862990e35fd"
+    assert repr(report.epoch_losses[-1].total) == "52.34953325077477"
 
 
 def test_run_cell_both_methods_return_scores():
@@ -147,10 +196,10 @@ def test_run_cell_records_fastica_non_convergence(monkeypatch):
     assert row.ica_converged is False and row.ica_n_iter == 1
 
 
-def test_run_cell_records_failures_as_rows():
-    exploding = replace(TINY, weights=LossWeights(lambda_diag=1e308))  # a non-finite objective
+def test_run_cell_records_failures_as_rows(monkeypatch):
+    monkeypatch.setattr(unmixing, "LAMBDA_DIAG", 1e308)  # a non-finite objective
     with np.errstate(over="ignore", invalid="ignore"):
-        row = run_cell("unit", exploding, seed=0, method="ours")
+        row = run_cell("unit", TINY, seed=0, method="ours")
     assert np.isnan(row.mcc)
     assert row.error.startswith(("TrainingAborted: ", "NumericalError: "))
 

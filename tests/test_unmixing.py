@@ -1,4 +1,5 @@
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -17,9 +18,12 @@ from varsparse.unmixing import (
     ADAMW_EPS,
     ADAMW_LEARNING_RATE,
     ADAMW_WEIGHT_DECAY,
+    LAMBDA_DIAG,
+    LAMBDA_E,
+    LAMBDA_M,
+    LAMBDA_NORM,
     NORM_TARGET,
     AdamWState,
-    LossWeights,
     TrainConfig,
     TrainingAborted,
     UnmixingModel,
@@ -65,7 +69,21 @@ def _rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
 
 
-def _row_objective(batches, lhat, weights):
+@contextmanager
+def _weights(**values):
+    """The objective with some LAMBDA_* constants set to other values."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in values.items():
+            patch.setattr(unmixing, name, value)
+        yield
+
+
+# lambda_e != lambda_m, so swapping the row and column terms shows
+UNEQUAL_WEIGHTS = dict(LAMBDA_E=0.7, LAMBDA_M=1.3)
+NO_WEIGHTS = dict(LAMBDA_E=0.0, LAMBDA_M=0.0, LAMBDA_DIAG=0.0, LAMBDA_NORM=0.0)
+
+
+def _row_objective(batches, lhat):
     """Reference: the objective evaluated directly on the rows of each batch."""
     col_norms = np.linalg.norm(lhat, axis=0)
     safe_norms = np.where(col_norms > 0.0, col_norms, 1.0)
@@ -82,16 +100,16 @@ def _row_objective(batches, lhat, weights):
     l_norm, g_norm = loss_norm(lhat)
     total = (
         l_var
-        + weights.lambda_e * l_env
-        + weights.lambda_m * l_dim
-        + weights.lambda_diag * l_diag
-        + weights.lambda_norm * l_norm
+        + unmixing.LAMBDA_E * l_env
+        + unmixing.LAMBDA_M * l_dim
+        + unmixing.LAMBDA_DIAG * l_diag
+        + unmixing.LAMBDA_NORM * l_norm
     )
     g_vn = (
         g_var
-        + weights.lambda_e * g_env
-        + weights.lambda_m * g_dim
-        + weights.lambda_diag * g_diag
+        + unmixing.LAMBDA_E * g_env
+        + unmixing.LAMBDA_M * g_dim
+        + unmixing.LAMBDA_DIAG * g_diag
     )
     g_v = (g_vn - float((g_vn * v).sum()) * v / v.size) / scale if scale > 0 else g_vn
     w = np.zeros_like(lhat)
@@ -99,7 +117,7 @@ def _row_objective(batches, lhat, weights):
         w += (2.0 / bc.shape[0]) * (bc.T @ (yc * row))
     grad = (w - directions * (directions * w).sum(axis=0)) / safe_norms
     grad[:, col_norms == 0.0] = 0.0
-    grad += weights.lambda_norm * g_norm
+    grad += unmixing.LAMBDA_NORM * g_norm
     return total, grad, v
 
 
@@ -145,10 +163,10 @@ def _problems(draw):
 @given(_problems())
 def test_covariance_kernel_matches_row_path(problem):
     batches, lhat = problem
-    weights = LossWeights(lambda_e=0.7, lambda_m=1.3, lambda_diag=10.0, lambda_norm=5.0)
     covs = covariances(batches, lhat.shape[0])
-    breakdown, grad, v = objective(covs, lhat, weights)
-    ref_total, ref_grad, ref_v = _row_objective(batches, lhat, weights)
+    with _weights(**UNEQUAL_WEIGHTS):
+        breakdown, grad, v = objective(covs, lhat)
+        ref_total, ref_grad, ref_v = _row_objective(batches, lhat)
     assert _close(breakdown.total, ref_total)
     assert _close(grad, ref_grad)
     assert _close(v, ref_v)
@@ -161,7 +179,7 @@ def test_covariance_kernel_matches_row_path(problem):
 # ---------------------------------------------------------------- variance_matrix
 
 
-def _reference_objective(covs, lhat, weights):
+def _reference_objective(covs, lhat):
     """The objective as first written: np.linalg.norm, np.add.at and copied
     broadcasts. The lean objective must match it bit for bit."""
     col_norms = np.linalg.norm(lhat, axis=0)
@@ -190,22 +208,22 @@ def _reference_objective(covs, lhat, weights):
 
     total = (
         l_var
-        + weights.lambda_e * l_env
-        + weights.lambda_m * l_dim
-        + weights.lambda_diag * l_diag
-        + weights.lambda_norm * l_norm
+        + unmixing.LAMBDA_E * l_env
+        + unmixing.LAMBDA_M * l_dim
+        + unmixing.LAMBDA_DIAG * l_diag
+        + unmixing.LAMBDA_NORM * l_norm
     )
     g_vn = (
         g_var
-        + weights.lambda_e * g_env
-        + weights.lambda_m * g_dim
-        + weights.lambda_diag * g_diag
+        + unmixing.LAMBDA_E * g_env
+        + unmixing.LAMBDA_M * g_dim
+        + unmixing.LAMBDA_DIAG * g_diag
     )
     g_v = (g_vn - float((g_vn * v).sum()) * v / v.size) / scale if scale > 0 else g_vn
     w = 2.0 * np.einsum("emd,ed->md", su, g_v)
     grad = (w - directions * (directions * w).sum(axis=0)) / safe_norms
     grad[:, col_norms == 0.0] = 0.0
-    grad += weights.lambda_norm * g_norm
+    grad += unmixing.LAMBDA_NORM * g_norm
     breakdown = (float(total), l_var, l_env, l_dim, l_diag, l_norm)
     return breakdown, grad, v
 
@@ -214,10 +232,10 @@ def _reference_objective(covs, lhat, weights):
 @given(_problems())
 def test_objective_matches_the_reference_formulation_bit_for_bit(problem):
     batches, lhat = problem
-    weights = LossWeights(lambda_e=0.7, lambda_m=1.3, lambda_diag=10.0, lambda_norm=5.0)
     covs = covariances(batches, lhat.shape[0])
-    breakdown, grad, v = objective(covs, lhat, weights)
-    ref_breakdown, ref_grad, ref_v = _reference_objective(covs, lhat, weights)
+    with _weights(**UNEQUAL_WEIGHTS):
+        breakdown, grad, v = objective(covs, lhat)
+        ref_breakdown, ref_grad, ref_v = _reference_objective(covs, lhat)
     assert tuple(vars(breakdown).values()) == ref_breakdown
     assert np.array_equal(grad, ref_grad)
     assert np.array_equal(v, ref_v)
@@ -230,8 +248,8 @@ def test_objective_matches_the_reference_with_a_zero_column_and_more_envs_than_d
         lhat = rng.normal(size=(4, 4))
         if zero_col is not None:
             lhat[:, zero_col] = 0.0
-        breakdown, grad, v = objective(covs, lhat, LossWeights())
-        ref_breakdown, ref_grad, ref_v = _reference_objective(covs, lhat, LossWeights())
+        breakdown, grad, v = objective(covs, lhat)
+        ref_breakdown, ref_grad, ref_v = _reference_objective(covs, lhat)
         assert tuple(vars(breakdown).values()) == ref_breakdown
         assert np.array_equal(grad, ref_grad) and np.array_equal(v, ref_v)
         if zero_col is not None:
@@ -394,12 +412,8 @@ def test_sparsity_terms_are_scale_free(stack, c, seed):
     covs, lhat = stack
     rng = np.random.default_rng(seed)
     col_scales = rng.uniform(0.1, 10.0, size=lhat.shape[1]) * rng.choice([-1.0, 1.0], lhat.shape[1])
-    weights = LossWeights()
-    base, _, _ = objective(covs, lhat, weights)
-    rescaled = (
-        objective(covs, lhat * col_scales, weights)[0],
-        objective(c * covs, lhat, weights)[0],
-    )
+    base, _, _ = objective(covs, lhat)
+    rescaled = (objective(covs, lhat * col_scales)[0], objective(c * covs, lhat)[0])
     for other in rescaled:
         for name in ("loss_var", "loss_env", "loss_dim", "loss_diag"):
             assert _rel_err(getattr(other, name), getattr(base, name)) < 1e-12, name
@@ -471,20 +485,19 @@ def test_norm_gradient_vanishes_at_target_norm():
 
 def test_total_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
-    weights = LossWeights()
     h = 1e-5
     for _ in range(20):
         covs = covariances(_random_batches(rng), 3)
         lhat = rng.normal(size=(3, 3)) * rng.uniform(0.3, 1.5)
-        _, an, _ = objective(covs, lhat, weights)
+        _, an, _ = objective(covs, lhat)
         worst = 0.0
         for idx in np.ndindex(lhat.shape):
             lp = lhat.copy()
             lp[idx] += h
             lm = lhat.copy()
             lm[idx] -= h
-            fp, _, _ = objective(covs, lp, weights)
-            fm, _, _ = objective(covs, lm, weights)
+            fp, _, _ = objective(covs, lp)
+            fm, _, _ = objective(covs, lm)
             worst = max(worst, _rel_err((fp.total - fm.total) / (2 * h), an[idx]))
         assert worst < 1e-4
 
@@ -496,25 +509,29 @@ def test_objective_gradient_matches_central_difference_on_rank_deficient_stacks(
     covs, lhat = stack
     direction = np.random.default_rng(seed).normal(size=lhat.shape)
     direction /= np.linalg.norm(direction)
-    weights, h = LossWeights(), 1e-5
-    _, grad, _ = objective(covs, lhat, weights)
-    f_plus = objective(covs, lhat + h * direction, weights)[0].total
-    f_minus = objective(covs, lhat - h * direction, weights)[0].total
+    h = 1e-5
+    _, grad, _ = objective(covs, lhat)
+    f_plus = objective(covs, lhat + h * direction)[0].total
+    f_minus = objective(covs, lhat - h * direction)[0].total
     assert _rel_err((f_plus - f_minus) / (2 * h), float((grad * direction).sum())) < 1e-4
 
 
 def test_gradient_zero_for_constant_batches_without_norm_term():
-    weights = LossWeights(lambda_e=0.0, lambda_m=0.0, lambda_diag=0.0, lambda_norm=0.0)
     covs = covariances([np.ones((8, 3)), 2.0 * np.ones((8, 3))], 3)
-    assert np.array_equal(objective(covs, np.full((3, 3), 0.4), weights)[1], np.zeros((3, 3)))
+    with _weights(**NO_WEIGHTS):
+        assert np.array_equal(objective(covs, np.full((3, 3), 0.4))[1], np.zeros((3, 3)))
 
 
 def test_objective_breakdown_is_consistent():
     rng = np.random.default_rng(8)
     covs = covariances(_random_batches(rng), 3)
     lhat = rng.normal(size=(3, 3))
-    weights = LossWeights(lambda_e=0.7, lambda_m=1.3, lambda_diag=2.0, lambda_norm=0.5)
-    b, _, _ = objective(covs, lhat, weights)
+    b, _, _ = objective(covs, lhat)
+    assert b.total == pytest.approx(
+        b.loss_var + b.loss_env + b.loss_dim + 10.0 * b.loss_diag + 5.0 * b.loss_norm, abs=1e-12
+    )
+    with _weights(LAMBDA_E=0.7, LAMBDA_M=1.3, LAMBDA_DIAG=2.0, LAMBDA_NORM=0.5):
+        b, _, _ = objective(covs, lhat)
     assert b.total == pytest.approx(
         b.loss_var + 0.7 * b.loss_env + 1.3 * b.loss_dim + 2.0 * b.loss_diag + 0.5 * b.loss_norm,
         abs=1e-12,
@@ -528,10 +545,10 @@ def test_objective_norm_weight_scales_norm_term_alone():
     rng = np.random.default_rng(9)
     covs = covariances(_random_batches(rng), 3)
     lhat = rng.normal(size=(3, 3))
-    bare = LossWeights(lambda_e=0.0, lambda_m=0.0, lambda_diag=0.0, lambda_norm=0.0)
-    with_norm = LossWeights(lambda_e=0.0, lambda_m=0.0, lambda_diag=0.0, lambda_norm=5.0)
-    b0, _, _ = objective(covs, lhat, bare)
-    b1, _, _ = objective(covs, lhat, with_norm)
+    with _weights(**NO_WEIGHTS):
+        b0, _, _ = objective(covs, lhat)
+    with _weights(**{**NO_WEIGHTS, "LAMBDA_NORM": 5.0}):
+        b1, _, _ = objective(covs, lhat)
     assert b1.total - b0.total == pytest.approx(5.0 * loss_norm(lhat)[0], abs=1e-12)
 
 
@@ -594,7 +611,7 @@ def test_train_loss_decreases_on_chain_data():
     down = 0
     for seed in range(5):
         ds = _chain_dataset(n=20_000, seed=seed)
-        _, report = train(ds, LossWeights(), TrainConfig(seed=seed))
+        _, report = train(ds, TrainConfig(seed=seed))
         assert len(report.epoch_losses) == 50
         assert report.grad_check_rel_err < 1e-4
         if report.epoch_losses[-1].total < report.epoch_losses[0].total:
@@ -605,17 +622,17 @@ def test_train_loss_decreases_on_chain_data():
 def test_train_is_bit_reproducible():
     ds = _chain_dataset(n=2_000, seed=1)
     config = TrainConfig(epochs=3, batch_size=500, seed=11)
-    model_a, report_a = train(ds, LossWeights(), config)
-    model_b, report_b = train(ds, LossWeights(), config)
+    model_a, report_a = train(ds, config)
+    model_b, report_b = train(ds, config)
     assert np.array_equal(model_a.lhat, model_b.lhat)
     assert report_a.epoch_losses == report_b.epoch_losses
-    model_c, _ = train(ds, LossWeights(), TrainConfig(epochs=3, batch_size=500, seed=12))
+    model_c, _ = train(ds, TrainConfig(epochs=3, batch_size=500, seed=12))
     assert not np.array_equal(model_a.lhat, model_c.lhat)
 
 
 def test_train_report_shapes_and_exports(tmp_path):
     ds = _chain_dataset(n=2_000, seed=2)
-    _, report = train(ds, LossWeights(), TrainConfig(epochs=2, batch_size=500, seed=0))
+    _, report = train(ds, TrainConfig(epochs=2, batch_size=500, seed=0))
     assert report.final_variances.shape == (3, 3)
     assert report.wall_time_s > 0
     doc = json.loads(report.to_json())
@@ -637,14 +654,14 @@ def test_train_rejects_degenerate_inputs():
         chain_example_scm(), single_env, MixingMatrix(CHAIN_MIX), 1_000, rng_seed=0
     )
     with pytest.raises(ValueError, match="at least 2 environments"):
-        train(ds, LossWeights(), TrainConfig(seed=0))
+        train(ds, TrainConfig(seed=0))
 
 
 def test_train_takes_one_step_per_epoch_from_any_batch_size_past_the_train_rows():
     # training is full-batch: batch_size only sets ceil(n_train / batch_size) steps
     ds = _chain_dataset(n=1_000)
-    whole, report_whole = train(ds, LossWeights(), TrainConfig(epochs=3, batch_size=ds.n_train, seed=0))
-    huge, report_huge = train(ds, LossWeights(), TrainConfig(epochs=3, batch_size=10**6, seed=0))
+    whole, report_whole = train(ds, TrainConfig(epochs=3, batch_size=ds.n_train, seed=0))
+    huge, report_huge = train(ds, TrainConfig(epochs=3, batch_size=10**6, seed=0))
     assert np.array_equal(whole.lhat, huge.lhat)
     assert report_whole.epoch_losses == report_huge.epoch_losses
 
@@ -652,20 +669,21 @@ def test_train_takes_one_step_per_epoch_from_any_batch_size_past_the_train_rows(
 def test_grad_check_diagnostic_leaves_training_unchanged(monkeypatch):
     ds = _chain_dataset(n=2_000, seed=4)
     config = TrainConfig(epochs=3, batch_size=500, seed=7)
-    checked, report = train(ds, LossWeights(), config)
+    checked, report = train(ds, config)
     assert report.grad_check_rel_err < 1e-4
     monkeypatch.setattr(unmixing, "_directional_grad_check", lambda *args: float("nan"))
-    unchecked, report = train(ds, LossWeights(), config)
+    unchecked, report = train(ds, config)
     assert np.isnan(report.grad_check_rel_err)
     assert np.array_equal(checked.lhat, unchecked.lhat)
 
 
-def test_training_aborted_carries_partial_report():
+def test_training_aborted_carries_partial_report(monkeypatch):
     ds = _chain_dataset(n=2_000, seed=3)
     # a weight this large overflows the objective at the first evaluation
+    monkeypatch.setattr(unmixing, "LAMBDA_DIAG", 1e308)
     config = TrainConfig(epochs=5, batch_size=500, seed=0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAborted) as err:
-        train(ds, LossWeights(lambda_diag=1e308), config)
+        train(ds, config)
     assert "aborted at epoch 0, step 0" in str(err.value) and "total=inf" in str(err.value)
     assert (err.value.epoch, err.value.step) == (0, 0)
     assert err.value.report.epoch_losses == [] and err.value.report.wall_time_s > 0
@@ -692,14 +710,6 @@ def test_model_rejects_non_finite_entries():
 
 
 def test_loss_weights_and_config_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        LossWeights(lambda_diag=-1.0)
-    # NaN fails every comparison, so each bound must be stated as a range it has to lie in
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite"):
-            LossWeights(lambda_e=bad)
-        with pytest.raises(ValueError, match="finite"):
-            LossWeights(lambda_diag=bad)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
@@ -713,7 +723,7 @@ def test_loss_weights_and_config_validation():
     defaults = TrainConfig(seed=0)
     assert (defaults.epochs, defaults.batch_size) == (50, 4096)
     assert [f.name for f in fields(TrainConfig)] == ["epochs", "batch_size", "seed"]
-    assert [f.name for f in fields(LossWeights)] == ["lambda_e", "lambda_m", "lambda_diag", "lambda_norm"]
+    assert (LAMBDA_E, LAMBDA_M, LAMBDA_DIAG, LAMBDA_NORM) == (1.0, 1.0, 10.0, 5.0)
     assert (ADAMW_LEARNING_RATE, NORM_TARGET) == (2e-3, 1.0)
     assert (ADAMW_BETA1, ADAMW_BETA2) == (0.9, 0.999)
     assert (ADAMW_EPS, ADAMW_WEIGHT_DECAY) == (1e-8, 1e-2)
