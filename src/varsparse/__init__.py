@@ -19,7 +19,7 @@ from .envs import (
     separating_design,
 )
 from .experiments import ExperimentConfig, ResultRow, SummaryRow, reproduce, run_experiment
-from .ica import IcaConvergenceWarning, IcaModel, fit_fastica, transform
+from .ica import IcaModel, fit_fastica, transform
 from .metrics import (
     DisentanglementReport,
     MccResult,
@@ -64,7 +64,6 @@ __all__ = [
     "EnvDataset",
     "EnvironmentSet",
     "ExperimentConfig",
-    "IcaConvergenceWarning",
     "IcaModel",
     "InterventionRegime",
     "LossBreakdown",

@@ -198,11 +198,14 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     rows_path, summary_path, rows = reproduce(
         args.which, config.out_dir, config, methods=methods
     )
-    failures = [r for r in rows if r.error]
     print(f"wrote {rows_path} ({len(rows)} rows)")
     print(f"wrote {summary_path}")
-    for r in failures:
-        print(f"row failed (scm={r.scm} d={r.d} seed={r.seed} {r.method}): {r.error}")
+    for r in rows:
+        where = f"scm={r.scm} d={r.d} p={r.p} n={r.n_per_env} seed={r.seed} {r.method}"
+        if r.error:
+            print(f"row failed ({where}): {r.error}")
+        elif r.ica_converged is False:
+            print(f"row did not converge ({where}): FastICA stopped at {r.ica_n_iter} iterations")
     return EXIT_OK
 
 

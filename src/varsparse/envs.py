@@ -70,13 +70,15 @@ class EnvironmentSet:
     regimes: tuple[InterventionRegime, ...]
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        d = _integer("d", self.d)
+        if d < 1:
+            raise ValueError(f"dimension must be >= 1, got {d}")
         regimes = tuple(self.regimes)
         for k, reg in enumerate(regimes):
-            bad = [t for t in reg.targets if t >= self.d]
+            bad = [t for t in reg.targets if t >= d]
             if bad:
-                raise ValueError(f"regime {k} targets {bad} outside [0, {self.d})")
+                raise ValueError(f"regime {k} targets {bad} outside [0, {d})")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "regimes", regimes)
 
     def __len__(self) -> int:
@@ -96,14 +98,13 @@ class EnvironmentSet:
     def from_json(cls, text: str) -> "EnvironmentSet":
         doc = json.loads(text)
         try:
-            d = _integer("d", doc["d"])
             regimes = tuple(
                 InterventionRegime(tuple(r["targets"]), tuple(r["values"]))
                 for r in doc["regimes"]
             )
+            return cls(doc["d"], regimes)
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ValueError(f"malformed environment document: {err}") from err
-        return cls(d, regimes)
 
 
 def support_sets(envs: EnvironmentSet) -> list[frozenset[int]]:

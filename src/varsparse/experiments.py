@@ -97,14 +97,16 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # a float or bool count would pass the range checks and fail later, in
-        # make_dataset; NumPy integers are stored as ints, which JSON can write
+        # make_dataset; NumPy numbers are stored as ints and floats, which JSON
+        # and the CSV writers print plainly
         d, n_per_env = _integer("d", self.d), _integer("n_per_env", self.n_per_env)
         seeds = tuple(_integer("seed", seed) for seed in self.seeds)
-        for name, value in (("d", d), ("n_per_env", n_per_env), ("seeds", seeds)):
+        p = _real("p", self.p)
+        for name, value in (("d", d), ("p", p), ("n_per_env", n_per_env), ("seeds", seeds)):
             object.__setattr__(self, name, value)
         if d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
-        if not 0.0 <= _real("p", self.p) <= 1.0:
+        if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if n_per_env < 4:
             raise ValueError(f"n_per_env must be >= 4, got {self.n_per_env}")

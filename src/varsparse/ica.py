@@ -14,7 +14,6 @@ temporaries would be streamed through memory several times per step instead.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +27,6 @@ _CHUNK = 8192
 # the rotation and its update at which the iteration counts as converged
 _MAX_ITER = 500
 _TOL = 1e-6
-
-
-class IcaConvergenceWarning(UserWarning):
-    """Fixed-point iteration hit _MAX_ITER before reaching _TOL."""
 
 
 class IcaRankError(ValueError):
@@ -69,7 +64,7 @@ def fit_fastica(x: np.ndarray, d: int, seed: int = 0) -> IcaModel:
     """Fit d independent components to the rows of x, which has d columns.
 
     Deterministic for a fixed seed. Raises IcaRankError on a rank-deficient
-    covariance; warns (and flags the model) if the iteration does not converge.
+    covariance. model.converged is False when the iteration stops at _MAX_ITER.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -116,11 +111,6 @@ def fit_fastica(x: np.ndarray, d: int, seed: int = 0) -> IcaModel:
         if drift < _TOL:
             converged = True
             break
-    if not converged:
-        warnings.warn(
-            f"FastICA did not converge within {_MAX_ITER} iterations",
-            IcaConvergenceWarning,
-        )
     return IcaModel(mean, whitening, w, converged, iterations)
 
 

@@ -392,11 +392,7 @@ def train(dataset: EnvDataset, config: TrainConfig) -> tuple[UnmixingModel, Trai
 
 def save_checkpoint(model: UnmixingModel, path: Union[str, Path], config: TrainConfig) -> None:
     """One-line JSON header, newline, then the row-major float64 parameters."""
-    header = {
-        "m": model.d,  # the row count; the model is square
-        "d": model.d,
-        "config": vars(config).copy(),
-    }
+    header = {"d": model.d, "config": vars(config).copy()}
     blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
     blob += np.ascontiguousarray(model.lhat, dtype="<f8").tobytes()
     Path(path).write_bytes(blob)
@@ -413,12 +409,9 @@ def load_checkpoint(path: Union[str, Path]) -> tuple[UnmixingModel, dict]:
         raise ValueError(f"{path}: malformed checkpoint header: {err}") from err
     if not isinstance(header, dict):
         raise ValueError(f"{path}: checkpoint header is not a JSON object")
-    m, d = header.get("m"), header.get("d")
-    for name, value in (("m", m), ("d", d)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{path}: checkpoint {name} must be a nonnegative integer, got {value!r}")
-    if m != d:
-        raise ValueError(f"{path}: checkpoint model must be square, got m={m}, d={d}")
+    d = header.get("d")  # older headers also carry the row count m, which equals d
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        raise ValueError(f"{path}: checkpoint d must be a nonnegative integer, got {d!r}")
     payload = raw[sep + 1 :]
     if len(payload) != 8 * d * d:
         raise ValueError(f"{path}: expected {8 * d * d} payload bytes, found {len(payload)}")

@@ -12,6 +12,7 @@ from varsparse.envs import EnvironmentSet, InterventionRegime, leave_one_out_des
 from varsparse import data, experiments
 from varsparse.experiments import ExperimentConfig
 from varsparse.metrics import mcc_between
+import varsparse.ica as ica
 import varsparse.unmixing as unmixing
 from varsparse.unmixing import load_checkpoint
 
@@ -377,6 +378,19 @@ def test_reproduce_writes_grid_and_summary(tmp_path, tiny_config, capsys):
     assert rows[0].startswith("experiment,scm,d,")
     assert len(rows) == 1 + 5  # header + five edge probabilities, one seed, one method
     assert (out / "fig2b_summary.csv").exists()
+
+
+def test_reproduce_prints_each_fastica_row_that_did_not_converge(tmp_path, tiny_config, capsys, monkeypatch):
+    monkeypatch.setattr(ica, "_MAX_ITER", 1)
+    out = tmp_path / "csv"
+    code = main([
+        "reproduce", "fig2b", "--config", tiny_config, "--out", str(out), "--methods", "fastica",
+    ])
+    assert code == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "did not converge" in line]
+    assert len(lines) == 5
+    for line, p in zip(lines, (0.0, 0.25, 0.5, 0.75, 1.0)):
+        assert f"p={p} " in line and line.endswith("FastICA stopped at 1 iterations")
 
 
 def test_reproduce_rerun_is_byte_identical(tmp_path, tiny_config):

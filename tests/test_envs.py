@@ -175,6 +175,14 @@ def test_environment_set_validation():
     with pytest.raises(ValueError, match="dimension"):
         EnvironmentSet(0, ())
     assert len(EnvironmentSet(3, (reg, reg))) == 2
+    # d is validated, not coerced: 2.5 and True are no dimension, and a NumPy
+    # integer is stored as the int that to_json can write
+    for d in (2.5, True):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            EnvironmentSet(d, (reg,))
+    envs = EnvironmentSet(np.int64(3), (reg,))
+    assert type(envs.d) is int
+    assert EnvironmentSet.from_json(envs.to_json()).d == 3
 
 
 def test_environment_set_json_round_trip():
