@@ -778,6 +778,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
         (b'{"d": 3.5}', "d must be a nonnegative integer"),
         (b'{"d": "3"}', "d must be a nonnegative integer"),
         (b'{"d": true}', "d must be a nonnegative integer"),
+        (b'{"d": -3}', "d must be a nonnegative integer"),
         (b'{"m": 3, "d": -3}', "d must be a nonnegative integer"),
     ],
 )
