@@ -8,7 +8,7 @@ protocol (5 seeds, 100k rows, 50 epochs; much slower).
 
 import argparse
 import tempfile
-from pathlib import Path
+from dataclasses import replace
 
 from varsparse.experiments import GRIDS, ExperimentConfig, reproduce
 
@@ -23,11 +23,11 @@ def main():
     parser.add_argument("--out", default=None, help="directory for the CSV files")
     args = parser.parse_args()
 
-    out = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="varsparse_"))
-    config = FULL if args.full else QUICK
+    out = args.out or tempfile.mkdtemp(prefix="varsparse_")
+    config = replace(FULL if args.full else QUICK, out_dir=out)
     if not args.full:  # skip d=30 in the quick pass
         GRIDS[args.which] = tuple(c for c in GRIDS[args.which] if c.get("d", config.d) <= 10)
-    rows_path, summary_path, rows = reproduce(args.which, out, config)
+    rows_path, summary_path, rows = reproduce(args.which, config)
 
     failures = sum(1 for r in rows if r.error)
     print(f"{len(rows)} runs, {failures} failures")

@@ -63,16 +63,13 @@ _SECTIONS = {
     "train": {k: v for k, v in _parsers(ExperimentConfig).items() if k in _TRAIN_FIELDS},
 }
 
-# command-line flag -> the ExperimentConfig field it sets
-_FLAG_FIELDS = {
-    "d": "d", "p": "p", "n": "n_per_env", "seed": "seeds",
-    "design": "design", "scm": "scm", "out": "out_dir",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit 2; this tool reserves 2 for
-    numerical aborts, so route them to the validation code instead."""
+    numerical aborts, so route them to the validation code instead. A flag
+    must be spelled out: a prefix such as --d is not read as --data."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:  # noqa: D401 - argparse hook
         self.print_usage(sys.stderr)
@@ -109,13 +106,11 @@ def load_config_file(path: str) -> tuple[dict, dict]:
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge config file then flags into a validated ExperimentConfig."""
-    exp, train_kwargs = {}, {}
-    if getattr(args, "config", None):
-        exp, train_kwargs = load_config_file(args.config)
-    for flag, name in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
+    exp, train_kwargs = load_config_file(args.config) if args.config else ({}, {})
+    for f in fields(ExperimentConfig):  # flags are stored under the field they set
+        value = getattr(args, f.name, None)
         if value is not None:
-            exp[name] = (value,) if name == "seeds" else value
+            exp[f.name] = (value,) if f.name == "seeds" else value
     return ExperimentConfig(**exp, **train_kwargs)
 
 
@@ -123,7 +118,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = build_config(args)
     seed = config.seeds[0]
     out = Path(config.out_dir)
-    if getattr(args, "from_manifest", None):
+    if args.from_manifest:
         manifest = json.loads(Path(args.from_manifest).read_text())
         dataset = regenerate(manifest)
     else:
@@ -195,9 +190,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_reproduce(args: argparse.Namespace) -> int:
     config = build_config(args)
     methods = tuple(args.methods.split(",")) if args.methods else METHODS
-    rows_path, summary_path, rows = reproduce(
-        args.which, config.out_dir, config, methods=methods
-    )
+    rows_path, summary_path, rows = reproduce(args.which, config, methods=methods)
     print(f"wrote {rows_path} ({len(rows)} rows)")
     print(f"wrote {summary_path}")
     for r in rows:
@@ -211,34 +204,38 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="varsparse", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI config file; flags override it")
-    common.add_argument("--seed", type=int, help="run seed")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--design", help="leave-one-out, separating, or a regimes JSON file")
-    common.add_argument("--scm", choices=SCM_KINDS)
-    common.add_argument("--d", type=int, help="latent dimension")
-    common.add_argument("--p", type=float, help="edge probability of the random graph")
-    common.add_argument("--n", type=int, help="rows per environment")
+    # flags grouped by what they describe; each subcommand takes the groups it reads
+    run, out, design, sampling = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    run.add_argument("--config", help="INI config file; flags override it")
+    run.add_argument("--seed", type=int, dest="seeds", metavar="SEED", help="run seed")
+    out.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
+    design.add_argument("--design", help="leave-one-out, separating, or a regimes JSON file")
+    design.add_argument("--d", type=int, help="latent dimension")
+    sampling.add_argument("--scm", choices=SCM_KINDS)
+    sampling.add_argument("--p", type=float, help="edge probability of the random graph")
+    sampling.add_argument("--n", type=int, dest="n_per_env", metavar="N", help="rows per environment")
+    everything = [run, out, design, sampling]
 
     sub = parser.add_subparsers(dest="command", required=True)
-    gen = sub.add_parser("generate", parents=[common], help="sample a dataset to disk")
+    gen = sub.add_parser("generate", parents=everything, help="sample a dataset to disk")
     gen.add_argument("--from-manifest", help="regenerate bit-exactly from a manifest JSON")
     gen.set_defaults(func=cmd_generate)
 
-    chk = sub.add_parser("check-design", parents=[common], help="validate an intervention design")
+    chk = sub.add_parser(
+        "check-design", parents=[run, design], help="validate an intervention design"
+    )
     chk.set_defaults(func=cmd_check_design)
 
-    trn = sub.add_parser("train", parents=[common], help="fit the unmixing model on a dataset")
+    trn = sub.add_parser("train", parents=[run, out], help="fit the unmixing model on a dataset")
     trn.add_argument("--data", help="dataset container from generate")
     trn.set_defaults(func=cmd_train)
 
-    ev = sub.add_parser("evaluate", parents=[common], help="score a checkpoint on a dataset")
+    ev = sub.add_parser("evaluate", help="score a checkpoint on a dataset")
     ev.add_argument("--data", help="dataset container from generate")
     ev.add_argument("--checkpoint", help="checkpoint from train")
     ev.set_defaults(func=cmd_evaluate)
 
-    rep = sub.add_parser("reproduce", parents=[common], help="run a benchmark grid to CSV")
+    rep = sub.add_parser("reproduce", parents=everything, help="run a benchmark grid to CSV")
     rep.add_argument("which", choices=tuple(GRIDS))
     rep.add_argument("--methods", help="comma list from {ours,fastica}; default both")
     rep.set_defaults(func=cmd_reproduce)

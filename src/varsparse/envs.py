@@ -179,22 +179,18 @@ def separating_design(d: int, value_seed: int) -> EnvironmentSet:
     """2 * ceil(log2 d) regimes from binary labels of the coordinates.
 
     For each bit position, one regime targets the coordinates with that bit
-    set and one targets those with it clear. Any degenerate regime (empty or
-    full target set) is dropped. Every pair of coordinates differs in some
-    bit, which is exactly what the coverage condition needs.
+    set and one targets those with it clear. Neither set is empty or full: a
+    bit b < ceil(log2 d) is set in 2^b < d and clear in 0. Every pair of
+    coordinates differs in some bit, which is exactly what the coverage
+    condition needs.
     """
     if d < 2:
         raise ValueError(f"separating design needs d >= 2, got {d}")
-    n_bits = max(1, math.ceil(math.log2(d)))
     regimes = []
-    index = 0
-    for b in range(n_bits):
+    for b in range(math.ceil(math.log2(d))):
         ones = tuple(j for j in range(d) if (j >> b) & 1)
         zeros = tuple(j for j in range(d) if not (j >> b) & 1)
-        for targets in (ones, zeros):
-            if 0 < len(targets) < d:
-                regimes.append(
-                    InterventionRegime(targets, _regime_values(value_seed, index, len(targets)))
-                )
-            index += 1
+        for side, targets in enumerate((ones, zeros)):
+            values = _regime_values(value_seed, 2 * b + side, len(targets))
+            regimes.append(InterventionRegime(targets, values))
     return EnvironmentSet(d, tuple(regimes))

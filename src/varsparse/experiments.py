@@ -404,12 +404,13 @@ def write_summary_csv(rows: Sequence[SummaryRow], path: Union[str, Path]) -> Non
 
 def reproduce(
     which: str,
-    out_dir: Union[str, Path],
     config: Optional[ExperimentConfig] = None,
     methods: Sequence[str] = METHODS,
 ) -> tuple[Path, Path, list[ResultRow]]:
-    """Run one grid and write <which>.csv plus <which>_summary.csv."""
-    out = Path(out_dir)
+    """Run one grid and write <which>.csv plus <which>_summary.csv under
+    config.out_dir."""
+    config = config or ExperimentConfig()
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = run_experiment(which, config, methods)
     rows_path = out / f"{which}.csv"

@@ -64,7 +64,8 @@ def fit_fastica(x: np.ndarray, d: int, seed: int = 0) -> IcaModel:
     """Fit d independent components to the rows of x, which has d columns.
 
     Deterministic for a fixed seed. Raises IcaRankError on a rank-deficient
-    covariance. model.converged is False when the iteration stops at _MAX_ITER.
+    covariance, which n <= d rows always give. model.converged is False when
+    the iteration stops at _MAX_ITER.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -72,8 +73,8 @@ def fit_fastica(x: np.ndarray, d: int, seed: int = 0) -> IcaModel:
     n, m = x.shape
     if d < 1 or d != m:
         raise ValueError(f"d must equal the {m} columns of x and be positive, got {d}")
-    if n <= d:
-        raise ValueError(f"need more samples than components, got n={n}, d={d}")
+    if n <= d:  # n centred rows have rank at most n - 1 < d
+        raise IcaRankError(f"need more samples than components, got n={n}, d={d}")
 
     mean = x.mean(axis=0)
     xc = x - mean

@@ -206,8 +206,8 @@ def disentanglement_check(effective: np.ndarray) -> DisentanglementReport:
     """Test whether a square effective matrix is a scaled permutation.
 
     Entries below _STRUCTURE_TOL * max|entry| are treated as zero; the check
-    passes iff every column keeps at most one entry, at least d columns keep
-    exactly one, and the kept entries cover every row.
+    passes iff every column keeps exactly one entry and those entries sit in
+    distinct rows.
     """
     arr = np.asarray(effective, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -220,8 +220,5 @@ def disentanglement_check(effective: np.ndarray) -> DisentanglementReport:
     survivors = tuple(
         tuple(int(i) for i in np.flatnonzero(surviving[:, j])) for j in range(d)
     )
-    singles = sum(1 for rows in survivors if len(rows) == 1)
-    no_doubles = all(len(rows) <= 1 for rows in survivors)
-    covered = {rows[0] for rows in survivors if len(rows) == 1}
-    passed = no_doubles and singles >= d and len(covered) == d
+    passed = all(len(rows) == 1 for rows in survivors) and len({rows[0] for rows in survivors}) == d
     return DisentanglementReport(passed, float(threshold), survivors)

@@ -415,6 +415,31 @@ def test_usage_errors_use_validation_exit_code():
         assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--data", "d.bin", "--checkpoint", "c.bin", "--config", "cfg.ini"],
+        ["evaluate", "--data", "d.bin", "--checkpoint", "c.bin", "--d", "99"],
+        ["train", "--data", "d.bin", "--n", "5000"],
+        ["train", "--data", "d.bin", "--design", "nope.json"],
+        ["train", "--data", "d.bin", "--scm", "nonlinear-1"],
+        ["train", "--d", "5", "--data", "d.bin"],  # --d is no prefix of --data
+        ["check-design", "--design", "separating", "--d", "16", "--scm", "nonlinear-1"],
+        ["check-design", "--design", "separating", "--n", "2"],
+        ["check-design", "--design", "separating", "--out", "run"],
+        ["evaluate", "--data", "d.bin", "--check", "c.bin"],
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: varsparse") and "error: unrecognized arguments: --" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_invalid_parameter_is_validation_exit(capsys):
     assert main(["generate", "--d", "1", "--out", "/tmp/never"]) == 1
     assert "error:" in capsys.readouterr().err

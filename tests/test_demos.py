@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("01_mixing_hides_sparsity.py", ["--n", "400"]),
         ("02_design_validation.py", ["--d", "6"]),
-        # demos 03 and 04 train with batch_size 1024, so they need that many train rows
+        # training is full-batch: batch_size only sets the steps per epoch, so
+        # demos 03 and 04 run on any row count
         ("03_train_and_inspect.py", ["--n", "2000", "--epochs", "2"]),
         ("04_where_ica_fails.py", ["--n", "2000", "--seeds", "1"]),
         ("05_benchmark_grid.py", ["--which", "table1", "--out", None]),

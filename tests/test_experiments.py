@@ -244,6 +244,14 @@ def test_run_cell_records_a_rank_deficient_ica_input_as_a_row(monkeypatch):
     assert row.error.startswith("IcaRankError: covariance is rank-deficient")
 
 
+def test_run_cell_records_too_few_pooled_fastica_rows_as_a_typed_row():
+    # 10 separating environments x 3 train rows = 30 rows for d = 30 components
+    config = ExperimentConfig(d=30, n_per_env=4, design="separating", seeds=(0,))
+    row = run_cell("x", config, 0, "fastica")
+    assert np.isnan(row.mcc)
+    assert row.error.startswith("IcaRankError:")
+
+
 def test_run_cell_raises_unexpected_errors(monkeypatch):
     def broken(x, d, seed):
         raise ValueError("operands could not be broadcast together")
@@ -364,11 +372,22 @@ def test_csv_headers_and_failure_cells(tmp_path):
     assert slines[1] == "x,linear,3,0.5,100,ours,0.9,0.0,1"
 
 
+def test_reproduce_writes_both_csvs_under_the_configured_out_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(experiments.GRIDS, "fig2a", experiments.GRIDS["fig2a"][:1])  # d=3 only
+    out = tmp_path / "grid"
+    cfg = ExperimentConfig(n_per_env=400, seeds=(0,), out_dir=str(out))
+    rows_path, summary_path, _ = reproduce("fig2a", cfg, methods=("fastica",))
+    assert (rows_path, summary_path) == (out / "fig2a.csv", out / "fig2a_summary.csv")
+    assert sorted(tmp_path.iterdir()) == [out]
+    assert sorted(out.iterdir()) == [rows_path, summary_path]
+
+
 def test_reproduce_outputs_are_byte_identical_across_runs(tmp_path, monkeypatch):
     cfg = ExperimentConfig(d=3, p=0.5, n_per_env=400, seeds=(0,), epochs=1, batch_size=64)
     monkeypatch.setitem(experiments.GRIDS, "fig2a", experiments.GRIDS["fig2a"][:1])  # d=3 only
-    first = reproduce("fig2a", tmp_path / "a", cfg, methods=("fastica",))
-    second = reproduce("fig2a", tmp_path / "b", cfg, methods=("fastica",))
+    first = reproduce("fig2a", replace(cfg, out_dir=str(tmp_path / "a")), methods=("fastica",))
+    second = reproduce("fig2a", replace(cfg, out_dir=str(tmp_path / "b")), methods=("fastica",))
     assert first[0].read_bytes() == second[0].read_bytes()
     assert first[1].read_bytes() == second[1].read_bytes()
     assert first[0].name == "fig2a.csv" and first[1].name == "fig2a_summary.csv"
