@@ -104,14 +104,20 @@ def load_config_file(path: str) -> tuple[dict, dict]:
     return tuple(_parse_section(parser, name, keys) for name, keys in _SECTIONS.items())
 
 
-def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge config file then flags into a validated ExperimentConfig."""
+def _given_fields(args: argparse.Namespace) -> dict:
+    """The ExperimentConfig fields that the config file or a flag sets, flags winning."""
     exp, train_kwargs = load_config_file(args.config) if args.config else ({}, {})
+    given = {**exp, **train_kwargs}
     for f in fields(ExperimentConfig):  # flags are stored under the field they set
         value = getattr(args, f.name, None)
         if value is not None:
-            exp[f.name] = (value,) if f.name == "seeds" else value
-    return ExperimentConfig(**exp, **train_kwargs)
+            given[f.name] = (value,) if f.name == "seeds" else value
+    return given
+
+
+def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Merge config file then flags into a validated ExperimentConfig."""
+    return ExperimentConfig(**_given_fields(args))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -138,9 +144,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_check_design(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    d_given = args.d is not None or (args.config and "d" in load_config_file(args.config)[0])
-    if config.design in DESIGN_KINDS or d_given:
+    given = _given_fields(args)
+    config = ExperimentConfig(**given)
+    if config.design in DESIGN_KINDS or "d" in given:
         envs = build_design(config.design, config.d, config.seeds[0])
     else:  # a regimes file keeps its own d unless --d or the config file names one
         envs = EnvironmentSet.from_json(Path(config.design).read_text())

@@ -6,10 +6,17 @@ contrast until the rotation stabilizes. The model keeps the three pieces
 (mean, whitening map, orthogonal rotation) separately so transforms are a
 plain affine map.
 
-Each fixed-point step sweeps once over the whitened rows x, _CHUNK rows at a
-time through one preallocated buffer, and accumulates the d x d sum of g^T x
-and the per-component sum of g^2, where g = tanh(x W^T). Full-size n x d
+The whitened data is stored component-major, as a d x n array with one
+column per sample. Each fixed-point step sweeps its columns _CHUNK at a time
+through one preallocated d x _CHUNK buffer, and accumulates the d x d sum of
+g x^T and the per-component sum of g^2, where g = tanh(W x). Full-size d x n
 temporaries would be streamed through memory several times per step instead.
+Every product in this layout is a wide GEMM, (d, d) @ (d, _CHUNK) or
+(d, _CHUNK) @ (_CHUNK, d); OpenBLAS runs the skinny (_CHUNK, d) @ (d, d)
+products of a row-major sweep slower. At d=10 and 750k samples, with one
+thread on a 2-CPU x86-64 machine, a step takes 27.3 ms in this layout and
+38.4 ms row-major (medians of 20 interleaved runs); at d=30 it takes 156 ms
+and 168 ms, about the same.
 """
 
 from __future__ import annotations
@@ -19,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 _RANK_RTOL = 1e-10
-# Rows per chunk of the fixed-point sweep. At d=10 and 750k rows, with one
-# OpenBLAS thread on a 2-CPU x86-64 machine, chunks of 2048-8192 rows cost
-# 52-55 ms per iteration and chunks of 16384 rows 65 ms.
+# Columns per block of the fixed-point sweep. At d=10 and 750k columns, with
+# one OpenBLAS thread on a 2-CPU x86-64 machine, blocks of 2048-8192 columns
+# cost 26-29 ms per iteration, 1024 columns 32 ms and 16384 columns 41 ms
+# (medians of 12 interleaved runs each).
 _CHUNK = 8192
 # Fixed-point iteration cap, and the largest change in |cos| between a row of
 # the rotation and its update at which the iteration counts as converged
@@ -44,9 +52,17 @@ class IcaModel:
     n_iter: int
 
     def __post_init__(self) -> None:
-        gram = self.rotation @ self.rotation.T
-        if np.abs(gram - np.eye(self.d)).max() > 1e-6:
-            raise ValueError("rotation must be orthogonal within 1e-6")
+        d = self.d
+        shapes = (self.mean.shape, self.whitening.shape, self.rotation.shape)
+        if shapes != ((d,), (d, d), (d, d)):
+            raise ValueError(f"mean, whitening, rotation need shapes (d,), (d, d), (d, d); got {shapes}")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.whitening).all()):
+            raise ValueError("mean and whitening must be finite")
+        # a non-finite rotation makes the error inf or NaN, and NaN <= tol is False
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.abs(self.rotation @ self.rotation.T - np.eye(d)).max()
+        if not (err <= 1e-6):
+            raise ValueError(f"rotation must be orthogonal within 1e-6, off by {err}")
 
     @property
     def d(self) -> int:
@@ -84,26 +100,27 @@ def fit_fastica(x: np.ndarray, d: int, seed: int = 0) -> IcaModel:
         raise IcaRankError(f"covariance is rank-deficient: eigenvalues {values[::-1]}")
     # leading direction first; columns scaled so whitened rows have unit covariance
     whitening = vectors[:, ::-1] / np.sqrt(values[::-1])
-    xw = xc @ whitening
+    xw = whitening.T @ xc.T  # d x n: column j is whitened row j
     del xc
 
     rng = np.random.default_rng(seed)
     w = _symmetric_decorrelate(rng.normal(size=(d, d)))
-    buf = np.empty((min(n, _CHUNK), d))
-    ones = np.ones(len(buf))  # column sums through BLAS: faster than g.sum(axis=0)
+    buf = np.empty(d * min(n, _CHUNK))
+    ones = np.ones(min(n, _CHUNK))  # row sums through BLAS: faster than g.sum(axis=1)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        gx = np.zeros((d, d))  # sum of g^T x over the rows
-        g2 = np.zeros(d)  # sum of g^2 over the rows
+        gx = np.zeros((d, d))  # sum of g x^T over the columns
+        g2 = np.zeros(d)  # sum of g^2 over the columns
         for start in range(0, n, _CHUNK):
-            xb = xw[start : start + _CHUNK]
-            g = buf[: len(xb)]
-            np.matmul(xb, w.T, out=g)
+            xb = xw[:, start : start + _CHUNK]
+            k = xb.shape[1]
+            g = buf[: d * k].reshape(d, k)  # contiguous for the last, shorter block too
+            np.matmul(w, xb, out=g)
             np.tanh(g, out=g)
-            gx += g.T @ xb
-            np.square(g, out=g)
-            g2 += ones[: len(xb)] @ g
+            gx += g @ xb.T
+            g *= g
+            g2 += g @ ones[:k]
         w_new = gx / n - np.diag(1.0 - g2 / n) @ w
         w_new = _symmetric_decorrelate(w_new)
         # directions are sign-ambiguous; compare |cos| of old vs new rows

@@ -252,6 +252,27 @@ def test_check_design_rejects_a_d_flag_that_differs_from_the_design_file(tmp_pat
     assert "design file is for d=3" in capsys.readouterr().err
 
 
+def test_check_design_reads_the_config_file_once(tmp_path, monkeypatch, capsys):
+    design = tmp_path / "design.json"
+    design.write_text(leave_one_out_design(3, value_seed=0).to_json())
+    reads = []
+
+    def counting_load(path):
+        reads.append(path)
+        return load_config_file(path)
+
+    monkeypatch.setattr(cli, "load_config_file", counting_load)
+    for d, code in [(3, 0), (4, 1)]:  # a d the config names is checked against the regimes file
+        config = tmp_path / f"cfg{d}.ini"
+        config.write_text(f"[experiment]\ndesign = {design}\nd = {d}\n")
+        reads.clear()
+        assert main(["check-design", "--config", str(config)]) == code
+        assert reads == [str(config)]
+    out, err = capsys.readouterr()
+    assert "3 environments over d=3" in out
+    assert "design file is for d=3, experiment wants d=4" in err
+
+
 def test_check_design_reports_each_failing_coordinate(tmp_path, capsys):
     # single regime on coordinate 0 only: nothing ever intervenes on 1 or 2
     envs = EnvironmentSet(3, (InterventionRegime((0,), (1.0,)),))

@@ -128,6 +128,23 @@ def test_model_rejects_non_orthogonal_rotation():
         )
 
 
+@pytest.mark.parametrize(
+    "part, value, match",
+    [
+        ("mean", np.array([0.0, np.nan]), "finite"),
+        ("whitening", np.array([[np.inf, 0.0], [0.0, 1.0]]), "finite"),
+        ("rotation", np.array([[np.inf, 0.0], [0.0, 1.0]]), "orthogonal"),
+        ("mean", np.zeros(3), "shapes"),
+        ("whitening", np.eye(3), "shapes"),
+        ("rotation", np.full((2, 2), np.nan), "off by nan"),  # a NaN orthogonality error
+    ],
+)
+def test_model_rejects_malformed_parts(part, value, match):
+    parts = {"mean": np.zeros(2), "whitening": np.eye(2), "rotation": np.eye(2), part: value}
+    with pytest.raises(ValueError, match=match):
+        IcaModel(**parts, converged=True, n_iter=1)
+
+
 def _reference_iteration(xw, seed, max_iter, tol):
     """The unchunked fixed-point loop: full n x d temporaries every step."""
     n, d = xw.shape
@@ -168,6 +185,19 @@ def test_chunked_iteration_matches_the_unchunked_reference(sample, max_iter):
         model = fit_fastica(x, d=x.shape[1], seed=seed)
     xw = (x - model.mean) @ model.whitening
     rotation, n_iter, converged = _reference_iteration(xw, seed, max_iter, tol=1e-6)
+    assert model.n_iter == n_iter
+    assert model.converged == converged
+    assert np.abs(model.rotation - rotation).max() < 1e-12
+
+
+def test_chunked_iteration_matches_the_reference_at_the_benchmark_dimension():
+    # the Hypothesis test above draws d <= 6; the benchmark fits d=10
+    rng = np.random.default_rng(12)
+    n, d = 2 * _CHUNK + 1, 10
+    x = rng.uniform(-1, 1, size=(n, d)) @ rng.normal(size=(d, d))
+    model = fit_fastica(x, d=d, seed=3)
+    xw = (x - model.mean) @ model.whitening
+    rotation, n_iter, converged = _reference_iteration(xw, 3, ica._MAX_ITER, tol=1e-6)
     assert model.n_iter == n_iter
     assert model.converged == converged
     assert np.abs(model.rotation - rotation).max() < 1e-12
