@@ -280,12 +280,16 @@ def evaluate_method(
 
 
 def _fit_and_score(
-    dataset: EnvDataset, method: str, config: ExperimentConfig, seed: int
+    dataset: EnvDataset,
+    method: str,
+    config: ExperimentConfig,
+    seed: int,
+    moments: Optional[PooledMoments] = None,
 ) -> tuple[float, Optional[IcaModel]]:
     """evaluate_method's score, plus the fitted FastICA model (None for ours).
 
     Both methods learn a linear map (x - offset) @ unmixing, scored from the
-    pooled test moments."""
+    pooled test moments: the given ones, or else the dataset's."""
     ica = None
     if method == "ours":
         model, _ = train(dataset, config.train_config(seed))
@@ -296,7 +300,9 @@ def _fit_and_score(
         learned = (ica.whitening @ ica.rotation.T, ica.mean)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return mcc_between(pooled_test_moments(dataset), learned).score, ica
+    if moments is None:
+        moments = pooled_test_moments(dataset)
+    return mcc_between(moments, learned).score, ica
 
 
 def _score_methods(
@@ -321,10 +327,11 @@ def _score_methods(
         dataset, _ = make_dataset(config, seed)
     except _EXPECTED_FAILURES as exc:
         return [failed(m, exc) for m in methods]
+    moments = pooled_test_moments(dataset)  # built once, shared by the methods
     rows = []
     for method in methods:
         try:
-            score, ica = _fit_and_score(dataset, method, config, seed)
+            score, ica = _fit_and_score(dataset, method, config, seed, moments)
         except _EXPECTED_FAILURES as exc:
             rows.append(failed(method, exc))
         else:

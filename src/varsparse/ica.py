@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import column_mean
+
 _RANK_RTOL = 1e-10
 # Columns per block of the fixed-point sweep. At d=10 and 750k columns, with
 # one OpenBLAS thread on a 2-CPU x86-64 machine, blocks of 2048-8192 columns
@@ -92,7 +94,7 @@ def fit_fastica(x: np.ndarray, d: int, seed: int = 0) -> IcaModel:
     if n <= d:  # n centred rows have rank at most n - 1 < d
         raise IcaRankError(f"need more samples than components, got n={n}, d={d}")
 
-    mean = x.mean(axis=0)
+    mean = column_mean(x)
     xc = x - mean
     cov = (xc.T @ xc) / n
     values, vectors = np.linalg.eigh(cov)

@@ -20,7 +20,7 @@ from typing import Iterable, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import EPS_VAR
+from .data import EPS_VAR, column_mean
 
 # disentanglement_check treats entries below this share of the largest as zero
 _STRUCTURE_TOL = 1e-2
@@ -54,15 +54,19 @@ def pooled_moments(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> PooledMom
     applied to all blocks at once).
     """
     counts, means, widths, scatter = [], [], set(), 0.0
+    buf = np.empty(0)  # one buffer for every block's rows, as in unmixing.covariances
     for z, x in blocks:
         z = np.asarray(z, dtype=float)
         x = np.asarray(x, dtype=float)
         if z.ndim != 2 or x.ndim != 2 or len(z) != len(x):
             raise ValueError(f"a block needs 2-d z and x with equal rows, got {z.shape} and {x.shape}")
         widths.add((z.shape[1], x.shape[1]))
-        rows = np.hstack([z, x])
-        mean = rows.mean(axis=0)
-        centred = rows - mean
+        shape = (len(z), z.shape[1] + x.shape[1])
+        if buf.size < shape[0] * shape[1]:
+            buf = np.empty(shape[0] * shape[1])
+        rows = np.concatenate([z, x], axis=1, out=buf[: shape[0] * shape[1]].reshape(shape))
+        mean = column_mean(rows)
+        centred = np.subtract(rows, mean, out=rows)
         scatter = scatter + centred.T @ centred
         counts.append(len(rows))
         means.append(mean)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.special import expit
 
 from ._rng import derive_seed
-from .data import EnvDataset
+from .data import EnvDataset, column_mean
 from .envs import _integer
 
 # AdamW step size, moment decays, denominator guard and decoupled weight decay
@@ -127,9 +128,12 @@ class LossBreakdown:
 
 @dataclass
 class TrainReport:
-    """Per-epoch mean loss breakdown and end-of-run diagnostics."""
+    """Per-epoch mean loss breakdown and end-of-run diagnostics.
+
+    grad_norms[k] is the Frobenius norm of epoch k's last gradient."""
 
     epoch_losses: list[LossBreakdown] = field(default_factory=list)
+    grad_norms: list[float] = field(default_factory=list)
     final_variances: Optional[np.ndarray] = None
     wall_time_s: float = 0.0
     grad_check_rel_err: float = float("nan")
@@ -137,6 +141,7 @@ class TrainReport:
     def to_json(self) -> str:
         doc = {
             "epochs": [asdict(b) for b in self.epoch_losses],
+            "grad_norms": self.grad_norms,
             "wall_time_s": self.wall_time_s,
             "grad_check_rel_err": self.grad_check_rel_err,
             "final_variances": None
@@ -158,13 +163,18 @@ class TrainReport:
 def covariances(batches: Sequence[np.ndarray], d: int) -> np.ndarray:
     """(E, d, d) stack of the biased (divide-by-n) covariances of the batches."""
     covs = np.empty((len(batches), d, d))
+    # every batch is centred into one buffer: a fresh array per batch would
+    # fault in its pages each time, which costs as much as the subtraction
+    buf = np.empty(0)
     for e, batch in enumerate(batches):
         batch = np.asarray(batch, dtype=float)
         if batch.ndim != 2 or batch.shape[0] < 2:
             raise ValueError(f"batch {e} needs at least 2 rows, got shape {batch.shape}")
         if batch.shape[1] != d:
             raise ValueError(f"batch {e} has {batch.shape[1]} columns, model expects {d}")
-        centered = batch - batch.mean(axis=0)
+        if buf.size < batch.size:
+            buf = np.empty(batch.size)
+        centered = np.subtract(batch, column_mean(batch), out=buf[: batch.size].reshape(batch.shape))
         covs[e] = centered.T @ centered / batch.shape[0]
     return covs
 
@@ -183,18 +193,18 @@ def loss_var(v: np.ndarray) -> tuple[float, np.ndarray]:
 
 def loss_env(v: np.ndarray) -> tuple[float, np.ndarray]:
     """Minus the sum of sigmoids of row sums: every environment keeps signal."""
-    s = expit(v.sum(axis=1))
+    value, gain = loss_var(v.sum(axis=1))
     grad = np.empty_like(v)
-    grad[...] = -(s * (1.0 - s))[:, None]
-    return float(-s.sum()), grad
+    grad[...] = -gain[:, None]
+    return -value, grad
 
 
 def loss_dim(v: np.ndarray) -> tuple[float, np.ndarray]:
     """Minus the sum of sigmoids of column sums: every dimension keeps signal."""
-    s = expit(v.sum(axis=0))
+    value, gain = loss_var(v.sum(axis=0))
     grad = np.empty_like(v)
-    grad[...] = -(s * (1.0 - s))[None, :]
-    return float(-s.sum()), grad
+    grad[...] = -gain[None, :]
+    return -value, grad
 
 
 @functools.lru_cache(maxsize=16)
@@ -214,8 +224,10 @@ def loss_diag(v: np.ndarray) -> tuple[float, np.ndarray]:
     # bincount adds the weights into each bin in index order, as np.add.at does
     sums = np.bincount(offsets.ravel(), weights=(v * v).ravel(), minlength=v.shape[1])
     norms = np.sqrt(sums)
-    safe = np.where(norms > 0, norms, 1.0)
-    scale = np.where(norms > 0, 1.0 / safe, 0.0)
+    if norms.min() > 0:
+        scale = 1.0 / norms
+    else:
+        scale = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
     return float(norms.sum()), v * scale[offsets]
 
 
@@ -255,17 +267,32 @@ def objective(covs: np.ndarray, lhat: np.ndarray) -> tuple[LossBreakdown, np.nda
     Returns (per-term breakdown, exact gradient wrt lhat, variance matrix of
     the unit directions).
     """
+    terms, grad, v = _objective_terms(covs, lhat)
+    return LossBreakdown(*terms), grad, v
+
+
+def _objective_terms(
+    covs: np.ndarray, lhat: np.ndarray
+) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """objective with the breakdown as a plain tuple, in LossBreakdown's field
+    order, for the training loop, which runs it hundreds of times on small
+    arrays, where each NumPy call costs more than its arithmetic."""
     col_norms = np.sqrt(np.add.reduce(lhat * lhat, axis=0))  # np.linalg.norm(lhat, axis=0)
-    safe_norms = np.where(col_norms > 0.0, col_norms, 1.0)
+    # False for a zero column and for a NaN one, which the finiteness check reports
+    all_live = col_norms.min() > 0.0
+    safe_norms = col_norms if all_live else np.where(col_norms > 0.0, col_norms, 1.0)
     directions = lhat / safe_norms
     su = covs @ directions  # S_e U, shape (E, d, d)
     v_dir = np.einsum("emd,md->ed", su, directions)
-    scale = float(_frobenius(v_dir)) / np.sqrt(v_dir.size)
+    scale = float(_frobenius(v_dir)) / math.sqrt(v_dir.size)
     v = v_dir / scale if scale > 0 else v_dir
 
     l_var, g_var = loss_var(v)
-    l_env, g_env = loss_env(v)
-    l_dim, g_dim = loss_dim(v)
+    # loss_env and loss_dim as minus loss_var of the row and column sums; the
+    # gradient subtracts the (E,) and (d,) gains along the rows and columns
+    s_env, gain_env = loss_var(v.sum(axis=1))
+    s_dim, gain_dim = loss_var(v.sum(axis=0))
+    l_env, l_dim = -s_env, -s_dim
     l_diag, g_diag = loss_diag(v)
     l_norm, g_norm = loss_norm(lhat)
     total = (
@@ -279,21 +306,22 @@ def objective(covs: np.ndarray, lhat: np.ndarray) -> tuple[LossBreakdown, np.nda
     # dtotal/dV, pulled back through the per-environment variance map
     # (dV[e, j]/du_j = 2 S_e u_j) onto the unit directions, then through the
     # normalization (the tangent projection I - u u^T, scaled by 1/||l_j||)
-    g_vn = g_var + LAMBDA_E * g_env + LAMBDA_M * g_dim + LAMBDA_DIAG * g_diag
+    g_vn = g_var - LAMBDA_E * gain_env[:, None] - LAMBDA_M * gain_dim + LAMBDA_DIAG * g_diag
     if scale > 0:
         g_v = (g_vn - float((g_vn * v).sum()) * v / v.size) / scale
     else:
         g_v = g_vn
     w = 2.0 * np.einsum("emd,ed->md", su, g_v)
     grad = (w - directions * (directions * w).sum(axis=0)) / safe_norms
-    grad[:, col_norms == 0.0] = 0.0  # direction undefined; subgradient 0
+    if not all_live:
+        grad[:, col_norms == 0.0] = 0.0  # direction undefined; subgradient 0
     grad += LAMBDA_NORM * g_norm
 
-    if not (np.isfinite(total) and np.isfinite(grad).all()):
+    if not (math.isfinite(total) and np.isfinite(grad).all()):
         raise NumericalError(
             f"non-finite loss or gradient (total={total!r}, |lhat|_max={np.abs(lhat).max():g})"
         )
-    return LossBreakdown(float(total), l_var, l_env, l_dim, l_diag, l_norm), grad, v
+    return (total, l_var, l_env, l_dim, l_diag, l_norm), grad, v
 
 
 @dataclass
@@ -316,14 +344,23 @@ def adamw_step(state: AdamWState, grad: np.ndarray) -> AdamWState:
     if grad.shape != state.theta.shape:
         raise ValueError(f"gradient shape {grad.shape} != parameter shape {state.theta.shape}")
     t = state.t + 1
-    m = ADAMW_BETA1 * state.m + (1.0 - ADAMW_BETA1) * grad
-    v = ADAMW_BETA2 * state.v + (1.0 - ADAMW_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAMW_BETA1**t)
-    v_hat = v / (1.0 - ADAMW_BETA2**t)
-    theta = state.theta - ADAMW_LEARNING_RATE * (
-        m_hat / (np.sqrt(v_hat) + ADAMW_EPS) + ADAMW_WEIGHT_DECAY * state.theta
-    )
-    return AdamWState(theta, m, v, t)
+    # theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta), with
+    # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, each operation in
+    # that order, on fresh arrays updated in place
+    m = ADAMW_BETA1 * state.m
+    m += (1.0 - ADAMW_BETA1) * grad
+    v = ADAMW_BETA2 * state.v
+    g2 = (1.0 - ADAMW_BETA2) * grad
+    g2 *= grad
+    v += g2
+    step = m / (1.0 - ADAMW_BETA1**t)
+    denom = v / (1.0 - ADAMW_BETA2**t)
+    np.sqrt(denom, out=denom)
+    denom += ADAMW_EPS
+    step /= denom
+    step += ADAMW_WEIGHT_DECAY * state.theta
+    step *= ADAMW_LEARNING_RATE
+    return AdamWState(state.theta - step, m, v, t)
 
 
 def _directional_grad_check(
@@ -366,10 +403,10 @@ def train(dataset: EnvDataset, config: TrainConfig) -> tuple[UnmixingModel, Trai
     report = TrainReport()
 
     for epoch in range(config.epochs):
-        sums = np.zeros(len(fields(LossBreakdown)))
+        sums = [0.0] * len(fields(LossBreakdown))
         for step in range(steps_per_epoch):
             try:
-                breakdown, grad, _ = objective(covs, lhat)
+                terms, grad, _ = _objective_terms(covs, lhat)
             except NumericalError as err:
                 report.wall_time_s = time.perf_counter() - started
                 raise TrainingAborted(
@@ -381,9 +418,9 @@ def train(dataset: EnvDataset, config: TrainConfig) -> tuple[UnmixingModel, Trai
                 report.grad_check_rel_err = _directional_grad_check(covs, lhat, grad, check_rng)
             state = adamw_step(state, grad)
             lhat = state.theta
-            sums += list(vars(breakdown).values())  # astuple would deep-copy each step
-        # tolist: plain floats, so repr writes 52.5 and not np.float64(52.5)
-        report.epoch_losses.append(LossBreakdown(*(sums / steps_per_epoch).tolist()))
+            sums = [total + term for total, term in zip(sums, terms)]
+        report.epoch_losses.append(LossBreakdown(*(total / steps_per_epoch for total in sums)))
+        report.grad_norms.append(float(np.linalg.norm(grad)))
 
     report.final_variances = variance_matrix(covs, lhat)
     report.wall_time_s = time.perf_counter() - started

@@ -19,6 +19,7 @@ from varsparse.data import (
     EPS_VAR,
     EnvDataset,
     MixingMatrix,
+    column_mean,
     export_csv,
     generate,
     is_zero_variance,
@@ -46,6 +47,28 @@ def _chain_dataset(n=400, seed=0):
         n_per_env=n,
         rng_seed=seed,
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(2, 5000),
+    cols=st.integers(1, 40),
+    keep=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_mean_equals_numpy_mean_bit_for_bit(rows, cols, keep, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, cols)) * rng.uniform(1e-3, 1e3) + rng.normal(scale=100.0)
+    k = 2 + int(keep * (rows - 2))  # a [:k] row slice, as the train and test splits are
+    for block in (a, a[:k]):
+        assert np.array_equal(column_mean(block), block.mean(axis=0))
+
+
+def test_column_mean_falls_back_to_numpy_mean_off_its_fast_layout():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(1001, 7)) + 50.0
+    for block in (a[:, :1], a[:, 2:3].copy(), np.asfortranarray(a), a[::2], a.T):
+        assert np.array_equal(column_mean(block), block.mean(axis=0))
 
 
 def test_mixing_accepts_chain_matrix():

@@ -23,7 +23,7 @@ from varsparse.experiments import (
     write_summary_csv,
 )
 from varsparse.ica import fit_fastica, transform
-from varsparse.metrics import mcc_between
+from varsparse.metrics import mcc_between, pooled_moments
 from varsparse.unmixing import ADAMW_LEARNING_RATE, train
 
 TINY = ExperimentConfig(d=3, p=0.5, n_per_env=1200, seeds=(0,), epochs=3, batch_size=200)
@@ -174,6 +174,30 @@ def test_training_output_is_pinned_bit_for_bit():
     digest = hashlib.sha256(np.ascontiguousarray(model.lhat, dtype="<f8").tobytes()).hexdigest()
     assert digest == "c42e39e609e739c24c69514f6e3064c53cb8f4a93ccd964284e41862990e35fd"
     assert repr(report.epoch_losses[-1].total) == "52.34953325077477"
+
+
+def test_training_output_is_pinned_bit_for_bit_at_the_benchmark_dimension():
+    # E = d = 10, as in the train-d10 benchmark; recorded before the fast
+    # column mean and the leaner objective and optimizer step
+    config = ExperimentConfig(d=10, n_per_env=2000, seeds=(0,), epochs=2, batch_size=500)
+    dataset, _ = make_dataset(config, 0)
+    model, report = train(dataset, config.train_config(0))
+    digest = hashlib.sha256(np.ascontiguousarray(model.lhat, dtype="<f8").tobytes()).hexdigest()
+    assert digest == "6d09d8d31e7a448dc0e9881c8e3f55225adc05fc1f32668412f137800e459b73"
+    assert repr(report.epoch_losses[-1].total) == "345.4542181666997"
+
+
+def test_a_grid_builds_the_test_moments_once_per_seed(monkeypatch):
+    calls = []
+
+    def counting(blocks):
+        calls.append(1)
+        return pooled_moments(blocks)
+
+    monkeypatch.setattr(experiments, "pooled_moments", counting)
+    rows = run_experiment("table1", replace(TINY, seeds=(0, 1)), methods=("ours", "fastica"))
+    assert len(rows) == 8 and all(row.error == "" for row in rows)
+    assert len(calls) == 4  # two cells of two seeds
 
 
 def test_run_cell_both_methods_return_scores():

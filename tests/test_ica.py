@@ -25,6 +25,12 @@ def _mixed_uniforms(n=100_000, d=2, seed=0, scale=1.0):
     return sources, sources @ mixing * scale
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_model_mean_is_numpys_column_mean_bit_for_bit(d):
+    _, mixed = _mixed_uniforms(n=20_001, d=d, seed=4)
+    assert np.array_equal(fit_fastica(mixed + 30.0, d=d, seed=0).mean, (mixed + 30.0).mean(axis=0))
+
+
 def test_recovers_uniform_sources_through_random_mixing():
     sources, mixed = _mixed_uniforms(seed=1)
     model = fit_fastica(mixed, d=2, seed=0)

@@ -201,6 +201,33 @@ def test_moments_mcc_matches_the_row_mcc(problem):
         assert np.array_equal(c[:, dead], np.zeros(len(c)))
 
 
+def _reference_pooled_moments(blocks):
+    """pooled_moments' mean and covariance as first written, with NumPy's
+    column mean. The fast column mean must match it bit for bit."""
+    counts, means, scatter = [], [], 0.0
+    for z, x in blocks:
+        rows = np.hstack([z, x])
+        mean = rows.mean(axis=0)
+        centred = rows - mean
+        scatter = scatter + centred.T @ centred
+        counts.append(len(rows))
+        means.append(mean)
+    n = sum(counts)
+    block_means = np.array(means)
+    mean = np.array(counts) @ block_means / n
+    spread = block_means - mean
+    return mean, (scatter + (spread.T * counts) @ spread) / n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks_and_maps())
+def test_pooled_moments_match_the_reference_formulation_bit_for_bit(problem):
+    blocks = problem[0]
+    moments = pooled_moments(blocks)
+    mean, cov = _reference_pooled_moments(blocks)
+    assert np.array_equal(moments.mean, mean) and np.array_equal(moments.cov, cov)
+
+
 # ---------------------------------------------------------------- mcc
 
 

@@ -176,6 +176,30 @@ def test_covariance_kernel_matches_row_path(problem):
     assert _close(variance_matrix(covs, lhat), v_rows, scale=data_scale)
 
 
+def _reference_covariances(batches, d):
+    """covariances as first written, with NumPy's column mean. The fast
+    column mean must match it bit for bit."""
+    covs = np.empty((len(batches), d, d))
+    for e, batch in enumerate(batches):
+        centered = batch - batch.mean(axis=0)
+        covs[e] = centered.T @ centered / batch.shape[0]
+    return covs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_problems())
+def test_covariances_match_the_reference_formulation_bit_for_bit(problem):
+    batches, lhat = problem
+    d = lhat.shape[0]
+    assert np.array_equal(covariances(batches, d), _reference_covariances(batches, d))
+
+
+def test_covariances_match_the_reference_with_one_column():
+    rng = np.random.default_rng(23)
+    batches = [rng.normal(size=(n, 1)) + 40.0 for n in (2, 257, 3001)]
+    assert np.array_equal(covariances(batches, 1), _reference_covariances(batches, 1))
+
+
 # ---------------------------------------------------------------- variance_matrix
 
 
@@ -664,6 +688,18 @@ def test_train_takes_one_step_per_epoch_from_any_batch_size_past_the_train_rows(
     huge, report_huge = train(ds, TrainConfig(epochs=3, batch_size=10**6, seed=0))
     assert np.array_equal(whole.lhat, huge.lhat)
     assert report_whole.epoch_losses == report_huge.epoch_losses
+
+
+def test_train_records_each_epochs_last_gradient_norm():
+    ds = _chain_dataset(n=1_000)
+    config = TrainConfig(epochs=1, batch_size=ds.n_train, seed=3)
+    _, report = train(ds, config)
+    covs = covariances([ds.train_observed(e) for e in range(ds.n_envs)], ds.d)
+    first = objective(covs, unmixing._initial_lhat(ds.d, config.seed))[1]
+    assert report.grad_norms == [float(np.linalg.norm(first))]
+    _, report = train(ds, TrainConfig(epochs=4, batch_size=300, seed=3))
+    assert json.loads(report.to_json())["grad_norms"] == report.grad_norms
+    assert len(report.grad_norms) == 4
 
 
 def test_grad_check_diagnostic_leaves_training_unchanged(monkeypatch):
