@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from varsparse.experiments import ExperimentConfig, make_dataset, test_split
+from varsparse.experiments import ExperimentConfig, make_dataset, pooled_test_moments
 from varsparse.metrics import disentanglement_check, mcc_between
 from varsparse.unmixing import covariances, train, variance_matrix
 
@@ -47,8 +47,7 @@ def main():
     print(verdict)
     print()
 
-    reference, observed = test_split(dataset)
-    result = mcc_between(reference, observed @ model.lhat)
+    result = mcc_between(pooled_test_moments(dataset), (model.lhat, 0.0))
     print(f"mcc on the test split: {result.score:.4f}")
     print(f"matched pairs (true -> learned): {result.permutation}")
 

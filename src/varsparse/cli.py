@@ -121,6 +121,12 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.from_manifest:  # the manifest fixes what these flags would set
+        flags = {"--seed": "seeds", "--design": "design", "--d": "d",
+                 "--scm": "scm", "--p": "p", "--n": "n_per_env"}
+        unread = " ".join(flag for flag, name in flags.items() if getattr(args, name) is not None)
+        if unread:
+            raise ValueError(f"--from-manifest regenerates what the manifest records; drop {unread}")
     config = build_config(args)
     seed = config.seeds[0]
     out = Path(config.out_dir)
@@ -169,7 +175,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     (out / "train_report.json").write_text(report.to_json() + "\n")
     report.to_csv(out / "train_losses.csv")
     score = mcc_between(pooled_test_moments(dataset), (model.lhat, 0.0)).score
-    print(f"final training loss {float(report.epoch_losses[-1].total)!r}")
+    print(f"last epoch's mean training loss {float(report.epoch_losses[-1].total)!r}")
     print(f"test-split mcc {score!r}")
     print(f"wrote {out / 'checkpoint.bin'}")
     return EXIT_OK

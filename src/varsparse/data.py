@@ -52,11 +52,17 @@ class MixingDrawsExhausted(RuntimeError):
     """No draw of a mixing matrix passed the invertibility guard."""
 
 
+def zero_variance(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Which columns of the given means and variances count as constant.
+
+    The threshold is relative to the mean square, var + mean^2."""
+    return var <= EPS_VAR * np.maximum(1.0, var + mean * mean)
+
+
 def is_zero_variance(column: np.ndarray) -> bool:
-    """Numerically-zero variance test, scaled by the column's magnitude."""
+    """zero_variance for the samples of one column."""
     column = np.asarray(column, dtype=float)
-    scale = max(1.0, float(np.mean(column * column)))
-    return float(np.var(column)) <= EPS_VAR * scale
+    return bool(zero_variance(column.mean(), column.var()))
 
 
 def column_mean(a: np.ndarray) -> np.ndarray:

@@ -256,15 +256,6 @@ def regenerate(manifest: dict) -> EnvDataset:
     return generate(scm, envs, MixingMatrix(entries), n_per_env, rng_seed=seeds["data"])
 
 
-def test_split(dataset: EnvDataset) -> tuple[np.ndarray, np.ndarray]:
-    """The pooled test latents and observations, environments in order."""
-    envs = range(dataset.n_envs)
-    return (
-        np.vstack([dataset.test_latents(e) for e in envs]),
-        np.vstack([dataset.test_observed(e) for e in envs]),
-    )
-
-
 def pooled_test_moments(dataset: EnvDataset) -> PooledMoments:
     """Pooled moments of the test rows [latents | observed] over the environments."""
     return pooled_moments(

@@ -20,7 +20,7 @@ from typing import Iterable, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import EPS_VAR, column_mean
+from .data import column_mean, zero_variance
 
 # disentanglement_check treats entries below this share of the largest as zero
 _STRUCTURE_TOL = 1e-2
@@ -83,11 +83,6 @@ def pooled_moments(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> PooledMom
     return PooledMoments(n_reference, mean, cov)
 
 
-def _dead_columns(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
-    # is_zero_variance from a column's mean and variance: mean square = variance + mean^2
-    return var <= EPS_VAR * np.maximum(1.0, var + mean * mean)
-
-
 def _correlations(
     cross: np.ndarray, x_sd: np.ndarray, x_dead: np.ndarray, y_sd: np.ndarray, y_dead: np.ndarray
 ) -> np.ndarray:
@@ -104,7 +99,7 @@ def pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pearson coefficients between all column pairs of x and y.
 
     c[i, j] correlates column i of x with column j of y. Where either column
-    has numerically zero variance (is_zero_variance) the correlation is 0,
+    has numerically zero variance (data.zero_variance) the correlation is 0,
     so a collapsed learned dimension degrades the score instead of raising.
     """
     x = np.asarray(x, dtype=float)
@@ -124,8 +119,8 @@ def pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     sx = np.linalg.norm(xc, axis=0)
     sy = np.linalg.norm(yc, axis=0)
     # the centred column norms are sqrt(n * variance)
-    x_dead = _dead_columns(x_mean, sx * sx / n)
-    y_dead = _dead_columns(y_mean, sy * sy / n)
+    x_dead = zero_variance(x_mean, sx * sx / n)
+    y_dead = zero_variance(y_mean, sy * sy / n)
     return _correlations(xc.T @ yc, sx, x_dead, sy, y_dead)
 
 
@@ -149,8 +144,8 @@ def moments_pearson(
     z_var = np.diag(moments.cov)[:k]
     y_var = np.maximum(np.einsum("ij,ij->j", a, moments.cov[k:, k:] @ a), 0.0)
     y_mean = (x_mean - offset) @ a
-    z_dead = _dead_columns(z_mean, z_var)
-    y_dead = _dead_columns(y_mean, y_var)
+    z_dead = zero_variance(z_mean, z_var)
+    y_dead = zero_variance(y_mean, y_var)
     return _correlations(moments.cov[:k, k:] @ a, np.sqrt(z_var), z_dead, np.sqrt(y_var), y_dead)
 
 

@@ -16,7 +16,8 @@ nonzero entry, loss_diag is a group norm over wrap-around diagonals of V
 (nonzeros should align on few diagonals), and loss_norm = (||lhat||_F - 1)^2
 keeps the parameters away from the all-zero collapse. Each term function
 returns its value and its analytic gradient (wrt V, or wrt lhat for
-loss_norm), and objective(covs, lhat) combines them on the stack with the
+loss_norm; the row and column terms' gradients broadcast against V), and
+objective(covs, lhat) calls them and combines them on the stack with the
 fixed weights LAMBDA_*; the optimizer is a self-contained AdamW.
 """
 
@@ -192,19 +193,17 @@ def loss_var(v: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def loss_env(v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minus the sum of sigmoids of row sums: every environment keeps signal."""
+    """Minus the sum of sigmoids of row sums: every environment keeps signal.
+    The gradient has shape (E, 1), one entry per row, and broadcasts against V."""
     value, gain = loss_var(v.sum(axis=1))
-    grad = np.empty_like(v)
-    grad[...] = -gain[:, None]
-    return -value, grad
+    return -value, -gain[:, None]
 
 
 def loss_dim(v: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minus the sum of sigmoids of column sums: every dimension keeps signal."""
+    """Minus the sum of sigmoids of column sums: every dimension keeps signal.
+    The gradient has shape (1, d), one entry per column, and broadcasts against V."""
     value, gain = loss_var(v.sum(axis=0))
-    grad = np.empty_like(v)
-    grad[...] = -gain[None, :]
-    return -value, grad
+    return -value, -gain[None, :]
 
 
 @functools.lru_cache(maxsize=16)
@@ -288,11 +287,8 @@ def _objective_terms(
     v = v_dir / scale if scale > 0 else v_dir
 
     l_var, g_var = loss_var(v)
-    # loss_env and loss_dim as minus loss_var of the row and column sums; the
-    # gradient subtracts the (E,) and (d,) gains along the rows and columns
-    s_env, gain_env = loss_var(v.sum(axis=1))
-    s_dim, gain_dim = loss_var(v.sum(axis=0))
-    l_env, l_dim = -s_env, -s_dim
+    l_env, g_env = loss_env(v)
+    l_dim, g_dim = loss_dim(v)
     l_diag, g_diag = loss_diag(v)
     l_norm, g_norm = loss_norm(lhat)
     total = (
@@ -306,7 +302,7 @@ def _objective_terms(
     # dtotal/dV, pulled back through the per-environment variance map
     # (dV[e, j]/du_j = 2 S_e u_j) onto the unit directions, then through the
     # normalization (the tangent projection I - u u^T, scaled by 1/||l_j||)
-    g_vn = g_var - LAMBDA_E * gain_env[:, None] - LAMBDA_M * gain_dim + LAMBDA_DIAG * g_diag
+    g_vn = g_var + LAMBDA_E * g_env + LAMBDA_M * g_dim + LAMBDA_DIAG * g_diag
     if scale > 0:
         g_v = (g_vn - float((g_vn * v).sum()) * v / v.size) / scale
     else:

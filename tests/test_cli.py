@@ -9,7 +9,7 @@ import pytest
 from varsparse import cli
 from varsparse.cli import _SECTIONS, build_config, build_parser, load_config_file, main
 from varsparse.envs import EnvironmentSet, InterventionRegime, leave_one_out_design
-from varsparse import data, experiments
+from varsparse import data
 from varsparse.experiments import ExperimentConfig
 from varsparse.metrics import mcc_between
 import varsparse.ica as ica
@@ -155,6 +155,33 @@ def test_generate_from_manifest_is_bit_exact(tmp_path, tiny_config):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["generate", "--config", tiny_config, "--out", str(a)]) == 0
     assert main(["generate", "--from-manifest", str(a / "manifest.json"), "--out", str(b)]) == 0
+    assert (a / "dataset.bin").read_bytes() == (b / "dataset.bin").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", "7"], ["--design", "separating"], ["--d", "5"], ["--scm", "linear"],
+     ["--p", "0.9"], ["--n", "999"], ["--d", "5", "--n", "999", "--p", "0.9", "--seed", "7"]],
+    ids=["seed", "design", "d", "scm", "p", "n", "several"],
+)
+def test_generate_from_manifest_rejects_the_flags_the_manifest_fixes(tmp_path, tiny_config, capsys, flags):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["generate", "--config", tiny_config, "--out", str(a)]) == 0
+    capsys.readouterr()
+    code = main(["generate", "--from-manifest", str(a / "manifest.json"), *flags, "--out", str(b)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --from-manifest") and all(f in err for f in flags[::2])
+    assert not b.exists()
+
+
+def test_generate_from_manifest_still_reads_the_config_file(tmp_path, tiny_config):
+    # one config file serves every subcommand, so its keys stay allowed
+    a = tmp_path / "a"
+    assert main(["generate", "--config", tiny_config, "--out", str(a)]) == 0
+    b = tmp_path / "b"
+    assert main(["generate", "--config", tiny_config, "--from-manifest", str(a / "manifest.json"),
+                 "--out", str(b)]) == 0
     assert (a / "dataset.bin").read_bytes() == (b / "dataset.bin").read_bytes()
 
 
@@ -313,7 +340,11 @@ def test_train_writes_checkpoint_and_reports(tmp_path, tiny_config, capsys):
     assert (out / "checkpoint.bin").exists()
     assert (out / "train_report.json").exists()
     assert (out / "train_losses.csv").read_text().startswith("epoch,total,")
-    assert "test-split mcc" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "test-split mcc" in text
+    # the printed loss is the last epoch's mean over its steps, as the report records it
+    printed = float(re.search(r"last epoch's mean training loss (\S+)", text).group(1))
+    assert printed == json.loads((out / "train_report.json").read_text())["epochs"][-1]["total"]
 
 
 def test_train_seed_changes_checkpoint(tmp_path, tiny_config):
@@ -355,7 +386,9 @@ def test_evaluate_scores_checkpoint(tmp_path, tiny_config, capsys):
     text = capsys.readouterr().out
     assert "test-split mcc" in text and "matched pairs" in text
     # the printed score is the row MCC of the test split, read off its moments
-    z, x = experiments.test_split(data.load(out / "dataset.bin"))
+    dataset = data.load(out / "dataset.bin")
+    z = np.vstack([dataset.test_latents(e) for e in range(dataset.n_envs)])
+    x = np.vstack([dataset.test_observed(e) for e in range(dataset.n_envs)])
     rows = mcc_between(z, x @ load_checkpoint(out / "checkpoint.bin")[0].lhat).score
     assert abs(float(re.search(r"test-split mcc (\S+)", text).group(1)) - rows) <= 1e-12
 

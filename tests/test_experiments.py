@@ -157,7 +157,8 @@ def test_regenerate_rejects_foreign_documents():
 def test_methods_are_scored_from_test_moments_as_the_test_rows_score(method):
     dataset, _ = make_dataset(TINY, 0)
     score, fitted = experiments._fit_and_score(dataset, method, TINY, 0)
-    z, x = experiments.test_split(dataset)
+    z = np.vstack([dataset.test_latents(e) for e in range(dataset.n_envs)])
+    x = np.vstack([dataset.test_observed(e) for e in range(dataset.n_envs)])
     if method == "ours":
         learned = x @ train(dataset, TINY.train_config(0))[0].lhat
     else:
@@ -210,6 +211,14 @@ def test_run_cell_both_methods_return_scores():
             assert row.ica_converged is None and row.ica_n_iter is None
         else:
             assert row.ica_converged is True and row.ica_n_iter >= 1
+
+
+@pytest.mark.parametrize("method", experiments.METHODS)
+def test_evaluate_method_scores_as_the_grid_does(method):
+    # the benchmark's panel calls evaluate_method, the grids run_cell, which
+    # shares one set of test moments between the methods; both must agree exactly
+    dataset, _ = make_dataset(TINY, 0)
+    assert experiments.evaluate_method(dataset, method, TINY, 0) == run_cell("unit", TINY, 0, method).mcc
 
 
 def test_run_cell_records_fastica_non_convergence(monkeypatch):
