@@ -33,7 +33,6 @@ from .experiments import (
 )
 from .metrics import disentanglement_check, mcc_between
 from .unmixing import (
-    NumericalError,
     TrainConfig,
     TrainingAborted,
     load_checkpoint,
@@ -120,11 +119,15 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(**_given_fields(args))
 
 
+def _flags_given(args: argparse.Namespace, names: Sequence[str]) -> str:
+    """The command-line flags, among those that set the ExperimentConfig fields names, given."""
+    spelled = {"seeds": "--seed", "n_per_env": "--n"}  # where a flag differs from its field
+    return " ".join(spelled.get(n, f"--{n}") for n in names if getattr(args, n, None) is not None)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.from_manifest:  # the manifest fixes what these flags would set
-        flags = {"--seed": "seeds", "--design": "design", "--d": "d",
-                 "--scm": "scm", "--p": "p", "--n": "n_per_env"}
-        unread = " ".join(flag for flag, name in flags.items() if getattr(args, name) is not None)
+        unread = _flags_given(args, ("seeds", "design", "d", "scm", "p", "n_per_env"))
         if unread:
             raise ValueError(f"--from-manifest regenerates what the manifest records; drop {unread}")
     config = build_config(args)
@@ -200,6 +203,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    fixed = set.intersection(*(set(cell) for cell in GRIDS[args.which]))
+    unread = _flags_given(args, [f.name for f in fields(ExperimentConfig) if f.name in fixed])
+    if unread:
+        raise ValueError(f"every cell of {args.which} sets what {unread} would; drop them")
     config = build_config(args)
     methods = tuple(args.methods.split(",")) if args.methods else METHODS
     rows_path, summary_path, rows = reproduce(args.which, config, methods=methods)
@@ -259,7 +266,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TrainingAborted, NumericalError) as err:
+    except TrainingAborted as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as err:  # json.JSONDecodeError is a ValueError

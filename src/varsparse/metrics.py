@@ -6,10 +6,11 @@ permutation-maximized mean absolute correlation (MCC) solved exactly as a
 linear assignment problem, and a structural check that an effective matrix
 is a permutation composed with nonzero scalings.
 
-Pearson also has a moments form: for a learned linear map of the observed
+Pearson has one kernel, on moments: for a linear map of the observed
 columns, every correlation with the reference columns is read off the pooled
 mean and covariance of the rows [reference | observed], so scoring never
-re-reads the rows once their moments are known.
+re-reads the rows once their moments are known. Two sample matrices are
+scored as one block under the identity map.
 """
 
 from __future__ import annotations
@@ -83,24 +84,13 @@ def pooled_moments(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> PooledMom
     return PooledMoments(n_reference, mean, cov)
 
 
-def _correlations(
-    cross: np.ndarray, x_sd: np.ndarray, x_dead: np.ndarray, y_sd: np.ndarray, y_dead: np.ndarray
-) -> np.ndarray:
-    """cross scaled by the columns' spreads, 0 where either column is dead,
-    clipped to [-1, 1] against rounding past a perfect correlation."""
-    c = cross / np.outer(np.where(x_dead, 1.0, x_sd), np.where(y_dead, 1.0, y_sd))
-    c[x_dead, :] = 0.0
-    c[:, y_dead] = 0.0
-    np.clip(c, -1.0, 1.0, out=c)
-    return c
-
-
 def pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pearson coefficients between all column pairs of x and y.
 
     c[i, j] correlates column i of x with column j of y. Where either column
     has numerically zero variance (data.zero_variance) the correlation is 0,
     so a collapsed learned dimension degrades the score instead of raising.
+    It is moments_pearson of the one block (x, y) under the identity map.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -108,20 +98,7 @@ def pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError("inputs must be 2-d sample matrices")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least 2 rows to correlate")
-
-    x_mean = x.mean(axis=0)
-    y_mean = y.mean(axis=0)
-    xc = x - x_mean
-    yc = y - y_mean
-    sx = np.linalg.norm(xc, axis=0)
-    sy = np.linalg.norm(yc, axis=0)
-    # the centred column norms are sqrt(n * variance)
-    x_dead = zero_variance(x_mean, sx * sx / n)
-    y_dead = zero_variance(y_mean, sy * sy / n)
-    return _correlations(xc.T @ yc, sx, x_dead, sy, y_dead)
+    return moments_pearson(pooled_moments([(x, y)]), np.eye(y.shape[1]), 0.0)
 
 
 def moments_pearson(
@@ -131,8 +108,9 @@ def moments_pearson(
 
     With C the covariance and mu the mean: cov(z, y) = C_zx A,
     var(y) = diag(A^T C_xx A) (clamped at 0 against rounding), and
-    mean(y) = (mu_x - offset) A. Dead columns are found, zeroed and the
-    entries clipped as pearson does.
+    mean(y) = (mu_x - offset) A. Where either column is dead
+    (data.zero_variance) the entry is 0, and every entry is clipped to
+    [-1, 1] against rounding past a perfect correlation.
     """
     a = np.asarray(unmixing, dtype=float)
     k = moments.n_reference
@@ -146,7 +124,13 @@ def moments_pearson(
     y_mean = (x_mean - offset) @ a
     z_dead = zero_variance(z_mean, z_var)
     y_dead = zero_variance(y_mean, y_var)
-    return _correlations(moments.cov[:k, k:] @ a, np.sqrt(z_var), z_dead, np.sqrt(y_var), y_dead)
+    z_sd = np.where(z_dead, 1.0, np.sqrt(z_var))
+    y_sd = np.where(y_dead, 1.0, np.sqrt(y_var))
+    c = moments.cov[:k, k:] @ a / np.outer(z_sd, y_sd)
+    c[z_dead, :] = 0.0
+    c[:, y_dead] = 0.0
+    np.clip(c, -1.0, 1.0, out=c)
+    return c
 
 
 def mcc(c: np.ndarray) -> MccResult:

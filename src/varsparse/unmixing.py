@@ -403,15 +403,15 @@ def train(dataset: EnvDataset, config: TrainConfig) -> tuple[UnmixingModel, Trai
         for step in range(steps_per_epoch):
             try:
                 terms, grad, _ = _objective_terms(covs, lhat)
+                if epoch == 0 and step == 0:
+                    # a stream of its own: switching the diagnostic off changes no result
+                    check_rng = np.random.default_rng(derive_seed(config.seed, 1))
+                    report.grad_check_rel_err = _directional_grad_check(covs, lhat, grad, check_rng)
             except NumericalError as err:
                 report.wall_time_s = time.perf_counter() - started
                 raise TrainingAborted(
                     f"aborted at epoch {epoch}, step {step}: {err}", epoch, step, report
                 ) from err
-            if epoch == 0 and step == 0:
-                # a stream of its own: switching the diagnostic off changes no result
-                check_rng = np.random.default_rng(derive_seed(config.seed, 1))
-                report.grad_check_rel_err = _directional_grad_check(covs, lhat, grad, check_rng)
             state = adamw_step(state, grad)
             lhat = state.theta
             sums = [total + term for total, term in zip(sums, terms)]

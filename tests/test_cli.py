@@ -450,10 +450,37 @@ def test_reproduce_prints_each_fastica_row_that_did_not_converge(tmp_path, tiny_
 def test_reproduce_rerun_is_byte_identical(tmp_path, tiny_config):
     a, b = tmp_path / "a", tmp_path / "b"
     for dest in (a, b):
-        assert main(["reproduce", "table1", "--config", tiny_config, "--d", "6",
+        assert main(["reproduce", "table1", "--config", tiny_config,
                      "--n", "400", "--methods", "fastica", "--out", str(dest)]) == 0
     assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
     assert (a / "table1_summary.csv").read_bytes() == (b / "table1_summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "which,flags,named",
+    [
+        ("table1", ["--d", "4", "--scm", "linear", "--n", "400"], "--d --scm"),
+        ("fig2a", ["--p", "0.25"], "--p"),
+        ("fig2c", ["--n", "400"], "--n"),
+    ],
+)
+def test_reproduce_rejects_a_flag_that_every_cell_of_its_grid_overrides(
+    tmp_path, tiny_config, capsys, which, flags, named
+):
+    out = tmp_path / "csv"
+    code = main(["reproduce", which, "--config", tiny_config, "--seed", "0",
+                 "--methods", "fastica", "--out", str(out), *flags])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: every cell of {which} sets what {named} would; drop them\n"
+    assert not out.exists()
+
+
+def test_reproduce_rejects_a_repeated_method(tmp_path, tiny_config, capsys):
+    out = tmp_path / "csv"
+    code = main(["reproduce", "table1", "--config", tiny_config, "--methods", "ours,ours", "--out", str(out)])
+    assert code == 1
+    assert "methods must be distinct" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reproduce_rejects_unknown_grid():

@@ -241,7 +241,16 @@ def test_run_cell_records_failures_as_rows(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         row = run_cell("unit", TINY, seed=0, method="ours")
     assert np.isnan(row.mcc)
-    assert row.error.startswith(("TrainingAborted: ", "NumericalError: "))
+    assert row.error.startswith("TrainingAborted: ")
+
+
+def test_run_cell_records_a_failing_gradient_check_as_training_aborted(monkeypatch):
+    def injected(*args):
+        raise unmixing.NumericalError("injected")
+
+    monkeypatch.setattr(unmixing, "objective", injected)
+    row = run_cell("unit", TINY, seed=0, method="ours")
+    assert np.isnan(row.mcc) and row.error.startswith("TrainingAborted: ") and row.error.endswith("injected")
 
 
 @pytest.mark.parametrize(
@@ -319,6 +328,18 @@ def test_grids_enumerate_documented_settings(monkeypatch):
         run_experiment("fig9", base)
     with pytest.raises(ValueError, match="unknown method"):
         run_experiment("fig2a", base, methods=("gradient-boosting",))
+
+
+def test_a_repeated_method_is_rejected_before_anything_runs(tmp_path, monkeypatch):
+    # summarize would count the repeat as a second seed with a stderr of 0
+    monkeypatch.setattr(experiments, "make_dataset", None)  # nothing may be generated
+    config = ExperimentConfig(n_per_env=400, seeds=(0,), epochs=1, batch_size=64,
+                              out_dir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="methods must be distinct"):
+        run_experiment("table1", config, methods=("ours", "ours"))
+    with pytest.raises(ValueError, match="methods must be distinct"):
+        reproduce("table1", config, methods=("ours", "fastica", "ours"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_rows_come_out_in_cell_seed_method_order():

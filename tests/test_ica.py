@@ -2,7 +2,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import varsparse.ica as ica
@@ -179,7 +179,12 @@ def _chunk_boundary_samples(draw):
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sources = rng.uniform(-1, 1, size=(n, d))
-    return sources @ rng.normal(size=(d, d)), draw(st.integers(0, 2**32 - 1))
+    mixing = rng.normal(size=(d, d))
+    # fit_fastica rightly rejects a near-singular mixing (covariance eigenvalue
+    # ratio under _RANK_RTOL = 1e-10, condition number over about 1e5): seen
+    # with a 5 x 5 draw whose singular values spanned 2e2 to 2e-4
+    assume(np.linalg.cond(mixing) < 1e4)
+    return sources @ mixing, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=40, deadline=None)

@@ -188,12 +188,18 @@ def test_moments_mcc_matches_the_row_mcc(problem):
     blocks, unmixing, offset, constant, dead = problem
     z = np.vstack([block[0] for block in blocks])
     x = np.vstack([block[1] for block in blocks])
-    rows = mcc_between(z, (x - offset) @ unmixing)
+    y = (x - offset) @ unmixing
+    rows = mcc_between(z, y)
     moments = mcc_between(pooled_moments(blocks), (unmixing, offset))
     assert abs(moments.score - rows.score) <= 1e-12
     assert moments.permutation == rows.permutation
     c = moments_pearson(pooled_moments(blocks), unmixing, offset)
-    assert np.allclose(c, pearson(z, (x - offset) @ unmixing), rtol=0, atol=1e-12)
+    assert np.allclose(c, pearson(z, y), rtol=0, atol=1e-12)
+    # the live entries against an independent reference, the stacked rows' corrcoef
+    live_z = np.flatnonzero([not is_zero_variance(col) for col in z.T])
+    live_y = np.flatnonzero([not is_zero_variance(col) for col in y.T])
+    full = np.corrcoef(z[:, live_z], y[:, live_y], rowvar=False)[: live_z.size, live_z.size :]
+    assert np.allclose(c[np.ix_(live_z, live_y)], full, rtol=0, atol=1e-12)
     # a constant reference column and an all-zero learned column are dead on both paths
     if constant is not None:
         assert np.array_equal(c[constant], np.zeros(len(c)))

@@ -725,6 +725,22 @@ def test_training_aborted_carries_partial_report(monkeypatch):
     assert err.value.report.epoch_losses == [] and err.value.report.wall_time_s > 0
 
 
+def test_a_failing_gradient_check_aborts_training_like_a_failing_step(monkeypatch):
+    ds = _chain_dataset(n=2_000, seed=3)
+
+    def injected(*args):
+        raise unmixing.NumericalError("injected")
+
+    # only the step-0 gradient check calls objective; the steps call _objective_terms
+    monkeypatch.setattr(unmixing, "objective", injected)
+    with pytest.raises(TrainingAborted) as err:
+        train(ds, TrainConfig(epochs=5, batch_size=500, seed=0))
+    assert str(err.value) == "aborted at epoch 0, step 0: injected"
+    assert (err.value.epoch, err.value.step) == (0, 0)
+    assert err.value.report.epoch_losses == [] and err.value.report.wall_time_s > 0
+    assert np.isnan(err.value.report.grad_check_rel_err)
+
+
 # ---------------------------------------------------------------- model/config types
 
 
