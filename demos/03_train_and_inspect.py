@@ -10,7 +10,12 @@ import argparse
 
 import numpy as np
 
-from varsparse.experiments import ExperimentConfig, make_dataset, pooled_test_moments
+from varsparse.experiments import (
+    ExperimentConfig,
+    make_dataset,
+    pooled_test_moments,
+    train_covariances,
+)
 from varsparse.metrics import disentanglement_check, mcc_between
 from varsparse.unmixing import covariances, train, variance_matrix
 
@@ -27,7 +32,8 @@ def main():
         d=args.d, n_per_env=args.n, seeds=(args.seed,), epochs=args.epochs, batch_size=1024
     )
     dataset, _ = make_dataset(config, args.seed)
-    model, report = train(dataset, config.train_config(args.seed))
+    train_covs = train_covariances(dataset)
+    model, report = train(train_covs, dataset.n_train, config.train_config(args.seed))
 
     np.set_printoptions(precision=5, suppress=True)
     first, last = report.epoch_losses[0], report.epoch_losses[-1]

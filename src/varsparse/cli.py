@@ -30,6 +30,7 @@ from .experiments import (
     pooled_test_moments,
     regenerate,
     reproduce,
+    train_covariances,
 )
 from .metrics import disentanglement_check, mcc_between
 from .unmixing import (
@@ -173,7 +174,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_config = config.train_config(seed)
-    model, report = train(dataset, train_config)
+    model, report = train(train_covariances(dataset), dataset.n_train, train_config)
     save_checkpoint(model, out / "checkpoint.bin", train_config)
     (out / "train_report.json").write_text(report.to_json() + "\n")
     report.to_csv(out / "train_losses.csv")

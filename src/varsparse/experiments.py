@@ -31,7 +31,7 @@ from .envs import (
 from .ica import IcaModel, IcaRankError, fit_fastica
 from .metrics import PooledMoments, mcc_between, pooled_moments
 from .scm import Scm, builtin_nonlinear_scm, sample_er_dag, sample_linear_scm
-from .unmixing import TrainConfig, TrainingAborted, train
+from .unmixing import TrainConfig, TrainingAborted, covariances, train
 
 # substream purposes hung off each run seed
 SEED_SCM = 0
@@ -255,6 +255,11 @@ def regenerate(manifest: dict) -> EnvDataset:
     return generate(scm, envs, MixingMatrix(entries), n_per_env, rng_seed=seeds["data"])
 
 
+def train_covariances(dataset: EnvDataset) -> np.ndarray:
+    """(E, d, d) stack of the covariances of each environment's train rows."""
+    return covariances([dataset.train_observed(e) for e in range(dataset.n_envs)], dataset.d)
+
+
 def pooled_test_moments(dataset: EnvDataset) -> PooledMoments:
     """Pooled moments of the test rows [latents | observed] over the environments."""
     return pooled_moments(
@@ -282,7 +287,7 @@ def _fit_and_score(
     pooled test moments: the given ones, or else the dataset's."""
     ica = None
     if method == "ours":
-        model, _ = train(dataset, config.train_config(seed))
+        model, _ = train(train_covariances(dataset), dataset.n_train, config.train_config(seed))
         learned = (model.lhat, 0.0)
     elif method == "fastica":
         pooled = np.vstack([dataset.train_observed(e) for e in range(dataset.n_envs)])

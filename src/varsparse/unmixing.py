@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import expit
 
 from ._rng import derive_seed
-from .data import EnvDataset, column_mean
+from .data import column_mean
 from .envs import _integer
 
 # AdamW step size, moment decays, denominator guard and decoupled weight decay
@@ -378,24 +378,30 @@ def _directional_grad_check(
     return worst
 
 
-def train(dataset: EnvDataset, config: TrainConfig) -> tuple[UnmixingModel, TrainReport]:
-    """Full-batch minimization of the objective over the dataset's train split.
+def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingModel, TrainReport]:
+    """Full-batch minimization of the objective over an (E, d, d) stack of
+    per-environment train covariances, E >= 2, which it only reads.
 
-    The train rows enter once, as the stack of per-environment covariances;
-    every step evaluates loss and gradient on it and applies one optimizer
-    update. batch_size only sets the steps per epoch,
-    ceil(n_train / batch_size), so any batch_size >= n_train takes one.
+    n_rows, the train rows per environment, only sets the steps per epoch,
+    ceil(n_rows / batch_size), so any batch_size >= n_rows takes one.
     Bit-reproducible for a fixed config.seed.
     """
-    n_envs = dataset.n_envs
+    covs = np.asarray(covs, dtype=float)
+    if covs.ndim != 3:
+        raise ValueError(f"covs must be an (E, d, d) stack, got shape {covs.shape}")
+    if covs.shape[1] != covs.shape[2]:
+        raise ValueError(f"covs must be square in its last two axes, got shape {covs.shape}")
+    n_envs, d = covs.shape[:2]
     if n_envs < 2:
         raise ValueError(f"need at least 2 environments, got {n_envs}")
+    n_rows = _integer("n_rows", n_rows)
+    if n_rows < 2:
+        raise ValueError(f"n_rows must be >= 2, got {n_rows}")
 
     started = time.perf_counter()
-    lhat = _initial_lhat(dataset.d, config.seed)
+    lhat = _initial_lhat(d, config.seed)
     state = adamw_init(lhat)
-    covs = covariances([dataset.train_observed(e) for e in range(n_envs)], dataset.d)
-    steps_per_epoch = -(-dataset.n_train // config.batch_size)
+    steps_per_epoch = -(-n_rows // config.batch_size)
     report = TrainReport()
 
     for epoch in range(config.epochs):

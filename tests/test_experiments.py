@@ -19,6 +19,7 @@ from varsparse.experiments import (
     run_cell,
     run_experiment,
     summarize,
+    train_covariances,
     write_rows_csv,
     write_summary_csv,
 )
@@ -160,7 +161,8 @@ def test_methods_are_scored_from_test_moments_as_the_test_rows_score(method):
     z = np.vstack([dataset.test_latents(e) for e in range(dataset.n_envs)])
     x = np.vstack([dataset.test_observed(e) for e in range(dataset.n_envs)])
     if method == "ours":
-        learned = x @ train(dataset, TINY.train_config(0))[0].lhat
+        covs = train_covariances(dataset)
+        learned = x @ train(covs, dataset.n_train, TINY.train_config(0))[0].lhat
     else:
         learned = transform(fitted, x)
     assert abs(score - mcc_between(z, learned).score) <= 1e-12
@@ -171,7 +173,7 @@ def test_training_output_is_pinned_bit_for_bit():
     # the objective became one kernel over the covariance stack; a refactor of
     # the objective or the optimizer must leave both exactly as they are
     dataset, _ = make_dataset(TINY, 0)
-    model, report = train(dataset, TINY.train_config(0))
+    model, report = train(train_covariances(dataset), dataset.n_train, TINY.train_config(0))
     digest = hashlib.sha256(np.ascontiguousarray(model.lhat, dtype="<f8").tobytes()).hexdigest()
     assert digest == "c42e39e609e739c24c69514f6e3064c53cb8f4a93ccd964284e41862990e35fd"
     assert repr(report.epoch_losses[-1].total) == "52.34953325077477"
@@ -182,7 +184,7 @@ def test_training_output_is_pinned_bit_for_bit_at_the_benchmark_dimension():
     # column mean and the leaner objective and optimizer step
     config = ExperimentConfig(d=10, n_per_env=2000, seeds=(0,), epochs=2, batch_size=500)
     dataset, _ = make_dataset(config, 0)
-    model, report = train(dataset, config.train_config(0))
+    model, report = train(train_covariances(dataset), dataset.n_train, config.train_config(0))
     digest = hashlib.sha256(np.ascontiguousarray(model.lhat, dtype="<f8").tobytes()).hexdigest()
     assert digest == "6d09d8d31e7a448dc0e9881c8e3f55225adc05fc1f32668412f137800e459b73"
     assert repr(report.epoch_losses[-1].total) == "345.4542181666997"
@@ -199,6 +201,22 @@ def test_a_grid_builds_the_test_moments_once_per_seed(monkeypatch):
     rows = run_experiment("table1", replace(TINY, seeds=(0, 1)), methods=("ours", "fastica"))
     assert len(rows) == 8 and all(row.error == "" for row in rows)
     assert len(calls) == 4  # two cells of two seeds
+
+
+@pytest.mark.parametrize(
+    "methods,builds", [(("ours", "fastica"), 4), (("fastica",), 0)], ids=["both", "fastica"]
+)
+def test_a_grid_builds_the_train_stack_once_per_seed_for_ours_alone(monkeypatch, methods, builds):
+    calls = []
+
+    def counting(dataset):
+        calls.append(1)
+        return train_covariances(dataset)
+
+    monkeypatch.setattr(experiments, "train_covariances", counting)
+    rows = run_experiment("table1", replace(TINY, seeds=(0, 1)), methods=methods)
+    assert len(rows) == 4 * len(methods) and all(row.error == "" for row in rows)
+    assert len(calls) == builds  # two cells of two seeds
 
 
 def test_run_cell_both_methods_return_scores():

@@ -11,6 +11,7 @@ from scipy.special import expit
 import varsparse.unmixing as unmixing
 from varsparse.data import EPS_VAR, MixingMatrix, generate
 from varsparse.envs import EnvironmentSet, InterventionRegime
+from varsparse.experiments import train_covariances
 from varsparse.scm import chain_example_scm
 from varsparse.unmixing import (
     ADAMW_BETA1,
@@ -635,7 +636,7 @@ def test_train_loss_decreases_on_chain_data():
     down = 0
     for seed in range(5):
         ds = _chain_dataset(n=20_000, seed=seed)
-        _, report = train(ds, TrainConfig(seed=seed))
+        _, report = train(train_covariances(ds), ds.n_train, TrainConfig(seed=seed))
         assert len(report.epoch_losses) == 50
         assert report.grad_check_rel_err < 1e-4
         if report.epoch_losses[-1].total < report.epoch_losses[0].total:
@@ -645,18 +646,55 @@ def test_train_loss_decreases_on_chain_data():
 
 def test_train_is_bit_reproducible():
     ds = _chain_dataset(n=2_000, seed=1)
+    covs = train_covariances(ds)
     config = TrainConfig(epochs=3, batch_size=500, seed=11)
-    model_a, report_a = train(ds, config)
-    model_b, report_b = train(ds, config)
+    model_a, report_a = train(covs, ds.n_train, config)
+    model_b, report_b = train(covs, ds.n_train, config)
     assert np.array_equal(model_a.lhat, model_b.lhat)
     assert report_a.epoch_losses == report_b.epoch_losses
-    model_c, _ = train(ds, TrainConfig(epochs=3, batch_size=500, seed=12))
+    model_c, _ = train(covs, ds.n_train, TrainConfig(epochs=3, batch_size=500, seed=12))
     assert not np.array_equal(model_a.lhat, model_c.lhat)
+
+
+def test_train_leaves_its_stack_unwritten():
+    # a read-only stack trains to the same bytes, so several methods can share one
+    ds = _chain_dataset(n=2_000, seed=5)
+    covs = train_covariances(ds)
+    before = covs.tobytes()
+    frozen = covs.copy()
+    frozen.flags.writeable = False
+    config = TrainConfig(epochs=2, batch_size=500, seed=5)
+    from_frozen, _ = train(frozen, ds.n_train, config)
+    from_writable, _ = train(covs, ds.n_train, config)
+    assert from_frozen.lhat.tobytes() == from_writable.lhat.tobytes()
+    assert covs.tobytes() == before
+
+
+@st.composite
+def _row_free_stacks(draw):
+    """An (E, d, d) stack of positive-definite matrices, E in [2, 8] and d in
+    [2, 6], drawn directly rather than estimated from rows."""
+    n_envs, d = draw(st.integers(2, 8)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = rng.normal(size=(n_envs, d, d))
+    return factors @ factors.transpose(0, 2, 1) + 1e-3 * np.eye(d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_row_free_stacks(), st.integers(2, 10_000), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_train_runs_on_a_stack_built_without_rows(covs, n_rows, epochs, seed):
+    config = TrainConfig(epochs=epochs, seed=seed)
+    first, report = train(covs, n_rows, config)
+    second, _ = train(covs, n_rows, config)
+    assert np.isfinite(first.lhat).all()
+    assert first.lhat.tobytes() == second.lhat.tobytes()
+    assert len(report.epoch_losses) == epochs
+    assert report.final_variances.shape == covs.shape[:2]
 
 
 def test_train_report_shapes_and_exports(tmp_path):
     ds = _chain_dataset(n=2_000, seed=2)
-    _, report = train(ds, TrainConfig(epochs=2, batch_size=500, seed=0))
+    _, report = train(train_covariances(ds), ds.n_train, TrainConfig(epochs=2, batch_size=500, seed=0))
     assert report.final_variances.shape == (3, 3)
     assert report.wall_time_s > 0
     doc = json.loads(report.to_json())
@@ -678,37 +716,67 @@ def test_train_rejects_degenerate_inputs():
         chain_example_scm(), single_env, MixingMatrix(CHAIN_MIX), 1_000, rng_seed=0
     )
     with pytest.raises(ValueError, match="at least 2 environments"):
-        train(ds, TrainConfig(seed=0))
+        train(train_covariances(ds), ds.n_train, TrainConfig(seed=0))
+
+
+@pytest.mark.parametrize(
+    "covs,n_rows,match",
+    [
+        (np.eye(3), 100, r"\(E, d, d\) stack"),
+        (np.ones((2, 2, 3, 3)), 100, r"\(E, d, d\) stack"),
+        (np.ones((3, 3, 4)), 100, "square"),
+        (np.ones((3, 4, 3)), 100, "square"),
+        (np.eye(3)[None], 100, "at least 2 environments"),
+        (np.empty((0, 3, 3)), 100, "at least 2 environments"),
+        (np.stack([np.eye(3)] * 3), 1, "n_rows must be >= 2"),
+        (np.stack([np.eye(3)] * 3), 0, "n_rows must be >= 2"),
+        (np.stack([np.eye(3)] * 3), 2.5, "n_rows must be an integer"),
+        (np.stack([np.eye(3)] * 3), float("nan"), "n_rows must be an integer"),
+        (np.stack([np.eye(3)] * 3), True, "n_rows must be an integer"),
+        (np.stack([np.eye(3)] * 3), "100", "n_rows must be an integer"),
+    ],
+    ids=["2-d", "4-d", "wide", "tall", "one-env", "no-env", "one-row", "no-rows",
+         "float-rows", "nan-rows", "bool-rows", "str-rows"],
+)
+def test_train_rejects_malformed_stacks_before_the_first_step(monkeypatch, covs, n_rows, match):
+    def no_step(*args):
+        raise AssertionError("train evaluated the objective on input it should have rejected")
+
+    monkeypatch.setattr(unmixing, "_objective_terms", no_step)
+    with pytest.raises(ValueError, match=match):
+        train(covs, n_rows, TrainConfig(seed=0))
 
 
 def test_train_takes_one_step_per_epoch_from_any_batch_size_past_the_train_rows():
-    # training is full-batch: batch_size only sets ceil(n_train / batch_size) steps
+    # training is full-batch: batch_size only sets ceil(n_rows / batch_size) steps
     ds = _chain_dataset(n=1_000)
-    whole, report_whole = train(ds, TrainConfig(epochs=3, batch_size=ds.n_train, seed=0))
-    huge, report_huge = train(ds, TrainConfig(epochs=3, batch_size=10**6, seed=0))
+    covs = train_covariances(ds)
+    whole, report_whole = train(covs, ds.n_train, TrainConfig(epochs=3, batch_size=ds.n_train, seed=0))
+    huge, report_huge = train(covs, ds.n_train, TrainConfig(epochs=3, batch_size=10**6, seed=0))
     assert np.array_equal(whole.lhat, huge.lhat)
     assert report_whole.epoch_losses == report_huge.epoch_losses
 
 
 def test_train_records_each_epochs_last_gradient_norm():
     ds = _chain_dataset(n=1_000)
+    covs = train_covariances(ds)
     config = TrainConfig(epochs=1, batch_size=ds.n_train, seed=3)
-    _, report = train(ds, config)
-    covs = covariances([ds.train_observed(e) for e in range(ds.n_envs)], ds.d)
+    _, report = train(covs, ds.n_train, config)
     first = objective(covs, unmixing._initial_lhat(ds.d, config.seed))[1]
     assert report.grad_norms == [float(np.linalg.norm(first))]
-    _, report = train(ds, TrainConfig(epochs=4, batch_size=300, seed=3))
+    _, report = train(covs, ds.n_train, TrainConfig(epochs=4, batch_size=300, seed=3))
     assert json.loads(report.to_json())["grad_norms"] == report.grad_norms
     assert len(report.grad_norms) == 4
 
 
 def test_grad_check_diagnostic_leaves_training_unchanged(monkeypatch):
     ds = _chain_dataset(n=2_000, seed=4)
+    covs = train_covariances(ds)
     config = TrainConfig(epochs=3, batch_size=500, seed=7)
-    checked, report = train(ds, config)
+    checked, report = train(covs, ds.n_train, config)
     assert report.grad_check_rel_err < 1e-4
     monkeypatch.setattr(unmixing, "_directional_grad_check", lambda *args: float("nan"))
-    unchecked, report = train(ds, config)
+    unchecked, report = train(covs, ds.n_train, config)
     assert np.isnan(report.grad_check_rel_err)
     assert np.array_equal(checked.lhat, unchecked.lhat)
 
@@ -719,7 +787,7 @@ def test_training_aborted_carries_partial_report(monkeypatch):
     monkeypatch.setattr(unmixing, "LAMBDA_DIAG", 1e308)
     config = TrainConfig(epochs=5, batch_size=500, seed=0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAborted) as err:
-        train(ds, config)
+        train(train_covariances(ds), ds.n_train, config)
     assert "aborted at epoch 0, step 0" in str(err.value) and "total=inf" in str(err.value)
     assert (err.value.epoch, err.value.step) == (0, 0)
     assert err.value.report.epoch_losses == [] and err.value.report.wall_time_s > 0
@@ -734,7 +802,7 @@ def test_a_failing_gradient_check_aborts_training_like_a_failing_step(monkeypatc
     # only the step-0 gradient check calls objective; the steps call _objective_terms
     monkeypatch.setattr(unmixing, "objective", injected)
     with pytest.raises(TrainingAborted) as err:
-        train(ds, TrainConfig(epochs=5, batch_size=500, seed=0))
+        train(train_covariances(ds), ds.n_train, TrainConfig(epochs=5, batch_size=500, seed=0))
     assert str(err.value) == "aborted at epoch 0, step 0: injected"
     assert (err.value.epoch, err.value.step) == (0, 0)
     assert err.value.report.epoch_losses == [] and err.value.report.wall_time_s > 0
