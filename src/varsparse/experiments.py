@@ -271,7 +271,7 @@ def evaluate_method(
     dataset: EnvDataset, method: str, config: ExperimentConfig, seed: int
 ) -> float:
     """Train/fit one method on the dataset and score MCC on the test split."""
-    return _fit_and_score(dataset, method, config, seed)[0]
+    return _fit_and_score(dataset, method, config, seed, pooled_test_moments(dataset))[0]
 
 
 def _fit_and_score(
@@ -279,12 +279,12 @@ def _fit_and_score(
     method: str,
     config: ExperimentConfig,
     seed: int,
-    moments: Optional[PooledMoments] = None,
+    moments: PooledMoments,
 ) -> tuple[float, Optional[IcaModel]]:
     """evaluate_method's score, plus the fitted FastICA model (None for ours).
 
     Both methods learn a linear map (x - offset) @ unmixing, scored from the
-    pooled test moments: the given ones, or else the dataset's."""
+    dataset's pooled test moments, which the caller builds once."""
     ica = None
     if method == "ours":
         model, _ = train(train_covariances(dataset), dataset.n_train, config.train_config(seed))
@@ -295,8 +295,6 @@ def _fit_and_score(
         learned = (ica.whitening @ ica.rotation.T, ica.mean)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if moments is None:
-        moments = pooled_test_moments(dataset)
     return mcc_between(moments, learned).score, ica
 
 

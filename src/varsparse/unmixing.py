@@ -18,7 +18,8 @@ keeps the parameters away from the all-zero collapse. Each term function
 returns its value and its analytic gradient (wrt V, or wrt lhat for
 loss_norm; the row and column terms' gradients broadcast against V), and
 objective(covs, lhat) calls them and combines them on the stack with the
-fixed weights LAMBDA_*; the optimizer is a self-contained AdamW.
+fixed weights LAMBDA_*. It is the one implementation of the loss: every step
+of train, a self-contained AdamW, calls it.
 """
 
 from __future__ import annotations
@@ -266,16 +267,6 @@ def objective(covs: np.ndarray, lhat: np.ndarray) -> tuple[LossBreakdown, np.nda
     Returns (per-term breakdown, exact gradient wrt lhat, variance matrix of
     the unit directions).
     """
-    terms, grad, v = _objective_terms(covs, lhat)
-    return LossBreakdown(*terms), grad, v
-
-
-def _objective_terms(
-    covs: np.ndarray, lhat: np.ndarray
-) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-    """objective with the breakdown as a plain tuple, in LossBreakdown's field
-    order, for the training loop, which runs it hundreds of times on small
-    arrays, where each NumPy call costs more than its arithmetic."""
     col_norms = np.sqrt(np.add.reduce(lhat * lhat, axis=0))  # np.linalg.norm(lhat, axis=0)
     # False for a zero column and for a NaN one, which the finiteness check reports
     all_live = col_norms.min() > 0.0
@@ -283,8 +274,9 @@ def _objective_terms(
     directions = lhat / safe_norms
     su = covs @ directions  # S_e U, shape (E, d, d)
     v_dir = np.einsum("emd,md->ed", su, directions)
-    scale = float(_frobenius(v_dir)) / math.sqrt(v_dir.size)
-    v = v_dir / scale if scale > 0 else v_dir
+    # an all-zero V has no scale to remove, and dividing it by 1 changes no bit
+    scale = float(_frobenius(v_dir)) / math.sqrt(v_dir.size) or 1.0
+    v = v_dir / scale
 
     l_var, g_var = loss_var(v)
     l_env, g_env = loss_env(v)
@@ -303,10 +295,7 @@ def _objective_terms(
     # (dV[e, j]/du_j = 2 S_e u_j) onto the unit directions, then through the
     # normalization (the tangent projection I - u u^T, scaled by 1/||l_j||)
     g_vn = g_var + LAMBDA_E * g_env + LAMBDA_M * g_dim + LAMBDA_DIAG * g_diag
-    if scale > 0:
-        g_v = (g_vn - float((g_vn * v).sum()) * v / v.size) / scale
-    else:
-        g_v = g_vn
+    g_v = (g_vn - float((g_vn * v).sum()) * v / v.size) / scale
     w = 2.0 * np.einsum("emd,ed->md", su, g_v)
     grad = (w - directions * (directions * w).sum(axis=0)) / safe_norms
     if not all_live:
@@ -317,7 +306,7 @@ def _objective_terms(
         raise NumericalError(
             f"non-finite loss or gradient (total={total!r}, |lhat|_max={np.abs(lhat).max():g})"
         )
-    return (total, l_var, l_env, l_dim, l_diag, l_norm), grad, v
+    return LossBreakdown(total, l_var, l_env, l_dim, l_diag, l_norm), grad, v
 
 
 @dataclass
@@ -380,7 +369,8 @@ def _directional_grad_check(
 
 def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingModel, TrainReport]:
     """Full-batch minimization of the objective over an (E, d, d) stack of
-    per-environment train covariances, E >= 2, which it only reads.
+    per-environment train covariances, E >= 2, which it only reads. A stack
+    that is not finite, symmetric and positive semi-definite is rejected.
 
     n_rows, the train rows per environment, only sets the steps per epoch,
     ceil(n_rows / batch_size), so any batch_size >= n_rows takes one.
@@ -394,6 +384,15 @@ def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingM
     n_envs, d = covs.shape[:2]
     if n_envs < 2:
         raise ValueError(f"need at least 2 environments, got {n_envs}")
+    if not np.isfinite(covs).all():
+        raise ValueError("covs must be finite")
+    # symmetric positive semi-definite up to rounding, relative to each matrix's
+    # largest entry: hard interventions make every S_e exactly singular
+    slack = 1e-8 * np.abs(covs).max(axis=(1, 2))
+    if (np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2)) > slack).any():
+        raise ValueError("covs must be symmetric")
+    if (np.linalg.eigvalsh(covs)[:, 0] < -slack).any():
+        raise ValueError("covs must be positive semi-definite")
     n_rows = _integer("n_rows", n_rows)
     if n_rows < 2:
         raise ValueError(f"n_rows must be >= 2, got {n_rows}")
@@ -408,7 +407,7 @@ def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingM
         sums = [0.0] * len(fields(LossBreakdown))
         for step in range(steps_per_epoch):
             try:
-                terms, grad, _ = _objective_terms(covs, lhat)
+                breakdown, grad, _ = objective(covs, lhat)
                 if epoch == 0 and step == 0:
                     # a stream of its own: switching the diagnostic off changes no result
                     check_rng = np.random.default_rng(derive_seed(config.seed, 1))
@@ -420,7 +419,7 @@ def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingM
                 ) from err
             state = adamw_step(state, grad)
             lhat = state.theta
-            sums = [total + term for total, term in zip(sums, terms)]
+            sums = [total + term for total, term in zip(sums, vars(breakdown).values())]
         report.epoch_losses.append(LossBreakdown(*(total / steps_per_epoch for total in sums)))
         report.grad_norms.append(float(np.linalg.norm(grad)))
 

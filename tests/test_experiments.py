@@ -14,6 +14,7 @@ from varsparse.experiments import (
     ResultRow,
     build_scm,
     make_dataset,
+    pooled_test_moments,
     regenerate,
     reproduce,
     run_cell,
@@ -157,7 +158,9 @@ def test_regenerate_rejects_foreign_documents():
 @pytest.mark.parametrize("method", experiments.METHODS)
 def test_methods_are_scored_from_test_moments_as_the_test_rows_score(method):
     dataset, _ = make_dataset(TINY, 0)
-    score, fitted = experiments._fit_and_score(dataset, method, TINY, 0)
+    score, fitted = experiments._fit_and_score(
+        dataset, method, TINY, 0, pooled_test_moments(dataset)
+    )
     z = np.vstack([dataset.test_latents(e) for e in range(dataset.n_envs)])
     x = np.vstack([dataset.test_observed(e) for e in range(dataset.n_envs)])
     if method == "ours":

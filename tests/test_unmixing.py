@@ -281,6 +281,20 @@ def test_objective_matches_the_reference_with_a_zero_column_and_more_envs_than_d
             assert np.array_equal(grad[:, zero_col], np.zeros(4))
 
 
+@pytest.mark.parametrize("n_envs,d", [(5, 3), (2, 4)])
+def test_objective_matches_the_reference_on_all_zero_stacks(n_envs, d):
+    # V is all zero, so the reference takes its scale == 0 branch, which
+    # objective folds into dividing by 1
+    covs = np.zeros((n_envs, d, d))
+    lhat = np.random.default_rng(29).normal(size=(d, d))
+    lhat[:, 1] = 0.0
+    for candidate in (lhat, np.zeros((d, d))):
+        breakdown, grad, v = objective(covs, candidate)
+        ref_breakdown, ref_grad, ref_v = _reference_objective(covs, candidate)
+        assert tuple(vars(breakdown).values()) == ref_breakdown
+        assert grad.tobytes() == ref_grad.tobytes() and v.tobytes() == ref_v.tobytes()
+
+
 def test_diag_offsets_are_cached_and_read_only():
     offsets = unmixing._diag_offsets(5, 3)
     assert unmixing._diag_offsets(5, 3) is offsets
@@ -734,17 +748,48 @@ def test_train_rejects_degenerate_inputs():
         (np.stack([np.eye(3)] * 3), float("nan"), "n_rows must be an integer"),
         (np.stack([np.eye(3)] * 3), True, "n_rows must be an integer"),
         (np.stack([np.eye(3)] * 3), "100", "n_rows must be an integer"),
+        (np.stack([np.eye(3), np.full((3, 3), np.nan)]), 100, "covs must be finite"),
+        (np.stack([np.eye(3), np.eye(3) + np.triu(np.ones((3, 3)), 1)]), 100, "symmetric"),
+        (-np.stack([np.eye(3)] * 3), 100, "positive semi-definite"),
     ],
     ids=["2-d", "4-d", "wide", "tall", "one-env", "no-env", "one-row", "no-rows",
-         "float-rows", "nan-rows", "bool-rows", "str-rows"],
+         "float-rows", "nan-rows", "bool-rows", "str-rows", "non-finite", "asymmetric",
+         "negative-definite"],
 )
 def test_train_rejects_malformed_stacks_before_the_first_step(monkeypatch, covs, n_rows, match):
     def no_step(*args):
         raise AssertionError("train evaluated the objective on input it should have rejected")
 
-    monkeypatch.setattr(unmixing, "_objective_terms", no_step)
+    monkeypatch.setattr(unmixing, "objective", no_step)
     with pytest.raises(ValueError, match=match):
         train(covs, n_rows, TrainConfig(seed=0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_problems(), st.integers(2, 10_000))
+def test_train_accepts_every_row_built_stack(problem, n_rows):
+    # the eigenvalues of rank-deficient and constant-batch covariances round
+    # a little below zero; the stack check must take them as covariances
+    batches, lhat = problem
+    model, _ = train(covariances(batches, lhat.shape[0]), n_rows, TrainConfig(epochs=1))
+    assert np.isfinite(model.lhat).all()
+
+
+@pytest.mark.parametrize("epochs,batch_size", [(1, 4096), (3, 300)])
+def test_train_evaluates_the_objective_once_per_step_plus_the_gradient_check(
+    monkeypatch, epochs, batch_size
+):
+    calls = []
+
+    def counting(covs, lhat):
+        calls.append(1)
+        return objective(covs, lhat)
+
+    ds = _chain_dataset(n=1_000)
+    monkeypatch.setattr(unmixing, "objective", counting)
+    train(train_covariances(ds), ds.n_train, TrainConfig(epochs=epochs, batch_size=batch_size))
+    # three directions of the step-0 gradient check, each evaluated on both sides
+    assert len(calls) == epochs * -(-ds.n_train // batch_size) + 6
 
 
 def test_train_takes_one_step_per_epoch_from_any_batch_size_past_the_train_rows():
@@ -799,8 +844,8 @@ def test_a_failing_gradient_check_aborts_training_like_a_failing_step(monkeypatc
     def injected(*args):
         raise unmixing.NumericalError("injected")
 
-    # only the step-0 gradient check calls objective; the steps call _objective_terms
-    monkeypatch.setattr(unmixing, "objective", injected)
+    # the steps call objective too, so the failure enters through the check alone
+    monkeypatch.setattr(unmixing, "_directional_grad_check", injected)
     with pytest.raises(TrainingAborted) as err:
         train(train_covariances(ds), ds.n_train, TrainConfig(epochs=5, batch_size=500, seed=0))
     assert str(err.value) == "aborted at epoch 0, step 0: injected"
