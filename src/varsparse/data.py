@@ -17,7 +17,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Union
+from typing import BinaryIO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -77,6 +77,31 @@ def column_mean(a: np.ndarray) -> np.ndarray:
     if a.ndim == 2 and a.shape[1] >= 2 and a.dtype == np.float64 and a.flags.c_contiguous:
         return np.einsum("ij->j", a) / a.shape[0]
     return a.mean(axis=0)
+
+
+def centred_blocks(blocks: Iterable[Union[np.ndarray, tuple]]) -> Iterator[tuple]:
+    """(rows, column mean, centred block, scatter c.T @ c) of each block.
+
+    A block is a 2-d array, or a tuple of 2-d column parts with equal rows
+    that are joined side by side. Every block is centred into one reused
+    buffer, so a centred block is valid only until the next is yielded: a
+    fresh array per block would fault in its pages each time, which costs as
+    much as the subtraction. A plain array is centred straight from the input.
+    """
+    buf = np.empty(0)
+    for block in blocks:
+        parts = block if isinstance(block, tuple) else (block,)
+        parts = [np.asarray(p, dtype=float) for p in parts]
+        if any(p.ndim != 2 or len(p) != len(parts[0]) for p in parts) or not len(parts[0]):
+            shapes = [p.shape for p in parts]
+            raise ValueError(f"a block needs 2-d parts with equal rows, at least 1, got {shapes}")
+        n, width = len(parts[0]), sum(p.shape[1] for p in parts)
+        buf = buf if buf.size >= n * width else np.empty(n * width)
+        out = buf[: n * width].reshape(n, width)
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1, out=out)
+        mean = column_mean(rows)
+        centred = np.subtract(rows, mean, out=out)
+        yield n, mean, centred, centred.T @ centred
 
 
 @dataclass(frozen=True, eq=False)

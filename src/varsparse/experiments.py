@@ -261,9 +261,10 @@ def train_covariances(dataset: EnvDataset) -> np.ndarray:
 
 
 def pooled_test_moments(dataset: EnvDataset) -> PooledMoments:
-    """Pooled moments of the test rows [latents | observed] over the environments."""
+    """Pooled moments of the test latents over the environments, with the
+    mixing that maps them to the observations."""
     return pooled_moments(
-        (dataset.test_latents(e), dataset.test_observed(e)) for e in range(dataset.n_envs)
+        (dataset.test_latents(e) for e in range(dataset.n_envs)), dataset.mixing.entries
     )
 
 

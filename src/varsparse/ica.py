@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import column_mean
+from .data import centred_blocks
 
 _RANK_RTOL = 1e-10
 # Columns per block of the fixed-point sweep. At d=10 and 750k columns, with
@@ -94,10 +94,8 @@ def fit_fastica(x: np.ndarray, d: int, seed: int = 0) -> IcaModel:
     if n <= d:  # n centred rows have rank at most n - 1 < d
         raise IcaRankError(f"need more samples than components, got n={n}, d={d}")
 
-    mean = column_mean(x)
-    xc = x - mean
-    cov = (xc.T @ xc) / n
-    values, vectors = np.linalg.eigh(cov)
+    ((_, mean, xc, scatter),) = centred_blocks([x])
+    values, vectors = np.linalg.eigh(scatter / n)
     if values[-1] <= 0 or values[0] < _RANK_RTOL * values[-1]:
         raise IcaRankError(f"covariance is rank-deficient: eigenvalues {values[::-1]}")
     # leading direction first; columns scaled so whitened rows have unit covariance

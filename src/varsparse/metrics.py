@@ -6,11 +6,11 @@ permutation-maximized mean absolute correlation (MCC) solved exactly as a
 linear assignment problem, and a structural check that an effective matrix
 is a permutation composed with nonzero scalings.
 
-Pearson has one kernel, on moments: for a linear map of the observed
-columns, every correlation with the reference columns is read off the pooled
-mean and covariance of the rows [reference | observed], so scoring never
-re-reads the rows once their moments are known. Two sample matrices are
-scored as one block under the identity map.
+Pearson has one kernel, on moments: the observed columns are x = z @ mixing
+for the reference columns z, so for a linear map of x every correlation with
+z is read off z's pooled mean and covariance through the mixing, and scoring
+never re-reads the rows once their moments are known. Two sample matrices
+x and y are scored as the one block [x | y] under the mixing that selects y.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import column_mean, zero_variance
+from .data import centred_blocks, zero_variance
 
 # disentanglement_check treats entries below this share of the largest as zero
 _STRUCTURE_TOL = 1e-2
@@ -38,50 +38,39 @@ class MccResult:
 
 @dataclass(frozen=True, eq=False)
 class PooledMoments:
-    """Mean and biased (divide-by-n) covariance of the rows [z | x], where the
-    first n_reference columns are the reference z and the rest observed x."""
+    """Mean and biased (divide-by-n) covariance of the reference rows z, and
+    the map x = z @ mixing to the rows that a learned map reads."""
 
-    n_reference: int
     mean: np.ndarray
     cov: np.ndarray
+    mixing: np.ndarray
 
 
-def pooled_moments(blocks: Iterable[tuple[np.ndarray, np.ndarray]]) -> PooledMoments:
-    """PooledMoments of the rows of all (z, x) blocks, without stacking them.
+def pooled_moments(blocks: Iterable, mixing: np.ndarray) -> PooledMoments:
+    """PooledMoments of the rows of all blocks of z, without stacking them.
 
-    Each block is centred on its own mean; the pooled covariance is the sum of
-    the within-block scatters plus the scatter of the block means about the
-    pooled mean, over n (the pairwise update of Chan, Golub and LeVeque, 1979,
-    applied to all blocks at once).
+    Every block has one column per row of the mixing. Each block is centred
+    on its own mean (data.centred_blocks); the pooled covariance is the sum
+    of the within-block scatters plus the scatter of the block means about
+    the pooled mean, over n (the pairwise update of Chan, Golub and LeVeque,
+    1979, applied to all blocks at once).
     """
-    counts, means, widths, scatter = [], [], set(), 0.0
-    buf = np.empty(0)  # one buffer for every block's rows, as in unmixing.covariances
-    for z, x in blocks:
-        z = np.asarray(z, dtype=float)
-        x = np.asarray(x, dtype=float)
-        if z.ndim != 2 or x.ndim != 2 or len(z) != len(x):
-            raise ValueError(f"a block needs 2-d z and x with equal rows, got {z.shape} and {x.shape}")
-        widths.add((z.shape[1], x.shape[1]))
-        shape = (len(z), z.shape[1] + x.shape[1])
-        if buf.size < shape[0] * shape[1]:
-            buf = np.empty(shape[0] * shape[1])
-        rows = np.concatenate([z, x], axis=1, out=buf[: shape[0] * shape[1]].reshape(shape))
-        mean = column_mean(rows)
-        centred = np.subtract(rows, mean, out=rows)
-        scatter = scatter + centred.T @ centred
-        counts.append(len(rows))
+    mixing = np.asarray(mixing, dtype=float)
+    counts, means, scatter = [], [], 0.0
+    for rows, mean, _, block_scatter in centred_blocks(blocks):
+        if mixing.ndim != 2 or len(mean) != len(mixing):
+            raise ValueError(f"a block has {len(mean)} columns, the mixing shape {mixing.shape}")
+        scatter = scatter + block_scatter
+        counts.append(rows)
         means.append(mean)
     n = sum(counts)
     if n < 2:
         raise ValueError("need at least 2 rows to correlate")
-    if len(widths) > 1:
-        raise ValueError(f"blocks differ in their (z, x) column counts: {sorted(widths)}")
-    ((n_reference, _),) = widths
     block_means = np.array(means)
     mean = np.array(counts) @ block_means / n
     spread = block_means - mean
     cov = (scatter + (spread.T * counts) @ spread) / n
-    return PooledMoments(n_reference, mean, cov)
+    return PooledMoments(mean, cov, mixing)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -90,7 +79,8 @@ def pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     c[i, j] correlates column i of x with column j of y. Where either column
     has numerically zero variance (data.zero_variance) the correlation is 0,
     so a collapsed learned dimension degrades the score instead of raising.
-    It is moments_pearson of the one block (x, y) under the identity map.
+    It is moments_pearson of the one block (x, y), whose mixing [0; I]
+    selects y, with the rows of x kept.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -98,35 +88,35 @@ def pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError("inputs must be 2-d sample matrices")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
-    return moments_pearson(pooled_moments([(x, y)]), np.eye(y.shape[1]), 0.0)
+    moments = pooled_moments([(x, y)], np.eye(x.shape[1] + y.shape[1], y.shape[1], -x.shape[1]))
+    return moments_pearson(moments, np.eye(y.shape[1]), 0.0)[: x.shape[1]]
 
 
 def moments_pearson(
     moments: PooledMoments, unmixing: np.ndarray, offset: Union[np.ndarray, float]
 ) -> np.ndarray:
-    """pearson(z, (x - offset) @ unmixing), read off the moments of [z | x].
+    """pearson(z, (x - offset) @ unmixing), read off the moments of z.
 
-    With C the covariance and mu the mean: cov(z, y) = C_zx A,
-    var(y) = diag(A^T C_xx A) (clamped at 0 against rounding), and
-    mean(y) = (mu_x - offset) A. Where either column is dead
+    With C the covariance, mu the mean and B = mixing @ unmixing:
+    cov(z, y) = C B, var(y) = diag(B^T C B) (clamped at 0 against rounding),
+    and mean(y) = (mu mixing - offset) unmixing. Where either column is dead
     (data.zero_variance) the entry is 0, and every entry is clipped to
     [-1, 1] against rounding past a perfect correlation.
     """
     a = np.asarray(unmixing, dtype=float)
-    k = moments.n_reference
-    if a.ndim != 2 or a.shape[0] != moments.cov.shape[0] - k:
-        raise ValueError(
-            f"unmixing must be 2-d with {moments.cov.shape[0] - k} rows, got shape {a.shape}"
-        )
-    z_mean, x_mean = moments.mean[:k], moments.mean[k:]
-    z_var = np.diag(moments.cov)[:k]
-    y_var = np.maximum(np.einsum("ij,ij->j", a, moments.cov[k:, k:] @ a), 0.0)
-    y_mean = (x_mean - offset) @ a
-    z_dead = zero_variance(z_mean, z_var)
+    m = moments.mixing.shape[1]
+    if a.ndim != 2 or a.shape[0] != m:
+        raise ValueError(f"unmixing must be 2-d with {m} rows, got shape {a.shape}")
+    b = moments.mixing @ a
+    cov_zy = moments.cov @ b
+    z_var = np.diag(moments.cov)
+    y_var = np.maximum(np.einsum("ij,ij->j", b, cov_zy), 0.0)
+    y_mean = (moments.mean @ moments.mixing - offset) @ a
+    z_dead = zero_variance(moments.mean, z_var)
     y_dead = zero_variance(y_mean, y_var)
     z_sd = np.where(z_dead, 1.0, np.sqrt(z_var))
     y_sd = np.where(y_dead, 1.0, np.sqrt(y_var))
-    c = moments.cov[:k, k:] @ a / np.outer(z_sd, y_sd)
+    c = cov_zy / np.outer(z_sd, y_sd)
     c[z_dead, :] = 0.0
     c[:, y_dead] = 0.0
     np.clip(c, -1.0, 1.0, out=c)
@@ -156,8 +146,8 @@ def mcc_between(
     """MCC of a learned representation against the reference.
 
     Either reference and learned are sample matrices with the same rows, or
-    reference is the PooledMoments of [z | x] and learned is the pair
-    (unmixing, offset) of the map y = (x - offset) @ unmixing.
+    reference is the PooledMoments of z with the mixing x = z @ mixing and
+    learned is the pair (unmixing, offset) of the map y = (x - offset) @ unmixing.
     """
     if isinstance(reference, PooledMoments):
         return mcc(moments_pearson(reference, *learned))

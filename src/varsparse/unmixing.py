@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import expit
 
 from ._rng import derive_seed
-from .data import column_mean
+from .data import centred_blocks
 from .envs import _integer
 
 # AdamW step size, moment decays, denominator guard and decoupled weight decay
@@ -165,19 +165,12 @@ class TrainReport:
 def covariances(batches: Sequence[np.ndarray], d: int) -> np.ndarray:
     """(E, d, d) stack of the biased (divide-by-n) covariances of the batches."""
     covs = np.empty((len(batches), d, d))
-    # every batch is centred into one buffer: a fresh array per batch would
-    # fault in its pages each time, which costs as much as the subtraction
-    buf = np.empty(0)
-    for e, batch in enumerate(batches):
-        batch = np.asarray(batch, dtype=float)
-        if batch.ndim != 2 or batch.shape[0] < 2:
-            raise ValueError(f"batch {e} needs at least 2 rows, got shape {batch.shape}")
-        if batch.shape[1] != d:
-            raise ValueError(f"batch {e} has {batch.shape[1]} columns, model expects {d}")
-        if buf.size < batch.size:
-            buf = np.empty(batch.size)
-        centered = np.subtract(batch, column_mean(batch), out=buf[: batch.size].reshape(batch.shape))
-        covs[e] = centered.T @ centered / batch.shape[0]
+    for e, (n, _, centred, scatter) in enumerate(centred_blocks(batches)):
+        if n < 2:
+            raise ValueError(f"batch {e} needs at least 2 rows, got shape {centred.shape}")
+        if centred.shape[1] != d:
+            raise ValueError(f"batch {e} has {centred.shape[1]} columns, model expects {d}")
+        covs[e] = scatter / n
     return covs
 
 
@@ -369,8 +362,9 @@ def _directional_grad_check(
 
 def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingModel, TrainReport]:
     """Full-batch minimization of the objective over an (E, d, d) stack of
-    per-environment train covariances, E >= 2, which it only reads. A stack
-    that is not finite, symmetric and positive semi-definite is rejected.
+    per-environment train covariances, E >= 2 and d >= 1, which it only
+    reads. A stack that is not finite, symmetric and positive semi-definite
+    is rejected.
 
     n_rows, the train rows per environment, only sets the steps per epoch,
     ceil(n_rows / batch_size), so any batch_size >= n_rows takes one.
@@ -379,8 +373,8 @@ def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingM
     covs = np.asarray(covs, dtype=float)
     if covs.ndim != 3:
         raise ValueError(f"covs must be an (E, d, d) stack, got shape {covs.shape}")
-    if covs.shape[1] != covs.shape[2]:
-        raise ValueError(f"covs must be square in its last two axes, got shape {covs.shape}")
+    if covs.shape[1] != covs.shape[2] or covs.shape[1] < 1:
+        raise ValueError(f"covs must be square, d >= 1, in its last two axes, got shape {covs.shape}")
     n_envs, d = covs.shape[:2]
     if n_envs < 2:
         raise ValueError(f"need at least 2 environments, got {n_envs}")

@@ -196,9 +196,9 @@ def test_training_output_is_pinned_bit_for_bit_at_the_benchmark_dimension():
 def test_a_grid_builds_the_test_moments_once_per_seed(monkeypatch):
     calls = []
 
-    def counting(blocks):
+    def counting(blocks, mixing):
         calls.append(1)
-        return pooled_moments(blocks)
+        return pooled_moments(blocks, mixing)
 
     monkeypatch.setattr(experiments, "pooled_moments", counting)
     rows = run_experiment("table1", replace(TINY, seeds=(0, 1)), methods=("ours", "fastica"))
@@ -240,6 +240,24 @@ def test_evaluate_method_scores_as_the_grid_does(method):
     # shares one set of test moments between the methods; both must agree exactly
     dataset, _ = make_dataset(TINY, 0)
     assert experiments.evaluate_method(dataset, method, TINY, 0) == run_cell("unit", TINY, 0, method).mcc
+
+
+def test_scoring_never_reads_the_observed_test_rows(monkeypatch):
+    # the test moments are the latents' moments carried through the mixing,
+    # so a dataset that kept no observed test rows would score the same
+    dataset, _ = make_dataset(TINY, 0)
+    expected = run_cell("unit", TINY, 0, "ours").mcc
+
+    def unread(self, e):
+        raise AssertionError("the observed test rows were read")
+
+    monkeypatch.setattr(data.EnvDataset, "test_observed", unread)
+    assert run_cell("unit", TINY, 0, "ours").mcc == expected
+    moments = pooled_test_moments(dataset)
+    z = np.vstack([dataset.test_latents(e) for e in range(dataset.n_envs)])
+    assert np.array_equal(moments.mixing, dataset.mixing.entries)
+    assert np.allclose(moments.mean, z.mean(axis=0), rtol=0, atol=1e-12)
+    assert np.allclose(moments.cov, np.cov(z, rowvar=False, bias=True), rtol=0, atol=1e-12)
 
 
 def test_run_cell_records_fastica_non_convergence(monkeypatch):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from varsparse.data import is_zero_variance
+from varsparse.data import MixingMatrix, is_zero_variance
 
 from varsparse.metrics import (
     DisentanglementReport,
@@ -136,28 +137,37 @@ def test_pooled_moments_match_the_stacked_rows():
     rng = np.random.default_rng(11)
     blocks = [(rng.normal(size=(n, 3)) + rng.normal(size=3) * 4, rng.normal(size=(n, 2)) - 7.0)
               for n in (5, 40, 13)]
-    moments = pooled_moments(blocks)
-    rows = np.vstack([np.hstack(block) for block in blocks])
-    assert moments.n_reference == 3
+    blocks[1] = np.hstack(blocks[1])  # a plain array among blocks of column parts
+    mixing = rng.normal(size=(5, 4))
+    moments = pooled_moments(blocks, mixing)
+    rows = np.vstack([np.hstack(block) if isinstance(block, tuple) else block for block in blocks])
+    assert np.array_equal(moments.mixing, mixing)
     assert np.allclose(moments.mean, rows.mean(axis=0), rtol=0, atol=1e-12)
     assert np.allclose(moments.cov, np.cov(rows, rowvar=False, bias=True), rtol=0, atol=1e-12)
 
 
 def test_pooled_moments_reject_mismatched_blocks():
     with pytest.raises(ValueError, match="at least 2 rows"):
-        pooled_moments([(np.ones((1, 2)), np.ones((1, 2)))])
+        pooled_moments([np.ones((1, 2))], np.eye(2))
     with pytest.raises(ValueError, match="equal rows"):
-        pooled_moments([(np.ones((3, 2)), np.ones((4, 2)))])
-    with pytest.raises(ValueError, match="column counts"):
-        pooled_moments([(np.ones((3, 2)), np.ones((3, 2))), (np.ones((3, 1)), np.ones((3, 3)))])
+        pooled_moments([(np.ones((3, 2)), np.ones((4, 2)))], np.eye(4))
+    with pytest.raises(ValueError, match="equal rows"):
+        pooled_moments([np.ones(3)], np.eye(3))
+    with pytest.raises(ValueError, match="equal rows"):
+        pooled_moments([np.ones((3, 2)), np.ones((0, 2))], np.eye(2))
+    with pytest.raises(ValueError, match=r"a block has 3 columns, the mixing shape \(2, 2\)"):
+        pooled_moments([np.ones((3, 2)), np.ones((3, 3))], np.eye(2))
+    with pytest.raises(ValueError, match=r"a block has 3 columns, the mixing shape \(3,\)"):
+        pooled_moments([np.eye(3)], np.ones(3))
     with pytest.raises(ValueError, match="rows"):
-        moments_pearson(pooled_moments([(np.eye(3), np.eye(3))]), np.eye(2), 0.0)
+        moments_pearson(pooled_moments([np.eye(3)], np.eye(3)), np.eye(2), 0.0)
 
 
 @st.composite
 def _blocks_and_maps(draw):
-    """(blocks, unmixing, offset, constant, dead): 1-4 blocks of unequal sizes whose means
-    shift like intervened environments, observed = latents @ mixing + noise,
+    """(blocks, mixing, noise, unmixing, offset, constant, dead): 1-4 blocks
+    of latents z of unequal sizes whose means shift like intervened
+    environments, a mixing x = z @ mixing, noise of the stacked rows' shape,
     maybe a reference column constant over every row, maybe an all-zero
     column of the learned map, and a zero or nonzero offset."""
     d = draw(st.integers(2, 5))
@@ -166,53 +176,62 @@ def _blocks_and_maps(draw):
     # permutation a tie, so the pooled rows number at least 4 d
     sizes = draw(st.lists(st.integers(2, 80), min_size=1, max_size=4).filter(lambda s: sum(s) >= 4 * d))
     mixing = rng.normal(size=(d, d))
-    constant = draw(st.one_of(st.none(), st.integers(0, d - 1)))
+    # at d = 2 a constant column leaves one live latent, which every learned
+    # column of x = z @ mixing correlates with at +-1: the matching is a tie
+    constant = draw(st.one_of(st.none(), st.integers(0, d - 1))) if d > 2 else None
     blocks = []
     for n in sizes:
         z = rng.normal(size=(n, d)) + rng.uniform(-5.0, 5.0, size=d)
         if constant is not None:
             z[:, constant] = 2.5
-        blocks.append((z, z @ mixing + 0.1 * rng.normal(size=(n, d))))
+        blocks.append(z)
+    noise = 0.1 * rng.normal(size=(sum(sizes), d))
     unmixing = rng.normal(size=(d, d))
     dead = draw(st.one_of(st.none(), st.integers(0, d - 1)))
     if dead is not None:
         unmixing[:, dead] = 0.0
     offset = draw(st.sampled_from(["zero", "vector"]))
     offset = 0.0 if offset == "zero" else rng.uniform(-10.0, 10.0, size=d)
-    return blocks, unmixing, offset, constant, dead
+    return blocks, mixing, noise, unmixing, offset, constant, dead
 
 
-@settings(max_examples=300, deadline=None)
-@given(_blocks_and_maps())
-def test_moments_mcc_matches_the_row_mcc(problem):
-    blocks, unmixing, offset, constant, dead = problem
-    z = np.vstack([block[0] for block in blocks])
-    x = np.vstack([block[1] for block in blocks])
-    y = (x - offset) @ unmixing
-    rows = mcc_between(z, y)
-    moments = mcc_between(pooled_moments(blocks), (unmixing, offset))
-    assert abs(moments.score - rows.score) <= 1e-12
-    assert moments.permutation == rows.permutation
-    c = moments_pearson(pooled_moments(blocks), unmixing, offset)
-    assert np.allclose(c, pearson(z, y), rtol=0, atol=1e-12)
-    # the live entries against an independent reference, the stacked rows' corrcoef
+def _assert_pearson_of_rows(c, z, y, constant, dead):
+    """c's live entries match the stacked rows' corrcoef, an independent
+    reference; a constant reference column and an all-zero learned column
+    are dead."""
     live_z = np.flatnonzero([not is_zero_variance(col) for col in z.T])
     live_y = np.flatnonzero([not is_zero_variance(col) for col in y.T])
     full = np.corrcoef(z[:, live_z], y[:, live_y], rowvar=False)[: live_z.size, live_z.size :]
     assert np.allclose(c[np.ix_(live_z, live_y)], full, rtol=0, atol=1e-12)
-    # a constant reference column and an all-zero learned column are dead on both paths
     if constant is not None:
         assert np.array_equal(c[constant], np.zeros(len(c)))
     if dead is not None:
         assert np.array_equal(c[:, dead], np.zeros(len(c)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(_blocks_and_maps())
+def test_moments_mcc_matches_the_row_mcc(problem):
+    blocks, mixing, noise, unmixing, offset, constant, dead = problem
+    z = np.vstack(blocks)
+    y = (z @ mixing - offset) @ unmixing
+    rows = mcc_between(z, y)
+    moments = mcc_between(pooled_moments(blocks, mixing), (unmixing, offset))
+    assert abs(moments.score - rows.score) <= 1e-12
+    assert moments.permutation == rows.permutation
+    c = moments_pearson(pooled_moments(blocks, mixing), unmixing, offset)
+    assert np.allclose(c, pearson(z, y), rtol=0, atol=1e-12)
+    _assert_pearson_of_rows(c, z, y, constant, dead)
+    # an arbitrary pair of sample matrices, where y is no map of z, through pearson
+    y = (z @ mixing + noise - offset) @ unmixing
+    _assert_pearson_of_rows(pearson(z, y), z, y, constant, dead)
+
+
 def _reference_pooled_moments(blocks):
     """pooled_moments' mean and covariance as first written, with NumPy's
     column mean. The fast column mean must match it bit for bit."""
     counts, means, scatter = [], [], 0.0
-    for z, x in blocks:
-        rows = np.hstack([z, x])
+    for rows in blocks:
         mean = rows.mean(axis=0)
         centred = rows - mean
         scatter = scatter + centred.T @ centred
@@ -228,10 +247,34 @@ def _reference_pooled_moments(blocks):
 @settings(max_examples=200, deadline=None)
 @given(_blocks_and_maps())
 def test_pooled_moments_match_the_reference_formulation_bit_for_bit(problem):
-    blocks = problem[0]
-    moments = pooled_moments(blocks)
+    blocks, mixing = problem[:2]
+    moments = pooled_moments(blocks, mixing)
     mean, cov = _reference_pooled_moments(blocks)
     assert np.array_equal(moments.mean, mean) and np.array_equal(moments.cov, cov)
+
+
+def test_moments_mcc_matches_the_row_mcc_under_an_ill_conditioned_mixing():
+    # singular values from 100 down to 100 / 9e5, just inside MixingMatrix's
+    # condition bound; y is scored from z's moments through the mixing and,
+    # independently, by corrcoef of the stacked rows plus an exact assignment
+    d = 5
+    rng = np.random.default_rng(29)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    mixing = MixingMatrix(u @ np.diag(np.geomspace(100.0, 100.0 / 9e5, d)) @ v.T).entries
+    assert 8e5 < np.linalg.cond(mixing) < 1e6
+    blocks = [rng.normal(size=(n, d)) * rng.uniform(0.5, 2.0, size=d) + rng.uniform(-5.0, 5.0, size=d)
+              for n in (400, 700, 300)]
+    z = np.vstack(blocks)
+    moments = pooled_moments(blocks, mixing)
+    for unmixing, offset in [
+        (np.linalg.inv(mixing), 0.0),
+        (rng.normal(size=(d, d)), rng.uniform(-10.0, 10.0, size=d)),
+    ]:
+        y = (z @ mixing - offset) @ unmixing
+        c = np.abs(np.corrcoef(z, y, rowvar=False)[:d, d:])
+        rows, cols = linear_sum_assignment(-c)
+        assert abs(mcc_between(moments, (unmixing, offset)).score - c[rows, cols].mean()) <= 1e-12
 
 
 # ---------------------------------------------------------------- mcc

@@ -751,10 +751,11 @@ def test_train_rejects_degenerate_inputs():
         (np.stack([np.eye(3), np.full((3, 3), np.nan)]), 100, "covs must be finite"),
         (np.stack([np.eye(3), np.eye(3) + np.triu(np.ones((3, 3)), 1)]), 100, "symmetric"),
         (-np.stack([np.eye(3)] * 3), 100, "positive semi-definite"),
+        (np.zeros((2, 0, 0)), 100, r"square, d >= 1, .* shape \(2, 0, 0\)"),
     ],
     ids=["2-d", "4-d", "wide", "tall", "one-env", "no-env", "one-row", "no-rows",
          "float-rows", "nan-rows", "bool-rows", "str-rows", "non-finite", "asymmetric",
-         "negative-definite"],
+         "negative-definite", "empty-d"],
 )
 def test_train_rejects_malformed_stacks_before_the_first_step(monkeypatch, covs, n_rows, match):
     def no_step(*args):
