@@ -291,8 +291,8 @@ def _fit_and_score(
         model, _ = train(train_covariances(dataset), dataset.n_train, config.train_config(seed))
         learned = (model.lhat, 0.0)
     elif method == "fastica":
-        pooled = np.vstack([dataset.train_observed(e) for e in range(dataset.n_envs)])
-        ica = fit_fastica(pooled, dataset.d, seed=derive_seed(seed, SEED_ICA))
+        blocks = [dataset.train_observed(e) for e in range(dataset.n_envs)]
+        ica = fit_fastica(blocks, dataset.d, seed=derive_seed(seed, SEED_ICA))
         learned = (ica.whitening @ ica.rotation.T, ica.mean)
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -1,8 +1,9 @@
 """Linear ICA baseline, implemented from first principles.
 
 Center, whiten through an eigendecomposition of the biased sample
-covariance, then run a symmetric fixed-point iteration with the tanh
-contrast until the rotation stabilizes. The model keeps the three pieces
+covariance of the rows of all blocks pooled (one block per environment),
+then run a symmetric fixed-point iteration with the tanh contrast until the
+rotation stabilizes. The model keeps the three pieces
 (mean, whitening map, orthogonal rotation) separately so transforms are a
 plain affine map.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import centred_blocks
+from .metrics import pooled_moments
 
 _RANK_RTOL = 1e-10
 # Columns per block of the fixed-point sweep. At d=10 and 750k columns, with
@@ -78,30 +79,34 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
     return inv_sqrt @ w
 
 
-def fit_fastica(x: np.ndarray, d: int, seed: int = 0) -> IcaModel:
-    """Fit d independent components to the rows of x, which has d columns.
+def fit_fastica(blocks: list[np.ndarray], d: int, seed: int = 0) -> IcaModel:
+    """Fit d independent components to the rows of all blocks pooled.
 
-    Deterministic for a fixed seed. Raises IcaRankError on a rank-deficient
-    covariance, which n <= d rows always give. model.converged is False when
-    the iteration stops at _MAX_ITER.
+    Each block is a 2-d array with d columns; a lone 2-d array is one block.
+    The pooled mean and covariance come from metrics.pooled_moments, so the
+    blocks are never stacked, and each is centred and whitened straight into
+    its columns of the d x n whitened array. Deterministic for a fixed seed.
+    Raises IcaRankError on a rank-deficient covariance, which n <= d pooled
+    rows always give. model.converged is False when the iteration stops at
+    _MAX_ITER.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("x must be a 2-d sample matrix")
-    n, m = x.shape
-    if d < 1 or d != m:
-        raise ValueError(f"d must equal the {m} columns of x and be positive, got {d}")
+    blocks = [blocks] if isinstance(blocks, np.ndarray) and blocks.ndim == 2 else list(blocks)
+    shapes = [np.shape(block) for block in blocks]
+    if d < 1 or any(len(shape) != 2 or shape[1] != d for shape in shapes):
+        raise ValueError(f"blocks must be 2-d with d={d} columns, d positive; got shapes {shapes}")
+    n = sum(shape[0] for shape in shapes)
     if n <= d:  # n centred rows have rank at most n - 1 < d
         raise IcaRankError(f"need more samples than components, got n={n}, d={d}")
 
-    ((_, mean, xc, scatter),) = centred_blocks([x])
-    values, vectors = np.linalg.eigh(scatter / n)
+    moments = pooled_moments(blocks, np.eye(d))
+    values, vectors = np.linalg.eigh(moments.cov)
     if values[-1] <= 0 or values[0] < _RANK_RTOL * values[-1]:
         raise IcaRankError(f"covariance is rank-deficient: eigenvalues {values[::-1]}")
     # leading direction first; columns scaled so whitened rows have unit covariance
     whitening = vectors[:, ::-1] / np.sqrt(values[::-1])
-    xw = whitening.T @ xc.T  # d x n: column j is whitened row j
-    del xc
+    xw = np.empty((d, n))  # column j is whitened row j; one block's centred copy at a time
+    for block, stop in zip(blocks, np.cumsum([shape[0] for shape in shapes])):
+        np.matmul(whitening.T, (block - moments.mean).T, out=xw[:, stop - len(block) : stop])
 
     rng = np.random.default_rng(seed)
     w = _symmetric_decorrelate(rng.normal(size=(d, d)))
@@ -129,7 +134,7 @@ def fit_fastica(x: np.ndarray, d: int, seed: int = 0) -> IcaModel:
         if drift < _TOL:
             converged = True
             break
-    return IcaModel(mean, whitening, w, converged, iterations)
+    return IcaModel(moments.mean, whitening, w, converged, iterations)
 
 
 def transform(model: IcaModel, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -316,13 +317,31 @@ def test_run_cell_records_exhausted_mixing_draws_as_a_typed_row(monkeypatch):
 
 
 def test_run_cell_records_a_rank_deficient_ica_input_as_a_row(monkeypatch):
-    def collapsed(x, d, seed):  # the last column copies the first
-        return fit_fastica(np.column_stack([x[:, :-1], x[:, 0]]), d, seed=seed)
+    def collapsed(blocks, d, seed):  # the last column copies the first
+        return fit_fastica([np.column_stack([x[:, :-1], x[:, 0]]) for x in blocks], d, seed=seed)
 
     monkeypatch.setattr(experiments, "fit_fastica", collapsed)
     row = run_cell("unit", TINY, seed=0, method="fastica")
     assert np.isnan(row.mcc)
     assert row.error.startswith("IcaRankError: covariance is rank-deficient")
+
+
+def test_fastica_holds_under_two_copies_of_the_pooled_train_rows(monkeypatch):
+    # the environments are whitened block by block into one d x n array: no
+    # stacked or centred copy of all the train rows is made beside it
+    monkeypatch.setattr(ica, "_MAX_ITER", 1)
+    config = ExperimentConfig(d=6, n_per_env=20_000, seeds=(0,))
+    dataset, _ = make_dataset(config, 0)
+    moments = pooled_test_moments(dataset)
+    pooled_bytes = sum(dataset.train_observed(e).nbytes for e in range(dataset.n_envs))
+    tracemalloc.start()
+    try:
+        _, model = experiments._fit_and_score(dataset, "fastica", config, 0, moments)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n_iter == 1
+    assert peak < 2 * pooled_bytes, (peak, pooled_bytes)
 
 
 def test_run_cell_records_too_few_pooled_fastica_rows_as_a_typed_row():
@@ -334,7 +353,7 @@ def test_run_cell_records_too_few_pooled_fastica_rows_as_a_typed_row():
 
 
 def test_run_cell_raises_unexpected_errors(monkeypatch):
-    def broken(x, d, seed):
+    def broken(blocks, d, seed):
         raise ValueError("operands could not be broadcast together")
 
     monkeypatch.setattr(experiments, "fit_fastica", broken)

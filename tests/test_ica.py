@@ -9,6 +9,7 @@ import varsparse.ica as ica
 from varsparse.ica import (
     _CHUNK,
     IcaModel,
+    IcaRankError,
     _symmetric_decorrelate,
     fit_fastica,
     transform,
@@ -25,15 +26,9 @@ def _mixed_uniforms(n=100_000, d=2, seed=0, scale=1.0):
     return sources, sources @ mixing * scale
 
 
-@pytest.mark.parametrize("d", [1, 3])
-def test_model_mean_is_numpys_column_mean_bit_for_bit(d):
-    _, mixed = _mixed_uniforms(n=20_001, d=d, seed=4)
-    assert np.array_equal(fit_fastica(mixed + 30.0, d=d, seed=0).mean, (mixed + 30.0).mean(axis=0))
-
-
 def test_recovers_uniform_sources_through_random_mixing():
     sources, mixed = _mixed_uniforms(seed=1)
-    model = fit_fastica(mixed, d=2, seed=0)
+    model = fit_fastica([mixed], d=2, seed=0)
     assert model.converged
     assert mcc_between(sources, transform(model, mixed)).score >= 0.95
 
@@ -41,14 +36,14 @@ def test_recovers_uniform_sources_through_random_mixing():
 def test_whitening_of_already_white_data_is_nearly_orthogonal():
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, size=(100_000, 3)) * np.sqrt(3.0)  # unit variance
-    model = fit_fastica(x, d=3, seed=0)
+    model = fit_fastica([x], d=3, seed=0)
     gram = model.whitening.T @ model.whitening
     assert np.abs(gram - np.eye(3)).max() < 0.05
 
 
 def test_components_are_uncorrelated_with_unit_variance():
     _, mixed = _mixed_uniforms(seed=3, d=3)
-    model = fit_fastica(mixed, d=3, seed=0)
+    model = fit_fastica([mixed], d=3, seed=0)
     comp = transform(model, mixed)
     cov = np.cov(comp, rowvar=False, bias=True)
     assert np.allclose(np.diag(cov), 1.0, atol=1e-9)
@@ -58,14 +53,14 @@ def test_components_are_uncorrelated_with_unit_variance():
 
 def test_transform_of_mean_row_is_zero():
     _, mixed = _mixed_uniforms(seed=4)
-    model = fit_fastica(mixed, d=2, seed=0)
+    model = fit_fastica([mixed], d=2, seed=0)
     out = transform(model, mixed.mean(axis=0, keepdims=True))
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
 def test_round_trip_reconstruction_when_square():
     _, mixed = _mixed_uniforms(seed=5, d=3, n=20_000)
-    model = fit_fastica(mixed, d=3, seed=0)
+    model = fit_fastica([mixed], d=3, seed=0)
     comp = transform(model, mixed)
     back = comp @ np.linalg.inv(model.whitening @ model.rotation.T) + model.mean
     assert np.abs(back - mixed).max() < 1e-6
@@ -73,8 +68,8 @@ def test_round_trip_reconstruction_when_square():
 
 def test_fit_is_deterministic_and_seed_sensitive():
     _, mixed = _mixed_uniforms(seed=6, n=10_000)
-    a = fit_fastica(mixed, d=2, seed=7)
-    b = fit_fastica(mixed, d=2, seed=7)
+    a = fit_fastica([mixed], d=2, seed=7)
+    b = fit_fastica([mixed], d=2, seed=7)
     assert np.array_equal(a.rotation, b.rotation)
     assert np.array_equal(a.whitening, b.whitening)
 
@@ -82,8 +77,8 @@ def test_fit_is_deterministic_and_seed_sensitive():
 def test_scaling_input_columns_does_not_change_recovery():
     sources, mixed = _mixed_uniforms(seed=8, n=50_000)
     scaled = mixed * np.array([100.0, 0.01])
-    plain = transform(fit_fastica(mixed, d=2, seed=0), mixed)
-    rescaled = transform(fit_fastica(scaled, d=2, seed=0), scaled)
+    plain = transform(fit_fastica([mixed], d=2, seed=0), mixed)
+    rescaled = transform(fit_fastica([scaled], d=2, seed=0), scaled)
     assert mcc_between(plain, rescaled).score >= 0.999
     assert mcc_between(sources, rescaled).score >= 0.95
 
@@ -91,7 +86,7 @@ def test_scaling_input_columns_does_not_change_recovery():
 def test_non_convergence_flags_the_model(monkeypatch):
     _, mixed = _mixed_uniforms(seed=9, n=5_000)
     monkeypatch.setattr(ica, "_MAX_ITER", 1)
-    model = fit_fastica(mixed, d=2, seed=0)  # warnings are errors: this also shows none is raised
+    model = fit_fastica([mixed], d=2, seed=0)  # warnings are errors: this also shows none is raised
     assert not model.converged
     assert model.n_iter == 1
 
@@ -101,24 +96,66 @@ def test_rank_deficient_covariance_is_rejected():
     col = rng.normal(size=(1_000, 1))
     x = np.hstack([col, 2.0 * col, rng.normal(size=(1_000, 1))])
     with pytest.raises(ValueError, match="rank-deficient"):
-        fit_fastica(x, d=3, seed=0)
+        fit_fastica([x], d=3, seed=0)
 
 
 def test_fit_rejects_bad_arguments():
     x = np.zeros((5, 3))
-    with pytest.raises(ValueError, match="columns of x"):
-        fit_fastica(x, d=4, seed=0)
-    with pytest.raises(ValueError, match="columns of x"):
-        fit_fastica(x, d=2, seed=0)
-    with pytest.raises(ValueError, match="more samples"):
-        fit_fastica(np.eye(3), d=3, seed=0)
+    with pytest.raises(ValueError, match="2-d with d=4 columns"):
+        fit_fastica([x], d=4, seed=0)
+    with pytest.raises(ValueError, match="2-d with d=2 columns"):
+        fit_fastica([x], d=2, seed=0)
+    with pytest.raises(IcaRankError, match="more samples"):
+        fit_fastica([np.eye(3)], d=3, seed=0)
     with pytest.raises(ValueError, match="2-d"):
         fit_fastica(np.zeros(5), d=1, seed=0)
 
 
+def _shifted_blocks(lengths, d, seed):
+    """Blocks of mixed uniform sources, each shifted by its own offset."""
+    rng = np.random.default_rng(seed)
+    mixing = rng.normal(size=(d, d))
+    return [rng.uniform(-1, 1, size=(n, d)) @ mixing + rng.normal(size=d) for n in lengths]
+
+
+@pytest.mark.parametrize("d", [1, 4, 10])
+def test_fitting_blocks_equals_fitting_their_stacked_block(d):
+    lengths = (5000, 9001, 12_345)
+    assert np.all(np.cumsum(lengths)[:-1] % _CHUNK)  # block boundaries fall inside sweep blocks
+    blocks = _shifted_blocks(lengths, d, seed=d)
+    pooled = fit_fastica(blocks, d=d, seed=2)
+    stacked = fit_fastica([np.vstack(blocks)], d=d, seed=2)
+    assert (pooled.n_iter, pooled.converged) == (stacked.n_iter, stacked.converged)
+    for part in ("mean", "whitening", "rotation"):
+        assert np.abs(getattr(pooled, part) - getattr(stacked, part)).max() < 1e-12, part
+
+
+def test_a_lone_2d_array_is_one_block():
+    (x,) = _shifted_blocks((3000,), 3, seed=5)
+    lone, listed = fit_fastica(x, d=3, seed=1), fit_fastica([x], d=3, seed=1)
+    for part in ("mean", "whitening", "rotation"):
+        assert np.array_equal(getattr(lone, part), getattr(listed, part))
+
+
+def test_fit_rejects_malformed_blocks_with_typed_errors():
+    blocks = _shifted_blocks((40, 50), 3, seed=6)
+    with pytest.raises(ValueError, match=r"2-d with d=3 columns.*\(30, 2\)"):
+        fit_fastica([*blocks, np.zeros((30, 2))], d=3, seed=0)
+    with pytest.raises(ValueError, match="2-d with d=3 columns"):
+        fit_fastica([*blocks, np.zeros(3)], d=3, seed=0)
+    with pytest.raises(ValueError, match="2-d with d=0 columns"):
+        fit_fastica(blocks, d=0, seed=0)
+    with pytest.raises(ValueError, match="at least 1"):
+        fit_fastica([*blocks, np.zeros((0, 3))], d=3, seed=0)
+    # at most d pooled rows, however they are split into blocks
+    for split in ([blocks[0][:1], blocks[1][:2]], [blocks[0][:1]] * 3, [blocks[0][:1]]):
+        with pytest.raises(IcaRankError, match="more samples"):
+            fit_fastica(split, d=3, seed=0)
+
+
 def test_transform_validates_columns():
     _, mixed = _mixed_uniforms(seed=11, n=5_000)
-    model = fit_fastica(mixed, d=2, seed=0)
+    model = fit_fastica([mixed], d=2, seed=0)
     with pytest.raises(ValueError, match="columns"):
         transform(model, np.zeros((4, 3)))
 
@@ -193,7 +230,7 @@ def test_chunked_iteration_matches_the_unchunked_reference(sample, max_iter):
     x, seed = sample
     # patched in the body: Hypothesis reruns it, and a function-scoped fixture would not reset
     with patch.object(ica, "_MAX_ITER", max_iter):
-        model = fit_fastica(x, d=x.shape[1], seed=seed)
+        model = fit_fastica([x], d=x.shape[1], seed=seed)
     xw = (x - model.mean) @ model.whitening
     rotation, n_iter, converged = _reference_iteration(xw, seed, max_iter, tol=1e-6)
     assert model.n_iter == n_iter
@@ -206,7 +243,7 @@ def test_chunked_iteration_matches_the_reference_at_the_benchmark_dimension():
     rng = np.random.default_rng(12)
     n, d = 2 * _CHUNK + 1, 10
     x = rng.uniform(-1, 1, size=(n, d)) @ rng.normal(size=(d, d))
-    model = fit_fastica(x, d=d, seed=3)
+    model = fit_fastica([x], d=d, seed=3)
     xw = (x - model.mean) @ model.whitening
     rotation, n_iter, converged = _reference_iteration(xw, 3, ica._MAX_ITER, tol=1e-6)
     assert model.n_iter == n_iter
