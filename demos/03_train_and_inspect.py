@@ -41,7 +41,7 @@ def main():
           f"({report.wall_time_s:.1f}s, gradient check {report.grad_check_rel_err:.2e})")
     print()
 
-    covs = covariances([dataset.test_observed(e) for e in range(dataset.n_envs)], dataset.d)
+    covs = covariances([dataset.test_observed(e) for e in range(dataset.n_envs)])
     print("variance matrix of the learned representation (rows = environments):")
     print(variance_matrix(covs, model.lhat))
     print()

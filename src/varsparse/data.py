@@ -17,7 +17,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Union
+from typing import BinaryIO, Iterable, Union
 
 import numpy as np
 
@@ -79,29 +79,30 @@ def column_mean(a: np.ndarray) -> np.ndarray:
     return a.mean(axis=0)
 
 
-def centred_blocks(blocks: Iterable[Union[np.ndarray, tuple]]) -> Iterator[tuple]:
-    """(rows, column mean, centred block, scatter c.T @ c) of each block.
+def block_moments(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(counts, means, scatters) of k blocks, of shapes (k,), (k, d), (k, d, d).
 
-    A block is a 2-d array, or a tuple of 2-d column parts with equal rows
-    that are joined side by side. Every block is centred into one reused
-    buffer, so a centred block is valid only until the next is yielded: a
-    fresh array per block would fault in its pages each time, which costs as
-    much as the subtraction. A plain array is centred straight from the input.
+    A block is a 2-d array of at least 1 row, and all blocks have d columns.
+    Each is centred on its column_mean into one reused buffer, and its scatter
+    is c.T @ c of the centred rows c: a fresh array per block would fault in
+    its pages each time, which costs as much as the subtraction.
     """
+    counts, means, scatters = [], [], []
     buf = np.empty(0)
-    for block in blocks:
-        parts = block if isinstance(block, tuple) else (block,)
-        parts = [np.asarray(p, dtype=float) for p in parts]
-        if any(p.ndim != 2 or len(p) != len(parts[0]) for p in parts) or not len(parts[0]):
-            shapes = [p.shape for p in parts]
-            raise ValueError(f"a block needs 2-d parts with equal rows, at least 1, got {shapes}")
-        n, width = len(parts[0]), sum(p.shape[1] for p in parts)
-        buf = buf if buf.size >= n * width else np.empty(n * width)
-        out = buf[: n * width].reshape(n, width)
-        rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1, out=out)
-        mean = column_mean(rows)
-        centred = np.subtract(rows, mean, out=out)
-        yield n, mean, centred, centred.T @ centred
+    for i, block in enumerate(blocks):
+        rows = np.asarray(block, dtype=float)
+        if rows.ndim != 2 or not len(rows):
+            raise ValueError(f"block {i} must be 2-d with at least 1 row, got shape {rows.shape}")
+        if means and rows.shape[1] != len(means[0]):
+            raise ValueError(f"block {i} has {rows.shape[1]} columns, block 0 has {len(means[0])}")
+        buf = buf if buf.size >= rows.size else np.empty(rows.size)
+        means.append(column_mean(rows))
+        centred = np.subtract(rows, means[-1], out=buf[: rows.size].reshape(rows.shape))
+        counts.append(len(rows))
+        scatters.append(centred.T @ centred)
+    if not counts:
+        raise ValueError("need at least 1 block")
+    return np.array(counts), np.array(means), np.array(scatters)
 
 
 @dataclass(frozen=True, eq=False)

@@ -257,7 +257,7 @@ def regenerate(manifest: dict) -> EnvDataset:
 
 def train_covariances(dataset: EnvDataset) -> np.ndarray:
     """(E, d, d) stack of the covariances of each environment's train rows."""
-    return covariances([dataset.train_observed(e) for e in range(dataset.n_envs)], dataset.d)
+    return covariances([dataset.train_observed(e) for e in range(dataset.n_envs)])
 
 
 def pooled_test_moments(dataset: EnvDataset) -> PooledMoments:

@@ -21,7 +21,7 @@ from typing import Iterable, Union
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import centred_blocks, zero_variance
+from .data import block_moments, zero_variance
 
 # disentanglement_check treats entries below this share of the largest as zero
 _STRUCTURE_TOL = 1e-2
@@ -50,26 +50,23 @@ def pooled_moments(blocks: Iterable, mixing: np.ndarray) -> PooledMoments:
     """PooledMoments of the rows of all blocks of z, without stacking them.
 
     Every block has one column per row of the mixing. Each block is centred
-    on its own mean (data.centred_blocks); the pooled covariance is the sum
+    on its own mean (data.block_moments); the pooled covariance is the sum
     of the within-block scatters plus the scatter of the block means about
     the pooled mean, over n (the pairwise update of Chan, Golub and LeVeque,
     1979, applied to all blocks at once).
     """
     mixing = np.asarray(mixing, dtype=float)
-    counts, means, scatter = [], [], 0.0
-    for rows, mean, _, block_scatter in centred_blocks(blocks):
-        if mixing.ndim != 2 or len(mean) != len(mixing):
-            raise ValueError(f"a block has {len(mean)} columns, the mixing shape {mixing.shape}")
-        scatter = scatter + block_scatter
-        counts.append(rows)
-        means.append(mean)
-    n = sum(counts)
+    counts, means, scatters = block_moments(blocks)
+    if mixing.ndim != 2 or means.shape[1] != len(mixing):
+        raise ValueError(f"blocks have {means.shape[1]} columns, the mixing shape {mixing.shape}")
+    n = counts.sum()
     if n < 2:
         raise ValueError("need at least 2 rows to correlate")
-    block_means = np.array(means)
-    mean = np.array(counts) @ block_means / n
-    spread = block_means - mean
-    cov = (scatter + (spread.T * counts) @ spread) / n
+    mean = counts @ means / n
+    spread = means - mean
+    # the builtin sum adds the scatters in block order, which scatters.sum(axis=0)
+    # does not promise: with one column it sums the contiguous axis pairwise
+    cov = (sum(scatters) + (spread.T * counts) @ spread) / n
     return PooledMoments(mean, cov, mixing)
 
 
@@ -79,7 +76,7 @@ def pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     c[i, j] correlates column i of x with column j of y. Where either column
     has numerically zero variance (data.zero_variance) the correlation is 0,
     so a collapsed learned dimension degrades the score instead of raising.
-    It is moments_pearson of the one block (x, y), whose mixing [0; I]
+    It is moments_pearson of the one block [x | y], whose mixing [0; I]
     selects y, with the rows of x kept.
     """
     x = np.asarray(x, dtype=float)
@@ -88,7 +85,7 @@ def pearson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError("inputs must be 2-d sample matrices")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"row counts differ: {x.shape[0]} vs {y.shape[0]}")
-    moments = pooled_moments([(x, y)], np.eye(x.shape[1] + y.shape[1], y.shape[1], -x.shape[1]))
+    moments = pooled_moments([np.hstack((x, y))], np.eye(x.shape[1] + y.shape[1], y.shape[1], -x.shape[1]))
     return moments_pearson(moments, np.eye(y.shape[1]), 0.0)[: x.shape[1]]
 
 

@@ -30,13 +30,13 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 from scipy.special import expit
 
 from ._rng import derive_seed
-from .data import centred_blocks
+from .data import block_moments
 from .envs import _integer
 
 # AdamW step size, moment decays, denominator guard and decoupled weight decay
@@ -162,16 +162,12 @@ class TrainReport:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def covariances(batches: Sequence[np.ndarray], d: int) -> np.ndarray:
+def covariances(batches: Iterable[np.ndarray]) -> np.ndarray:
     """(E, d, d) stack of the biased (divide-by-n) covariances of the batches."""
-    covs = np.empty((len(batches), d, d))
-    for e, (n, _, centred, scatter) in enumerate(centred_blocks(batches)):
-        if n < 2:
-            raise ValueError(f"batch {e} needs at least 2 rows, got shape {centred.shape}")
-        if centred.shape[1] != d:
-            raise ValueError(f"batch {e} has {centred.shape[1]} columns, model expects {d}")
-        covs[e] = scatter / n
-    return covs
+    counts, _, scatters = block_moments(batches)
+    if counts.min() < 2:
+        raise ValueError(f"every batch needs at least 2 rows, got {counts.tolist()}")
+    return scatters / counts[:, None, None]
 
 
 def variance_matrix(covs: np.ndarray, lhat: np.ndarray) -> np.ndarray:

@@ -169,7 +169,7 @@ def test_criterion_6_every_gradient_matches_finite_differences():
         fn = lambda flat: loss_norm(flat.reshape(3, 3))[0]
         worst = max(worst, _grad_gap(loss_norm(lhat)[1], _fd(fn, lhat.copy())))
     for k in range(20):
-        covs = covariances([rng.normal(size=(30, 3)) @ rng.normal(size=(3, 3)) for _ in range(3)], 3)
+        covs = covariances([rng.normal(size=(30, 3)) @ rng.normal(size=(3, 3)) for _ in range(3)])
         lhat = _initial_lhat(3, seed=200 + k)
         fn = lambda flat: objective(covs, flat.reshape(3, 3))[0].total
         worst = max(worst, _grad_gap(objective(covs, lhat)[1], _fd(fn, lhat.copy())))

@@ -19,6 +19,7 @@ from varsparse.data import (
     EPS_VAR,
     EnvDataset,
     MixingMatrix,
+    block_moments,
     column_mean,
     export_csv,
     generate,
@@ -69,6 +70,28 @@ def test_column_mean_falls_back_to_numpy_mean_off_its_fast_layout():
     a = rng.normal(size=(1001, 7)) + 50.0
     for block in (a[:, :1], a[:, 2:3].copy(), np.asfortranarray(a), a[::2], a.T):
         assert np.array_equal(column_mean(block), block.mean(axis=0))
+
+
+def test_block_moments_are_each_blocks_count_mean_and_scatter():
+    rng = np.random.default_rng(5)
+    blocks = [rng.normal(size=(n, 3)) * 2.0 + 10.0 for n in (1, 7, 50)]
+    counts, means, scatters = block_moments(iter(blocks))
+    assert counts.tolist() == [1, 7, 50]
+    assert means.shape == (3, 3) and scatters.shape == (3, 3, 3)
+    for block, mean, scatter in zip(blocks, means, scatters):
+        assert np.array_equal(mean, block.mean(axis=0))
+        assert np.allclose(scatter, len(block) * np.cov(block, rowvar=False, bias=True), rtol=1e-12, atol=1e-12)
+
+
+def test_block_moments_reject_malformed_blocks():
+    with pytest.raises(ValueError, match="need at least 1 block"):
+        block_moments([])
+    with pytest.raises(ValueError, match=r"block 1 must be 2-d with at least 1 row, got shape \(3,\)"):
+        block_moments([np.ones((2, 3)), np.ones(3)])
+    with pytest.raises(ValueError, match=r"block 0 must be 2-d with at least 1 row, got shape \(0, 3\)"):
+        block_moments([np.ones((0, 3))])
+    with pytest.raises(ValueError, match="block 2 has 2 columns, block 0 has 3"):
+        block_moments([np.ones((2, 3)), np.ones((4, 3)), np.ones((2, 2))])
 
 
 def test_mixing_accepts_chain_matrix():

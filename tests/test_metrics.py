@@ -135,12 +135,10 @@ def test_pearson_zeroes_exactly_the_zero_variance_columns(pair):
 
 def test_pooled_moments_match_the_stacked_rows():
     rng = np.random.default_rng(11)
-    blocks = [(rng.normal(size=(n, 3)) + rng.normal(size=3) * 4, rng.normal(size=(n, 2)) - 7.0)
-              for n in (5, 40, 13)]
-    blocks[1] = np.hstack(blocks[1])  # a plain array among blocks of column parts
+    blocks = [rng.normal(size=(n, 5)) + rng.normal(size=5) * 4 - 7.0 for n in (5, 40, 13)]
     mixing = rng.normal(size=(5, 4))
     moments = pooled_moments(blocks, mixing)
-    rows = np.vstack([np.hstack(block) if isinstance(block, tuple) else block for block in blocks])
+    rows = np.vstack(blocks)
     assert np.array_equal(moments.mixing, mixing)
     assert np.allclose(moments.mean, rows.mean(axis=0), rtol=0, atol=1e-12)
     assert np.allclose(moments.cov, np.cov(rows, rowvar=False, bias=True), rtol=0, atol=1e-12)
@@ -149,16 +147,18 @@ def test_pooled_moments_match_the_stacked_rows():
 def test_pooled_moments_reject_mismatched_blocks():
     with pytest.raises(ValueError, match="at least 2 rows"):
         pooled_moments([np.ones((1, 2))], np.eye(2))
-    with pytest.raises(ValueError, match="equal rows"):
-        pooled_moments([(np.ones((3, 2)), np.ones((4, 2)))], np.eye(4))
-    with pytest.raises(ValueError, match="equal rows"):
+    with pytest.raises(ValueError, match=r"block 0 must be 2-d with at least 1 row, got shape \(2, 3, 2\)"):
+        pooled_moments([(np.ones((3, 2)), np.ones((3, 2)))], np.eye(4))
+    with pytest.raises(ValueError, match="2-d with at least 1 row"):
         pooled_moments([np.ones(3)], np.eye(3))
-    with pytest.raises(ValueError, match="equal rows"):
+    with pytest.raises(ValueError, match="2-d with at least 1 row"):
         pooled_moments([np.ones((3, 2)), np.ones((0, 2))], np.eye(2))
-    with pytest.raises(ValueError, match=r"a block has 3 columns, the mixing shape \(2, 2\)"):
+    with pytest.raises(ValueError, match="block 1 has 3 columns, block 0 has 2"):
         pooled_moments([np.ones((3, 2)), np.ones((3, 3))], np.eye(2))
-    with pytest.raises(ValueError, match=r"a block has 3 columns, the mixing shape \(3,\)"):
+    with pytest.raises(ValueError, match=r"blocks have 3 columns, the mixing shape \(3,\)"):
         pooled_moments([np.eye(3)], np.ones(3))
+    with pytest.raises(ValueError, match=r"blocks have 3 columns, the mixing shape \(2, 3\)"):
+        pooled_moments([np.eye(3)], np.ones((2, 3)))
     with pytest.raises(ValueError, match="rows"):
         moments_pearson(pooled_moments([np.eye(3)], np.eye(3)), np.eye(2), 0.0)
 

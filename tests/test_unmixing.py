@@ -164,7 +164,7 @@ def _problems(draw):
 @given(_problems())
 def test_covariance_kernel_matches_row_path(problem):
     batches, lhat = problem
-    covs = covariances(batches, lhat.shape[0])
+    covs = covariances(batches)
     with _weights(**UNEQUAL_WEIGHTS):
         breakdown, grad, v = objective(covs, lhat)
         ref_total, ref_grad, ref_v = _row_objective(batches, lhat)
@@ -192,13 +192,13 @@ def _reference_covariances(batches, d):
 def test_covariances_match_the_reference_formulation_bit_for_bit(problem):
     batches, lhat = problem
     d = lhat.shape[0]
-    assert np.array_equal(covariances(batches, d), _reference_covariances(batches, d))
+    assert np.array_equal(covariances(batches), _reference_covariances(batches, d))
 
 
 def test_covariances_match_the_reference_with_one_column():
     rng = np.random.default_rng(23)
     batches = [rng.normal(size=(n, 1)) + 40.0 for n in (2, 257, 3001)]
-    assert np.array_equal(covariances(batches, 1), _reference_covariances(batches, 1))
+    assert np.array_equal(covariances(batches), _reference_covariances(batches, 1))
 
 
 # ---------------------------------------------------------------- variance_matrix
@@ -257,7 +257,7 @@ def _reference_objective(covs, lhat):
 @given(_problems())
 def test_objective_matches_the_reference_formulation_bit_for_bit(problem):
     batches, lhat = problem
-    covs = covariances(batches, lhat.shape[0])
+    covs = covariances(batches)
     with _weights(**UNEQUAL_WEIGHTS):
         breakdown, grad, v = objective(covs, lhat)
         ref_breakdown, ref_grad, ref_v = _reference_objective(covs, lhat)
@@ -268,7 +268,7 @@ def test_objective_matches_the_reference_formulation_bit_for_bit(problem):
 
 def test_objective_matches_the_reference_with_a_zero_column_and_more_envs_than_dims():
     rng = np.random.default_rng(17)
-    covs = covariances(_random_batches(rng, n_envs=7, n=50, m=4), 4)
+    covs = covariances(_random_batches(rng, n_envs=7, n=50, m=4))
     for zero_col in (None, 2):
         lhat = rng.normal(size=(4, 4))
         if zero_col is not None:
@@ -304,7 +304,7 @@ def test_diag_offsets_are_cached_and_read_only():
 
 def test_variance_matrix_ground_truth_unmixing_isolates_free_component():
     ds = _chain_dataset()
-    covs = covariances([ds.train_observed(e) for e in range(3)], 3)
+    covs = covariances([ds.train_observed(e) for e in range(3)])
     v = variance_matrix(covs, np.linalg.inv(CHAIN_MIX))
     # env 0 pins Z1 and Z2, so only the noise of Z3 survives (unit variance)
     assert v[0, 0] < 1e-12 and v[0, 1] < 1e-12
@@ -314,22 +314,22 @@ def test_variance_matrix_ground_truth_unmixing_isolates_free_component():
 
 
 def test_variance_matrix_constant_batch_gives_zero_row():
-    covs = covariances([np.ones((10, 3)), np.zeros((5, 3))], 3)
+    covs = covariances([np.ones((10, 3)), np.zeros((5, 3))])
     v = variance_matrix(covs, np.eye(3))
     assert np.array_equal(v, np.zeros((2, 3)))
 
 
 def test_variance_matrix_identity_on_mixed_data_sees_variance_everywhere():
     ds = _chain_dataset()
-    v = variance_matrix(covariances([ds.train_observed(e) for e in range(3)], 3), np.eye(3))
+    v = variance_matrix(covariances([ds.train_observed(e) for e in range(3)]), np.eye(3))
     assert (v > EPS_VAR).all()
 
 
 def test_variance_matrix_rejects_tiny_batches():
     with pytest.raises(ValueError, match="at least 2 rows"):
-        covariances([np.ones((1, 3))], 3)
-    with pytest.raises(ValueError, match="model expects 3"):
-        covariances([np.ones((4, 2))], 3)
+        covariances([np.ones((1, 3))])
+    with pytest.raises(ValueError, match="block 1 has 2 columns, block 0 has 3"):
+        covariances([np.ones((4, 3)), np.ones((4, 2))])
 
 
 # ---------------------------------------------------------------- loss terms
@@ -460,7 +460,7 @@ def test_sparsity_terms_are_scale_free(stack, c, seed):
 
 def test_ground_truth_unmixing_beats_identity_on_sparsity_term():
     ds = _chain_dataset()
-    covs = covariances([ds.train_observed(e) for e in range(3)], 3)
+    covs = covariances([ds.train_observed(e) for e in range(3)])
     identity = loss_var(variance_matrix(covs, np.eye(3)))[0]
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -526,7 +526,7 @@ def test_total_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     h = 1e-5
     for _ in range(20):
-        covs = covariances(_random_batches(rng), 3)
+        covs = covariances(_random_batches(rng))
         lhat = rng.normal(size=(3, 3)) * rng.uniform(0.3, 1.5)
         _, an, _ = objective(covs, lhat)
         worst = 0.0
@@ -541,29 +541,64 @@ def test_total_gradient_matches_finite_differences():
         assert worst < 1e-4
 
 
+def _probe_direction(grad, draw):
+    """A unit direction half along grad and half along the part of draw
+    orthogonal to it. Along a direction near-orthogonal to grad the
+    directional derivative is at rounding level, where a relative error
+    means nothing; the fixed share keeps it at 0.71 |grad|."""
+    along = grad / np.linalg.norm(grad)
+    across = draw - (draw * along).sum() * along
+    return (along + across / np.linalg.norm(across)) / np.sqrt(2.0)
+
+
+def _central_difference_error(covs, lhat, grad, direction):
+    """Relative error of grad's derivative along direction against the
+    central difference of the objective with h = 1e-5."""
+    h = 1e-5
+    f_plus = objective(covs, lhat + h * direction)[0].total
+    f_minus = objective(covs, lhat - h * direction)[0].total
+    return _rel_err((f_plus - f_minus) / (2 * h), float((grad * direction).sum()))
+
+
 @settings(max_examples=200, deadline=None)
 @given(_stacks(), st.integers(0, 2**32 - 1))
 def test_objective_gradient_matches_central_difference_on_rank_deficient_stacks(stack, seed):
     # E and d drawn apart, and stacks of rank below d as under hard interventions
     covs, lhat = stack
-    direction = np.random.default_rng(seed).normal(size=lhat.shape)
-    direction /= np.linalg.norm(direction)
-    h = 1e-5
     _, grad, _ = objective(covs, lhat)
-    f_plus = objective(covs, lhat + h * direction)[0].total
-    f_minus = objective(covs, lhat - h * direction)[0].total
-    assert _rel_err((f_plus - f_minus) / (2 * h), float((grad * direction).sum())) < 1e-4
+    direction = _probe_direction(grad, np.random.default_rng(seed).normal(size=lhat.shape))
+    assert _central_difference_error(covs, lhat, grad, direction) < 1e-4
+
+
+def test_probe_direction_keeps_its_share_of_the_gradient_on_an_orthogonal_draw():
+    # E = 6, d = 2, and a draw exactly orthogonal to the gradient: along the
+    # draw itself the derivative is rounding noise, along the probe it is not
+    rng = np.random.default_rng(31)
+    factors = [rng.normal(size=(2, int(rng.integers(1, 3)))) for _ in range(6)]
+    covs, lhat = np.stack([f @ f.T for f in factors]), rng.normal(size=(2, 2))
+    _, grad, _ = objective(covs, lhat)
+    draw = np.array([[grad[0, 1], -grad[0, 0]], [grad[1, 1], -grad[1, 0]]])
+    assert abs((grad * draw).sum()) <= 1e-12 * np.linalg.norm(grad) * np.linalg.norm(draw)
+    direction = _probe_direction(grad, draw)
+    assert np.linalg.norm(direction) == pytest.approx(1.0, rel=1e-12)
+    assert (grad * direction).sum() == pytest.approx(np.linalg.norm(grad) / np.sqrt(2.0), rel=1e-12)
+    assert _central_difference_error(covs, lhat, grad, direction) < 1e-4
+    # the check still sees one entry of the gradient off by 1e-3 of itself
+    worst = np.unravel_index(np.argmax(np.abs(grad * direction)), grad.shape)
+    mutated = grad.copy()
+    mutated[worst] *= 1.0 + 1e-3
+    assert _central_difference_error(covs, lhat, mutated, direction) > 1e-4
 
 
 def test_gradient_zero_for_constant_batches_without_norm_term():
-    covs = covariances([np.ones((8, 3)), 2.0 * np.ones((8, 3))], 3)
+    covs = covariances([np.ones((8, 3)), 2.0 * np.ones((8, 3))])
     with _weights(**NO_WEIGHTS):
         assert np.array_equal(objective(covs, np.full((3, 3), 0.4))[1], np.zeros((3, 3)))
 
 
 def test_objective_breakdown_is_consistent():
     rng = np.random.default_rng(8)
-    covs = covariances(_random_batches(rng), 3)
+    covs = covariances(_random_batches(rng))
     lhat = rng.normal(size=(3, 3))
     b, _, _ = objective(covs, lhat)
     assert b.total == pytest.approx(
@@ -582,7 +617,7 @@ def test_objective_breakdown_is_consistent():
 
 def test_objective_norm_weight_scales_norm_term_alone():
     rng = np.random.default_rng(9)
-    covs = covariances(_random_batches(rng), 3)
+    covs = covariances(_random_batches(rng))
     lhat = rng.normal(size=(3, 3))
     with _weights(**NO_WEIGHTS):
         b0, _, _ = objective(covs, lhat)
@@ -772,7 +807,7 @@ def test_train_accepts_every_row_built_stack(problem, n_rows):
     # the eigenvalues of rank-deficient and constant-batch covariances round
     # a little below zero; the stack check must take them as covariances
     batches, lhat = problem
-    model, _ = train(covariances(batches, lhat.shape[0]), n_rows, TrainConfig(epochs=1))
+    model, _ = train(covariances(batches), n_rows, TrainConfig(epochs=1))
     assert np.isfinite(model.lhat).all()
 
 
