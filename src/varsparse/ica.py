@@ -7,17 +7,26 @@ rotation stabilizes. The model keeps the three pieces
 (mean, whitening map, orthogonal rotation) separately so transforms are a
 plain affine map.
 
-The whitened data is stored component-major, as a d x n array with one
-column per sample. Each fixed-point step sweeps its columns _CHUNK at a time
-through one preallocated d x _CHUNK buffer, and accumulates the d x d sum of
-g x^T and the per-component sum of g^2, where g = tanh(W x). Full-size d x n
-temporaries would be streamed through memory several times per step instead.
-Every product in this layout is a wide GEMM, (d, d) @ (d, _CHUNK) or
-(d, _CHUNK) @ (_CHUNK, d); OpenBLAS runs the skinny (_CHUNK, d) @ (d, d)
-products of a row-major sweep slower. At d=10 and 750k samples, with one
-thread on a 2-CPU x86-64 machine, a step takes 27.3 ms in this layout and
-38.4 ms row-major (medians of 20 interleaved runs); at d=30 it takes 156 ms
-and 168 ms, about the same.
+The whitened data is stored component-major, as a float32 d x n array with
+one column per sample. Each fixed-point step sweeps its columns _CHUNK at a
+time through one preallocated float32 d x _CHUNK buffer, and accumulates the
+d x d sum of g x^T and the per-component sum of g^2, where g = tanh(W x):
+each chunk's sums are formed in float32 and added into float64. Full-size
+d x n temporaries would be streamed through memory several times per step
+instead. Every product in this layout is a wide GEMM, (d, d) @ (d, _CHUNK)
+or (d, _CHUNK) @ (_CHUNK, d); OpenBLAS runs the skinny (_CHUNK, d) @ (d, d)
+products of a row-major sweep slower at d=10. At d=10 and 750k samples,
+with one thread on a 2-CPU x86-64 machine, a step takes 10.3-14.0 ms in
+this layout, 16.7-22.1 ms row-major and 28.0-40.0 ms in float64; at d=30 it
+takes 82-103 ms, 71-93 ms and 152-197 ms (each range spans the medians of
+two sessions of 20 interleaved runs).
+
+float32 suffices because every quantity the sweep forms is a mean over the
+n whitened samples. Its sampling error, about n^-1/2 (1e-3 at 750k), is far
+above float32 rounding: eps is 1.2e-7, and a float32 sum of _CHUNK terms is
+good to about 1e-5. The whitening map, the moments, the decorrelation and
+the convergence test stay float64, and each sample is rounded once, when it
+is written into the whitened array.
 """
 
 from __future__ import annotations
@@ -29,10 +38,12 @@ import numpy as np
 from .metrics import pooled_moments
 
 _RANK_RTOL = 1e-10
-# Columns per block of the fixed-point sweep. At d=10 and 750k columns, with
-# one OpenBLAS thread on a 2-CPU x86-64 machine, blocks of 2048-8192 columns
-# cost 26-29 ms per iteration, 1024 columns 32 ms and 16384 columns 41 ms
-# (medians of 12 interleaved runs each).
+# Columns per block of the fixed-point sweep; changing it changes the order
+# of the float32 sums, and so the results. At d=10 and 750k columns, with one
+# OpenBLAS thread on a 2-CPU x86-64 machine, a float32 step over blocks of
+# 8192 columns costs 8.9-11.6 ms, 4096 columns 9.8-12.7 ms, 2048 columns
+# 11.2-14.7 ms, 1024 columns 14.9-20.5 ms and 16384 columns 23.6-28.9 ms
+# (each range spans the medians of three sessions of 12 interleaved runs).
 _CHUNK = 8192
 # Fixed-point iteration cap, and the largest change in |cos| between a row of
 # the rotation and its update at which the iteration counts as converged
@@ -91,37 +102,39 @@ def fit_fastica(blocks: list[np.ndarray], d: int, seed: int = 0) -> IcaModel:
     _MAX_ITER.
     """
     blocks = [blocks] if isinstance(blocks, np.ndarray) and blocks.ndim == 2 else list(blocks)
-    shapes = [np.shape(block) for block in blocks]
-    if d < 1 or any(len(shape) != 2 or shape[1] != d for shape in shapes):
-        raise ValueError(f"blocks must be 2-d with d={d} columns, d positive; got shapes {shapes}")
-    n = sum(shape[0] for shape in shapes)
+    if d < 1:  # np.eye(0) would let (k, 0) blocks through to an empty eigenproblem
+        raise ValueError(f"need d >= 1 components, got d={d}")
+    n = sum(len(np.atleast_1d(block)) for block in blocks)
     if n <= d:  # n centred rows have rank at most n - 1 < d
         raise IcaRankError(f"need more samples than components, got n={n}, d={d}")
 
-    moments = pooled_moments(blocks, np.eye(d))
+    moments = pooled_moments(blocks, np.eye(d))  # owns the 2-d, row and width checks
     values, vectors = np.linalg.eigh(moments.cov)
     if values[-1] <= 0 or values[0] < _RANK_RTOL * values[-1]:
         raise IcaRankError(f"covariance is rank-deficient: eigenvalues {values[::-1]}")
     # leading direction first; columns scaled so whitened rows have unit covariance
     whitening = vectors[:, ::-1] / np.sqrt(values[::-1])
-    xw = np.empty((d, n))  # column j is whitened row j; one block's centred copy at a time
-    for block, stop in zip(blocks, np.cumsum([shape[0] for shape in shapes])):
+    # column j is whitened row j, computed in float64 from one block's centred
+    # copy at a time and rounded once to float32 as it is stored
+    xw = np.empty((d, n), dtype=np.float32)
+    for block, stop in zip(blocks, np.cumsum([len(block) for block in blocks])):
         np.matmul(whitening.T, (block - moments.mean).T, out=xw[:, stop - len(block) : stop])
 
     rng = np.random.default_rng(seed)
     w = _symmetric_decorrelate(rng.normal(size=(d, d)))
-    buf = np.empty(d * min(n, _CHUNK))
-    ones = np.ones(min(n, _CHUNK))  # row sums through BLAS: faster than g.sum(axis=1)
+    buf = np.empty(d * min(n, _CHUNK), dtype=np.float32)
+    ones = np.ones(min(n, _CHUNK), dtype=np.float32)  # row sums through BLAS: faster than g.sum(axis=1)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
-        gx = np.zeros((d, d))  # sum of g x^T over the columns
+        gx = np.zeros((d, d))  # sum of g x^T over the columns, chunk sums added in float64
         g2 = np.zeros(d)  # sum of g^2 over the columns
+        w32 = w.astype(np.float32)
         for start in range(0, n, _CHUNK):
             xb = xw[:, start : start + _CHUNK]
             k = xb.shape[1]
             g = buf[: d * k].reshape(d, k)  # contiguous for the last, shorter block too
-            np.matmul(w, xb, out=g)
+            np.matmul(w32, xb, out=g)
             np.tanh(g, out=g)
             gx += g @ xb.T
             g *= g

@@ -101,13 +101,13 @@ def test_rank_deficient_covariance_is_rejected():
 
 def test_fit_rejects_bad_arguments():
     x = np.zeros((5, 3))
-    with pytest.raises(ValueError, match="2-d with d=4 columns"):
+    with pytest.raises(ValueError, match=r"blocks have 3 columns, the mixing shape \(4, 4\)"):
         fit_fastica([x], d=4, seed=0)
-    with pytest.raises(ValueError, match="2-d with d=2 columns"):
+    with pytest.raises(ValueError, match=r"blocks have 3 columns, the mixing shape \(2, 2\)"):
         fit_fastica([x], d=2, seed=0)
     with pytest.raises(IcaRankError, match="more samples"):
         fit_fastica([np.eye(3)], d=3, seed=0)
-    with pytest.raises(ValueError, match="2-d"):
+    with pytest.raises(ValueError, match=r"block 0 must be 2-d.*shape \(\)"):
         fit_fastica(np.zeros(5), d=1, seed=0)
 
 
@@ -139,13 +139,14 @@ def test_a_lone_2d_array_is_one_block():
 
 def test_fit_rejects_malformed_blocks_with_typed_errors():
     blocks = _shifted_blocks((40, 50), 3, seed=6)
-    with pytest.raises(ValueError, match=r"2-d with d=3 columns.*\(30, 2\)"):
+    with pytest.raises(ValueError, match="block 2 has 2 columns, block 0 has 3"):
         fit_fastica([*blocks, np.zeros((30, 2))], d=3, seed=0)
-    with pytest.raises(ValueError, match="2-d with d=3 columns"):
+    with pytest.raises(ValueError, match=r"block 2 must be 2-d.*shape \(3,\)"):
         fit_fastica([*blocks, np.zeros(3)], d=3, seed=0)
-    with pytest.raises(ValueError, match="2-d with d=0 columns"):
-        fit_fastica(blocks, d=0, seed=0)
-    with pytest.raises(ValueError, match="at least 1"):
+    for zero_width in (blocks, [np.zeros((5, 0))]):  # width-0 blocks would pass pooled_moments
+        with pytest.raises(ValueError, match="need d >= 1 components, got d=0"):
+            fit_fastica(zero_width, d=0, seed=0)
+    with pytest.raises(ValueError, match="block 2 must be 2-d with at least 1 row"):
         fit_fastica([*blocks, np.zeros((0, 3))], d=3, seed=0)
     # at most d pooled rows, however they are split into blocks
     for split in ([blocks[0][:1], blocks[1][:2]], [blocks[0][:1]] * 3, [blocks[0][:1]]):
@@ -186,6 +187,22 @@ def test_model_rejects_malformed_parts(part, value, match):
     parts = {"mean": np.zeros(2), "whitening": np.eye(2), "rotation": np.eye(2), part: value}
     with pytest.raises(ValueError, match=match):
         IcaModel(**parts, converged=True, n_iter=1)
+
+
+# The sweep runs in float32 on the whitened columns; its sums over >= 1024
+# columns are added chunk by chunk into float64. The bound on the rotation's
+# gap to the float64 reference is fixed from that dtype, not fitted to a run.
+_SWEEP_TOL = 1e3 * np.finfo(np.float32).eps
+
+
+def _assert_matches_reference(model, x, seed, max_iter):
+    for part in ("mean", "whitening", "rotation"):
+        assert getattr(model, part).dtype == np.float64, part
+    xw = (x - model.mean) @ model.whitening
+    rotation, n_iter, converged = _reference_iteration(xw, seed, max_iter, tol=1e-6)
+    assert model.n_iter == n_iter
+    assert model.converged == converged
+    assert np.abs(model.rotation - rotation).max() < _SWEEP_TOL
 
 
 def _reference_iteration(xw, seed, max_iter, tol):
@@ -231,11 +248,7 @@ def test_chunked_iteration_matches_the_unchunked_reference(sample, max_iter):
     # patched in the body: Hypothesis reruns it, and a function-scoped fixture would not reset
     with patch.object(ica, "_MAX_ITER", max_iter):
         model = fit_fastica([x], d=x.shape[1], seed=seed)
-    xw = (x - model.mean) @ model.whitening
-    rotation, n_iter, converged = _reference_iteration(xw, seed, max_iter, tol=1e-6)
-    assert model.n_iter == n_iter
-    assert model.converged == converged
-    assert np.abs(model.rotation - rotation).max() < 1e-12
+    _assert_matches_reference(model, x, seed, max_iter)
 
 
 def test_chunked_iteration_matches_the_reference_at_the_benchmark_dimension():
@@ -244,8 +257,4 @@ def test_chunked_iteration_matches_the_reference_at_the_benchmark_dimension():
     n, d = 2 * _CHUNK + 1, 10
     x = rng.uniform(-1, 1, size=(n, d)) @ rng.normal(size=(d, d))
     model = fit_fastica([x], d=d, seed=3)
-    xw = (x - model.mean) @ model.whitening
-    rotation, n_iter, converged = _reference_iteration(xw, 3, ica._MAX_ITER, tol=1e-6)
-    assert model.n_iter == n_iter
-    assert model.converged == converged
-    assert np.abs(model.rotation - rotation).max() < 1e-12
+    _assert_matches_reference(model, x, 3, ica._MAX_ITER)
