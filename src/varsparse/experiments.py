@@ -146,7 +146,8 @@ class ResultRow:
     seed: int
     method: str
     mcc: float
-    # FastICA rows only; None (a blank CSV cell) for ours and for failed rows
+    # FastICA rows only; None (a blank CSV cell) for ours and for failed rows.
+    # ica_n_iter counts every fixed-point step, those on the coarse subsample too
     ica_converged: Optional[bool] = None
     ica_n_iter: Optional[int] = None
     error: str = ""

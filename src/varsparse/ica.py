@@ -27,6 +27,17 @@ above float32 rounding: eps is 1.2e-7, and a float32 sum of _CHUNK terms is
 good to about 1e-5. The whitening map, the moments, the decorrelation and
 the convergence test stay float64, and each sample is rounded once, when it
 is written into the whitened array.
+
+A fit with at least _COARSE * _CHUNK samples takes its first steps on a
+contiguous copy of every _COARSE-th whitened column, and continues on all
+columns, from the rotation reached, once a step moves it by less than
+_COARSE_TOL. The same loop runs both stages; each step's means divide by the
+columns it swept. Only a step over all columns can converge, and _MAX_ITER
+caps the steps of both stages together. At d=10 and 750k samples the
+subsample's steps cost an eighth as much, and they take the rotation from
+its random start to where few full steps remain: the ica-d10 panel runs 22 +
+5 and 44 + 19 coarse + full steps, against 23 and 64 full steps without the
+coarse stage. Smaller fits sweep all columns from the first step.
 """
 
 from __future__ import annotations
@@ -45,10 +56,19 @@ _RANK_RTOL = 1e-10
 # 11.2-14.7 ms, 1024 columns 14.9-20.5 ms and 16384 columns 23.6-28.9 ms
 # (each range spans the medians of three sessions of 12 interleaved runs).
 _CHUNK = 8192
-# Fixed-point iteration cap, and the largest change in |cos| between a row of
-# the rotation and its update at which the iteration counts as converged
+# Fixed-point step cap, coarse steps included, and the largest change in |cos|
+# between a row of the rotation and its update at which a step over all
+# columns counts as converged
 _MAX_ITER = 500
 _TOL = 1e-6
+# Stride of the coarse subsample: every _COARSE-th pooled column, so it spans
+# every block. Its steps only turn the random start roughly into place, and
+# its sampling error (about 3e-3 on 94k columns at 750k) is far below the
+# distance they cover. A fit with fewer than _COARSE * _CHUNK columns, whose
+# subsample would not fill one chunk, skips the coarse stage.
+_COARSE = 8
+# The drift below which the coarse stage hands its rotation to the full sweep
+_COARSE_TOL = 1e-4
 
 
 class IcaRankError(ValueError):
@@ -99,7 +119,7 @@ def fit_fastica(blocks: list[np.ndarray], d: int, seed: int = 0) -> IcaModel:
     its columns of the d x n whitened array. Deterministic for a fixed seed.
     Raises IcaRankError on a rank-deficient covariance, which n <= d pooled
     rows always give. model.converged is False when the iteration stops at
-    _MAX_ITER.
+    _MAX_ITER; model.n_iter counts the coarse steps too.
     """
     blocks = [blocks] if isinstance(blocks, np.ndarray) and blocks.ndim == 2 else list(blocks)
     if d < 1:  # np.eye(0) would let (k, 0) blocks through to an empty eigenproblem
@@ -122,16 +142,19 @@ def fit_fastica(blocks: list[np.ndarray], d: int, seed: int = 0) -> IcaModel:
 
     rng = np.random.default_rng(seed)
     w = _symmetric_decorrelate(rng.normal(size=(d, d)))
+    # the columns swept: every _COARSE-th one until the coarse tolerance, then all
+    x = np.ascontiguousarray(xw[:, ::_COARSE]) if n >= _COARSE * _CHUNK else xw
     buf = np.empty(d * min(n, _CHUNK), dtype=np.float32)
     ones = np.ones(min(n, _CHUNK), dtype=np.float32)  # row sums through BLAS: faster than g.sum(axis=1)
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
+        m = x.shape[1]
         gx = np.zeros((d, d))  # sum of g x^T over the columns, chunk sums added in float64
         g2 = np.zeros(d)  # sum of g^2 over the columns
         w32 = w.astype(np.float32)
-        for start in range(0, n, _CHUNK):
-            xb = xw[:, start : start + _CHUNK]
+        for start in range(0, m, _CHUNK):
+            xb = x[:, start : start + _CHUNK]
             k = xb.shape[1]
             g = buf[: d * k].reshape(d, k)  # contiguous for the last, shorter block too
             np.matmul(w32, xb, out=g)
@@ -139,14 +162,16 @@ def fit_fastica(blocks: list[np.ndarray], d: int, seed: int = 0) -> IcaModel:
             gx += g @ xb.T
             g *= g
             g2 += g @ ones[:k]
-        w_new = gx / n - np.diag(1.0 - g2 / n) @ w
+        w_new = gx / m - np.diag(1.0 - g2 / m) @ w
         w_new = _symmetric_decorrelate(w_new)
         # directions are sign-ambiguous; compare |cos| of old vs new rows
         drift = np.max(np.abs(np.abs(np.sum(w_new * w, axis=1)) - 1.0))
         w = w_new
-        if drift < _TOL:
+        if x is xw and drift < _TOL:
             converged = True
             break
+        if drift < _COARSE_TOL:
+            x = xw  # releases the subsample
     return IcaModel(moments.mean, whitening, w, converged, iterations)
 
 

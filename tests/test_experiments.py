@@ -329,7 +329,8 @@ def test_run_cell_records_a_rank_deficient_ica_input_as_a_row(monkeypatch):
 def test_fastica_holds_under_one_copy_of_the_pooled_train_rows(monkeypatch):
     # the environments are whitened block by block into one float32 d x n
     # array, half the bytes of the train rows: no stacked or centred copy of
-    # all the train rows is made beside it
+    # all the train rows is made beside it, only the coarse stage's copy of
+    # every _COARSE-th column
     monkeypatch.setattr(ica, "_MAX_ITER", 1)
     config = ExperimentConfig(d=6, n_per_env=20_000, seeds=(0,))
     dataset, _ = make_dataset(config, 0)

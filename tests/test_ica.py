@@ -195,20 +195,24 @@ def test_model_rejects_malformed_parts(part, value, match):
 _SWEEP_TOL = 1e3 * np.finfo(np.float32).eps
 
 
-def _assert_matches_reference(model, x, seed, max_iter):
+def _assert_matches_reference(model, x, seed, max_iter, coarse=False):
     for part in ("mean", "whitening", "rotation"):
         assert getattr(model, part).dtype == np.float64, part
     xw = (x - model.mean) @ model.whitening
-    rotation, n_iter, converged = _reference_iteration(xw, seed, max_iter, tol=1e-6)
-    assert model.n_iter == n_iter
+    d = xw.shape[1]
+    w = _symmetric_decorrelate(np.random.default_rng(seed).normal(size=(d, d)))
+    spent = 0
+    if coarse:  # every _COARSE-th row until the coarse tolerance, then all rows
+        w, spent, _ = _reference_iteration(xw[:: ica._COARSE], w, max_iter, ica._COARSE_TOL)
+    rotation, n_iter, converged = _reference_iteration(xw, w, max_iter - spent, tol=1e-6)
+    assert model.n_iter == spent + n_iter
     assert model.converged == converged
     assert np.abs(model.rotation - rotation).max() < _SWEEP_TOL
 
 
-def _reference_iteration(xw, seed, max_iter, tol):
-    """The unchunked fixed-point loop: full n x d temporaries every step."""
+def _reference_iteration(xw, w, max_iter, tol):
+    """The unchunked fixed-point loop from w: full n x d temporaries every step."""
     n, d = xw.shape
-    w = _symmetric_decorrelate(np.random.default_rng(seed).normal(size=(d, d)))
     for iterations in range(1, max_iter + 1):
         g = np.tanh(xw @ w.T)
         w_new = (g.T @ xw) / n - np.diag(np.mean(1.0 - g * g, axis=0)) @ w
@@ -245,6 +249,7 @@ def _chunk_boundary_samples(draw):
 @given(_chunk_boundary_samples(), st.sampled_from([2, 100]))
 def test_chunked_iteration_matches_the_unchunked_reference(sample, max_iter):
     x, seed = sample
+    assert len(x) < ica._COARSE * _CHUNK  # these fits sweep all columns from the first step
     # patched in the body: Hypothesis reruns it, and a function-scoped fixture would not reset
     with patch.object(ica, "_MAX_ITER", max_iter):
         model = fit_fastica([x], d=x.shape[1], seed=seed)
@@ -258,3 +263,21 @@ def test_chunked_iteration_matches_the_reference_at_the_benchmark_dimension():
     x = rng.uniform(-1, 1, size=(n, d)) @ rng.normal(size=(d, d))
     model = fit_fastica([x], d=d, seed=3)
     _assert_matches_reference(model, x, 3, ica._MAX_ITER)
+
+
+@pytest.mark.parametrize("d", [3, 10])
+def test_coarse_then_full_iteration_matches_the_two_stage_reference(d):
+    rng = np.random.default_rng(13 + d)
+    n = 9 * _CHUNK + 1  # above the gate, with a shorter last chunk in both stages
+    assert n >= ica._COARSE * _CHUNK
+    x = rng.uniform(-1, 1, size=(n, d)) @ rng.normal(size=(d, d))
+    model = fit_fastica([x], d=d, seed=4)
+    _assert_matches_reference(model, x, 4, ica._MAX_ITER, coarse=True)
+
+
+def test_a_coarse_step_alone_never_converges(monkeypatch):
+    # the step cap counts coarse steps; only a step over all columns may converge
+    _, mixed = _mixed_uniforms(seed=14, n=ica._COARSE * _CHUNK)
+    monkeypatch.setattr(ica, "_MAX_ITER", 1)
+    model = fit_fastica([mixed], d=2, seed=0)
+    assert (model.n_iter, model.converged) == (1, False)
