@@ -19,7 +19,7 @@ from .envs import (
     separating_design,
 )
 from .experiments import ExperimentConfig, ResultRow, SummaryRow, reproduce, run_experiment
-from .ica import IcaModel, fit_fastica, transform
+from .ica import IcaModel, fit_fastica
 from .metrics import (
     DisentanglementReport,
     MccResult,
@@ -104,7 +104,6 @@ __all__ = [
     "save_checkpoint",
     "separating_design",
     "train",
-    "transform",
     "variance_matrix",
     "__version__",
 ]

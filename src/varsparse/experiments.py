@@ -147,7 +147,8 @@ class ResultRow:
     method: str
     mcc: float
     # FastICA rows only; None (a blank CSV cell) for ours and for failed rows.
-    # ica_n_iter counts every fixed-point step, those on the coarse subsample too
+    # ica_n_iter counts every fixed-point step, those on the coarse subsample
+    # too; an accelerated step sweeps the columns once and counts as one
     ica_converged: Optional[bool] = None
     ica_n_iter: Optional[int] = None
     error: str = ""

@@ -1,11 +1,16 @@
 """Linear ICA baseline, implemented from first principles.
 
-Center, whiten through an eigendecomposition of the biased sample
-covariance of the rows of all blocks pooled (one block per environment),
-then run a symmetric fixed-point iteration with the tanh contrast until the
-rotation stabilizes. The model keeps the three pieces
-(mean, whitening map, orthogonal rotation) separately so transforms are a
-plain affine map.
+Whiten through an eigendecomposition of the biased sample covariance of
+the rows of all blocks pooled (one block per environment), then run a
+symmetric fixed-point iteration with the tanh contrast until the rotation
+stabilizes. The model keeps the three pieces (mean, whitening map,
+orthogonal rotation) separately; the components of rows x are
+((x - mean) @ whitening) @ rotation.T.
+
+Each block is whitened as whitening^T block^T - whitening^T mean: one
+float64 product per block, shifted and rounded once as it is written into
+its float32 columns. Centring the block first would make a float64 copy of
+it and pass over it once more.
 
 The whitened data is stored component-major, as a float32 d x n array with
 one column per sample. Each fixed-point step sweeps its columns _CHUNK at a
@@ -35,9 +40,26 @@ _COARSE_TOL. The same loop runs both stages; each step's means divide by the
 columns it swept. Only a step over all columns can converge, and _MAX_ITER
 caps the steps of both stages together. At d=10 and 750k samples the
 subsample's steps cost an eighth as much, and they take the rotation from
-its random start to where few full steps remain: the ica-d10 panel runs 22 +
-5 and 44 + 19 coarse + full steps, against 23 and 64 full steps without the
-coarse stage. Smaller fits sweep all columns from the first step.
+its random start to where few full steps remain: unaccelerated, the ica-d10
+panel runs 22 + 5 and 44 + 19 coarse + full steps, against 23 and 64 full
+steps without the coarse stage. Smaller fits sweep all columns from the
+first step.
+
+Past the coarse handoff the plain full-sample steps converge only linearly:
+on the panel's second fit each of 19 cuts the drift by about 0.7x. So once
+a step's drift falls below _COARSE_TOL (the handoff, or the same point in a
+fit below the gate), each step is Anderson-accelerated (Walker and Ni,
+SIAM J. Numer. Anal. 49(4), 2011): the update's rows are turned to the
+signs of the rotation's, and the update is mixed with the last _DEPTH
+(rotation, update) pairs by _anderson. The history is cleared at the
+handoff and after any step whose drift does not fall below the previous
+step's. The convergence test is the plain one: a fit converges when a plain
+full-sample step from its current rotation moves it by less than _TOL, and
+returns that step. Mixing does not move the fixed point, and it starts only
+after the coarse stage has picked the basin. The panel now runs 22 + 4 and
+44 + 7 coarse + full steps, and the ica-d10 pass, which also whitens without
+centred copies, takes a median 0.305 s of CPU against 0.451 s (one OpenBLAS
+thread on a 2-CPU x86-64 machine, 10 alternating pairs).
 """
 
 from __future__ import annotations
@@ -69,6 +91,9 @@ _TOL = 1e-6
 _COARSE = 8
 # The drift below which the coarse stage hands its rotation to the full sweep
 _COARSE_TOL = 1e-4
+# Earlier (rotation, update) pairs that Anderson acceleration mixes into each
+# full step, once a step's drift falls below _COARSE_TOL
+_DEPTH = 2
 
 
 class IcaRankError(ValueError):
@@ -110,16 +135,43 @@ def _symmetric_decorrelate(w: np.ndarray) -> np.ndarray:
     return inv_sqrt @ w
 
 
+def _anderson(pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The type-II Anderson mix of (rotation, update) pairs, oldest first.
+
+    With residuals r_i = F_i - W_i, gamma minimizes |r_k - dR gamma| over the
+    differences of consecutive residuals, and the mix F_k - dF gamma is
+    decorrelated. A lone pair, or a mix that is not finite or not of full
+    rank, gives the last update F_k unchanged.
+    """
+    update = pairs[-1][1]
+    if len(pairs) < 2:
+        return update
+    rotations, updates = (np.stack(part).reshape(len(pairs), -1) for part in zip(*pairs))
+    residuals = updates - rotations
+    gamma = np.linalg.lstsq(np.diff(residuals, axis=0).T, residuals[-1], rcond=None)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = update - (gamma @ np.diff(updates, axis=0)).reshape(update.shape)
+        gram = mixed @ mixed.T
+    # _symmetric_decorrelate would divide by zero or NaN eigenvalues
+    if not np.isfinite(gram).all():
+        return update
+    values = np.linalg.eigvalsh(gram)
+    if not values[0] > _RANK_RTOL * values[-1]:
+        return update
+    return _symmetric_decorrelate(mixed)
+
+
 def fit_fastica(blocks: list[np.ndarray], d: int, seed: int = 0) -> IcaModel:
     """Fit d independent components to the rows of all blocks pooled.
 
     Each block is a 2-d array with d columns; a lone 2-d array is one block.
     The pooled mean and covariance come from metrics.pooled_moments, so the
-    blocks are never stacked, and each is centred and whitened straight into
-    its columns of the d x n whitened array. Deterministic for a fixed seed.
+    blocks are never stacked, and each is whitened straight into its columns
+    of the d x n whitened array. Deterministic for a fixed seed.
     Raises IcaRankError on a rank-deficient covariance, which n <= d pooled
     rows always give. model.converged is False when the iteration stops at
-    _MAX_ITER; model.n_iter counts the coarse steps too.
+    _MAX_ITER; model.n_iter counts the coarse steps too, and each
+    accelerated step as one.
     """
     blocks = [blocks] if isinstance(blocks, np.ndarray) and blocks.ndim == 2 else list(blocks)
     if d < 1:  # np.eye(0) would let (k, 0) blocks through to an empty eigenproblem
@@ -134,11 +186,12 @@ def fit_fastica(blocks: list[np.ndarray], d: int, seed: int = 0) -> IcaModel:
         raise IcaRankError(f"covariance is rank-deficient: eigenvalues {values[::-1]}")
     # leading direction first; columns scaled so whitened rows have unit covariance
     whitening = vectors[:, ::-1] / np.sqrt(values[::-1])
-    # column j is whitened row j, computed in float64 from one block's centred
-    # copy at a time and rounded once to float32 as it is stored
+    # column j is whitened row j: whitening^T x_j - whitening^T mean, computed in
+    # float64 one block at a time and rounded once to float32 as it is stored
     xw = np.empty((d, n), dtype=np.float32)
+    shift = (moments.mean @ whitening)[:, None]
     for block, stop in zip(blocks, np.cumsum([len(block) for block in blocks])):
-        np.matmul(whitening.T, (block - moments.mean).T, out=xw[:, stop - len(block) : stop])
+        np.subtract(whitening.T @ block.T, shift, out=xw[:, stop - len(block) : stop])
 
     rng = np.random.default_rng(seed)
     w = _symmetric_decorrelate(rng.normal(size=(d, d)))
@@ -146,6 +199,7 @@ def fit_fastica(blocks: list[np.ndarray], d: int, seed: int = 0) -> IcaModel:
     x = np.ascontiguousarray(xw[:, ::_COARSE]) if n >= _COARSE * _CHUNK else xw
     buf = np.empty(d * min(n, _CHUNK), dtype=np.float32)
     ones = np.ones(min(n, _CHUNK), dtype=np.float32)  # row sums through BLAS: faster than g.sum(axis=1)
+    pairs = None  # the (rotation, update) pairs mixed by _anderson, once accelerating
     converged = False
     iterations = 0
     for iterations in range(1, _MAX_ITER + 1):
@@ -165,21 +219,22 @@ def fit_fastica(blocks: list[np.ndarray], d: int, seed: int = 0) -> IcaModel:
         w_new = gx / m - np.diag(1.0 - g2 / m) @ w
         w_new = _symmetric_decorrelate(w_new)
         # directions are sign-ambiguous; compare |cos| of old vs new rows
-        drift = np.max(np.abs(np.abs(np.sum(w_new * w, axis=1)) - 1.0))
-        w = w_new
-        if x is xw and drift < _TOL:
+        cos = np.sum(w_new * w, axis=1)
+        drift = np.max(np.abs(np.abs(cos) - 1.0))
+        if x is xw and drift < _TOL:  # only a plain step over all columns converges
+            w = w_new
             converged = True
             break
-        if drift < _COARSE_TOL:
+        if pairs is not None:
+            if drift >= last_drift:  # the mixing did not help: restart from the plain step
+                pairs = []
+            # rows of the update turned to the signs of the rotation's, so that
+            # a row whose sign flips each step has a small residual
+            pairs = [*pairs[-_DEPTH:], (w, np.where(cos < 0, -1.0, 1.0)[:, None] * w_new)]
+            w_new = _anderson(pairs)
+        elif drift < _COARSE_TOL:
             x = xw  # releases the subsample
+            pairs = []
+        w, last_drift = w_new, drift
     return IcaModel(moments.mean, whitening, w, converged, iterations)
 
-
-def transform(model: IcaModel, x: np.ndarray) -> np.ndarray:
-    """Project rows of x onto the fitted independent components."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.mean.shape[0]:
-        raise ValueError(
-            f"x must be 2-d with {model.mean.shape[0]} columns, got {x.shape}"
-        )
-    return (x - model.mean) @ model.whitening @ model.rotation.T

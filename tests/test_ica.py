@@ -6,15 +6,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import varsparse.ica as ica
+from varsparse.experiments import ExperimentConfig, make_dataset
 from varsparse.ica import (
     _CHUNK,
     IcaModel,
     IcaRankError,
+    _anderson,
     _symmetric_decorrelate,
     fit_fastica,
-    transform,
 )
 from varsparse.metrics import mcc_between
+
+
+def _components(model, x):
+    return ((x - model.mean) @ model.whitening) @ model.rotation.T
 
 
 def _mixed_uniforms(n=100_000, d=2, seed=0, scale=1.0):
@@ -30,7 +35,7 @@ def test_recovers_uniform_sources_through_random_mixing():
     sources, mixed = _mixed_uniforms(seed=1)
     model = fit_fastica([mixed], d=2, seed=0)
     assert model.converged
-    assert mcc_between(sources, transform(model, mixed)).score >= 0.95
+    assert mcc_between(sources, _components(model, mixed)).score >= 0.95
 
 
 def test_whitening_of_already_white_data_is_nearly_orthogonal():
@@ -44,24 +49,17 @@ def test_whitening_of_already_white_data_is_nearly_orthogonal():
 def test_components_are_uncorrelated_with_unit_variance():
     _, mixed = _mixed_uniforms(seed=3, d=3)
     model = fit_fastica([mixed], d=3, seed=0)
-    comp = transform(model, mixed)
+    comp = _components(model, mixed)
     cov = np.cov(comp, rowvar=False, bias=True)
     assert np.allclose(np.diag(cov), 1.0, atol=1e-9)
     off = cov[~np.eye(3, dtype=bool)]
     assert np.abs(off).max() < 1e-3
 
 
-def test_transform_of_mean_row_is_zero():
-    _, mixed = _mixed_uniforms(seed=4)
-    model = fit_fastica([mixed], d=2, seed=0)
-    out = transform(model, mixed.mean(axis=0, keepdims=True))
-    assert np.allclose(out, 0.0, atol=1e-12)
-
-
 def test_round_trip_reconstruction_when_square():
     _, mixed = _mixed_uniforms(seed=5, d=3, n=20_000)
     model = fit_fastica([mixed], d=3, seed=0)
-    comp = transform(model, mixed)
+    comp = _components(model, mixed)
     back = comp @ np.linalg.inv(model.whitening @ model.rotation.T) + model.mean
     assert np.abs(back - mixed).max() < 1e-6
 
@@ -77,8 +75,8 @@ def test_fit_is_deterministic_and_seed_sensitive():
 def test_scaling_input_columns_does_not_change_recovery():
     sources, mixed = _mixed_uniforms(seed=8, n=50_000)
     scaled = mixed * np.array([100.0, 0.01])
-    plain = transform(fit_fastica([mixed], d=2, seed=0), mixed)
-    rescaled = transform(fit_fastica([scaled], d=2, seed=0), scaled)
+    plain = _components(fit_fastica([mixed], d=2, seed=0), mixed)
+    rescaled = _components(fit_fastica([scaled], d=2, seed=0), scaled)
     assert mcc_between(plain, rescaled).score >= 0.999
     assert mcc_between(sources, rescaled).score >= 0.95
 
@@ -154,13 +152,6 @@ def test_fit_rejects_malformed_blocks_with_typed_errors():
             fit_fastica(split, d=3, seed=0)
 
 
-def test_transform_validates_columns():
-    _, mixed = _mixed_uniforms(seed=11, n=5_000)
-    model = fit_fastica([mixed], d=2, seed=0)
-    with pytest.raises(ValueError, match="columns"):
-        transform(model, np.zeros((4, 3)))
-
-
 def test_model_rejects_non_orthogonal_rotation():
     with pytest.raises(ValueError, match="orthogonal"):
         IcaModel(
@@ -199,29 +190,126 @@ def _assert_matches_reference(model, x, seed, max_iter, coarse=False):
     for part in ("mean", "whitening", "rotation"):
         assert getattr(model, part).dtype == np.float64, part
     xw = (x - model.mean) @ model.whitening
-    d = xw.shape[1]
-    w = _symmetric_decorrelate(np.random.default_rng(seed).normal(size=(d, d)))
-    spent = 0
-    if coarse:  # every _COARSE-th row until the coarse tolerance, then all rows
-        w, spent, _ = _reference_iteration(xw[:: ica._COARSE], w, max_iter, ica._COARSE_TOL)
-    rotation, n_iter, converged = _reference_iteration(xw, w, max_iter - spent, tol=1e-6)
-    assert model.n_iter == spent + n_iter
+    rotation, n_iter, converged, _ = _reference_iteration(xw, seed, max_iter, coarse)
+    assert model.n_iter == n_iter
     assert model.converged == converged
     assert np.abs(model.rotation - rotation).max() < _SWEEP_TOL
 
 
-def _reference_iteration(xw, w, max_iter, tol):
-    """The unchunked fixed-point loop from w: full n x d temporaries every step."""
-    n, d = xw.shape
+def _reference_iteration(xw, seed, max_iter, coarse=False, accelerate=True):
+    """The unchunked fixed-point loop in float64: full n x d temporaries every step.
+
+    With coarse, steps sweep every _COARSE-th row until a drift falls below
+    _COARSE_TOL, then all rows. Once a drift falls below _COARSE_TOL, each
+    step with accelerate is the _anderson mix of the last _DEPTH + 1 (rotation,
+    sign-aligned update) pairs, forgotten whenever a drift does not fall.
+    Returns the rotation, the steps, whether it converged and every drift.
+    """
+    w = _random_rotation(xw.shape[1], seed)  # fit_fastica's initial draw
+    x = xw[:: ica._COARSE] if coarse else xw
+    pairs, drifts = None, []
     for iterations in range(1, max_iter + 1):
-        g = np.tanh(xw @ w.T)
-        w_new = (g.T @ xw) / n - np.diag(np.mean(1.0 - g * g, axis=0)) @ w
-        w_new = _symmetric_decorrelate(w_new)
-        drift = np.max(np.abs(np.abs(np.sum(w_new * w, axis=1)) - 1.0))
-        w = w_new
-        if drift < tol:
-            return w, iterations, True
-    return w, max_iter, False
+        g = np.tanh(x @ w.T)
+        update = (g.T @ x) / len(x) - np.diag(np.mean(1.0 - g * g, axis=0)) @ w
+        update = _symmetric_decorrelate(update)
+        cos = np.sum(update * w, axis=1)
+        drifts.append(np.max(np.abs(np.abs(cos) - 1.0)))
+        if x is xw and drifts[-1] < ica._TOL:
+            return update, iterations, True, drifts
+        if pairs is not None:
+            if drifts[-1] >= drifts[-2]:
+                pairs = []
+            pairs = (pairs + [(w, np.sign(cos)[:, None] * update)])[-ica._DEPTH - 1 :]
+            update = _anderson(pairs)
+        elif drifts[-1] < ica._COARSE_TOL:
+            x = xw
+            pairs = [] if accelerate else None
+        w = update
+    return w, max_iter, False, drifts
+
+
+def _random_rotation(d, seed):
+    return _symmetric_decorrelate(np.random.default_rng(seed).normal(size=(d, d)))
+
+
+def test_anderson_with_one_pair_returns_the_update():
+    w, update = _random_rotation(3, 0), _random_rotation(3, 1)
+    assert _anderson([(w, update)]) is update
+
+
+def test_anderson_solves_an_affine_contraction_from_two_pairs():
+    fixed = _random_rotation(4, 2)
+
+    def contraction(w):
+        return fixed + 0.8 * (w - fixed)
+
+    w0 = _random_rotation(4, 3)
+    w1 = contraction(w0)
+    mixed = _anderson([(w0, w1), (w1, contraction(w1))])
+    assert np.abs(mixed - fixed).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "first, update",
+    [
+        ([[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]),  # the mix is this rank-1 matrix
+        ([[0.0, -1e308], [0.0, 0.0]], [[1.0, 1e308], [0.0, 1.0]]),  # update - first overflows
+    ],
+)
+def test_anderson_falls_back_to_the_update_on_a_singular_or_non_finite_mix(first, update):
+    # residuals 0 and e00 give gamma = 1, so the mix is update - (update - first);
+    # warnings are errors, so this also shows that no divide or overflow warning escapes
+    first, update = np.array(first), np.array(update)
+    pairs = [(first, first), (update - np.diag([1.0, 0.0]), update)]
+    assert _anderson(pairs) is update
+
+
+def test_a_step_whose_drift_does_not_fall_clears_the_history(monkeypatch):
+    x, seed = _accelerated_fit()
+    sizes = []
+
+    def turn_the_second_mix(pairs):
+        sizes.append(len(pairs))
+        mixed = _anderson(pairs)
+        if len(sizes) == 2:  # half a radian off: the next plain step moves far more
+            c, s = np.cos(0.5), np.sin(0.5)
+            turn = np.eye(len(mixed))
+            turn[:2, :2] = [[c, -s], [s, c]]
+            mixed = turn @ mixed
+        return mixed
+
+    monkeypatch.setattr(ica, "_anderson", turn_the_second_mix)
+    model = fit_fastica(x, d=4, seed=seed)
+    assert model.converged
+    assert sizes[:3] == [1, 2, 1]
+    assert max(sizes) == ica._DEPTH + 1
+
+
+def _accelerated_fit():
+    """Pooled train rows and an init seed on which acceleration engages: n < the
+    coarse gate, and the plain loop converges linearly from drift 7.6e-5 to 1e-6."""
+    config = ExperimentConfig(d=4, p=0.5, n_per_env=20_000, seeds=(3,))
+    dataset, _ = make_dataset(config, 3)
+    return np.vstack([dataset.train_observed(e) for e in range(dataset.n_envs)]), 3
+
+
+def test_acceleration_takes_fewer_steps_to_the_plain_loops_fixed_point():
+    x, seed = _accelerated_fit()
+    model = fit_fastica(x, d=4, seed=seed)
+    _assert_matches_reference(model, x, seed, ica._MAX_ITER)
+    xw = (x - model.mean) @ model.whitening
+    plain, plain_steps, converged, drifts = _reference_iteration(xw, seed, ica._MAX_ITER, accelerate=False)
+    assert converged
+    assert model.n_iter < plain_steps
+    # Both fits stop once a plain step turns each row by an angle s with
+    # 1 - cos s < _TOL. Near the fixed point the plain map shrinks the angle to
+    # it by rho = sqrt(q) per step, q the ratio of consecutive drifts, so the
+    # returned step lies within rho s / (1 - rho) of it, and the two rows
+    # within twice that: 1 - |cos| < 4 q _TOL / (1 - sqrt(q))^2.
+    q = drifts[-1] / drifts[-2]
+    assert 0 < q < 1
+    gap = 1.0 - np.abs(np.sum(model.rotation * plain, axis=1))
+    assert gap.max() < 4 * q * ica._TOL / (1 - np.sqrt(q)) ** 2
 
 
 @st.composite
