@@ -8,7 +8,7 @@ objective (`unmixing`), and score the result against the ground truth
 seeded benchmark harness plus command line on top (`experiments`, `cli`).
 """
 
-from .data import EnvDataset, MixingMatrix, generate, is_zero_variance, sample_mixing
+from .data import EnvDataset, MixingMatrix, generate, sample_mixing
 from .envs import (
     CoverageReport,
     EnvironmentSet,
@@ -86,7 +86,6 @@ __all__ = [
     "disentanglement_check",
     "fit_fastica",
     "generate",
-    "is_zero_variance",
     "leave_one_out_design",
     "load_checkpoint",
     "mcc",

@@ -59,20 +59,14 @@ def zero_variance(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     return var <= EPS_VAR * np.maximum(1.0, var + mean * mean)
 
 
-def is_zero_variance(column: np.ndarray) -> bool:
-    """zero_variance for the samples of one column."""
-    column = np.asarray(column, dtype=float)
-    return bool(zero_variance(column.mean(), column.var()))
-
-
 def column_mean(a: np.ndarray) -> np.ndarray:
     """a.mean(axis=0) of a 2-d float64 array, bit for bit, in one pass.
 
     On a C-contiguous array with at least 2 columns both add the rows in
     order into one accumulator per column, but mean reduces one short row at
-    a time while einsum streams the block: 0.37 ms in place of 1.67 ms on a
-    75000 x 10 block. With 1 column mean sums the contiguous axis pairwise,
-    so that case, like any other layout, falls back to mean.
+    a time while einsum streams the block, which is several times faster on
+    a tall block of few columns. With 1 column mean sums the contiguous axis
+    pairwise, so that case, like any other layout, falls back to mean.
     """
     if a.ndim == 2 and a.shape[1] >= 2 and a.dtype == np.float64 and a.flags.c_contiguous:
         return np.einsum("ij->j", a) / a.shape[0]

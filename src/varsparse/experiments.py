@@ -179,6 +179,7 @@ def _derived_seeds(seed: int) -> dict[str, int]:
 
 
 def _scm(kind: str, d: int, p: Optional[float], seeds: dict) -> Scm:
+    """The generating mechanisms of one kind, from a run's _derived_seeds."""
     if kind == "linear":
         return sample_linear_scm(sample_er_dag(d, p, seeds["dag"]), seeds["coefficients"])
     if kind == "nonlinear-1":
@@ -186,11 +187,6 @@ def _scm(kind: str, d: int, p: Optional[float], seeds: dict) -> Scm:
     if kind == "nonlinear-2":
         return builtin_nonlinear_scm(2)
     raise ValueError(f"unknown scm kind {kind!r}")
-
-
-def build_scm(kind: str, d: int, p: float, seed: int) -> Scm:
-    """Instantiate the generating mechanisms for one run seed."""
-    return _scm(kind, d, p, _derived_seeds(seed))
 
 
 def build_design(design: str, d: int, seed: int) -> EnvironmentSet:

@@ -1,65 +1,26 @@
 """Linear ICA baseline, implemented from first principles.
 
-Whiten through an eigendecomposition of the biased sample covariance of
-the rows of all blocks pooled (one block per environment), then run a
-symmetric fixed-point iteration with the tanh contrast until the rotation
-stabilizes. The model keeps the three pieces (mean, whitening map,
-orthogonal rotation) separately; the components of rows x are
-((x - mean) @ whitening) @ rotation.T.
+Whiten through an eigendecomposition of the biased covariance of the rows of
+all blocks pooled (one block per environment), then run a symmetric
+fixed-point iteration with the tanh contrast until the rotation stabilizes.
+The model keeps the mean, the whitening map and the orthogonal rotation
+apart; the components of rows x are ((x - mean) @ whitening) @ rotation.T.
 
-Each block is whitened as whitening^T block^T - whitening^T mean: one
-float64 product per block, shifted and rounded once as it is written into
-its float32 columns. Centring the block first would make a float64 copy of
-it and pass over it once more.
-
-The whitened data is stored component-major, as a float32 d x n array with
-one column per sample. Each fixed-point step sweeps its columns _CHUNK at a
-time through one preallocated float32 d x _CHUNK buffer, and accumulates the
-d x d sum of g x^T and the per-component sum of g^2, where g = tanh(W x):
-each chunk's sums are formed in float32 and added into float64. Full-size
-d x n temporaries would be streamed through memory several times per step
-instead. Every product in this layout is a wide GEMM, (d, d) @ (d, _CHUNK)
-or (d, _CHUNK) @ (_CHUNK, d); OpenBLAS runs the skinny (_CHUNK, d) @ (d, d)
-products of a row-major sweep slower at d=10. At d=10 and 750k samples,
-with one thread on a 2-CPU x86-64 machine, a step takes 10.3-14.0 ms in
-this layout, 16.7-22.1 ms row-major and 28.0-40.0 ms in float64; at d=30 it
-takes 82-103 ms, 71-93 ms and 152-197 ms (each range spans the medians of
-two sessions of 20 interleaved runs).
-
-float32 suffices because every quantity the sweep forms is a mean over the
-n whitened samples. Its sampling error, about n^-1/2 (1e-3 at 750k), is far
-above float32 rounding: eps is 1.2e-7, and a float32 sum of _CHUNK terms is
-good to about 1e-5. The whitening map, the moments, the decorrelation and
-the convergence test stay float64, and each sample is rounded once, when it
-is written into the whitened array.
+Each block is whitened as whitening^T block^T - whitening^T mean, with no
+centred copy, and rounded once into its columns of a float32 d x n array.
+Each step sweeps those columns _CHUNK at a time through one float32 buffer,
+so every product is a wide GEMM, and adds each chunk's float32 sums of g x^T
+and g^2 (g = tanh(W x)) into float64 totals. float32 suffices because each
+sum is a mean over n samples, whose sampling error (about n^-1/2) is far
+above float32 rounding; the whitening, the decorrelation and the convergence
+test stay float64.
 
 A fit with at least _COARSE * _CHUNK samples takes its first steps on a
-contiguous copy of every _COARSE-th whitened column, and continues on all
-columns, from the rotation reached, once a step moves it by less than
-_COARSE_TOL. The same loop runs both stages; each step's means divide by the
-columns it swept. Only a step over all columns can converge, and _MAX_ITER
-caps the steps of both stages together. At d=10 and 750k samples the
-subsample's steps cost an eighth as much, and they take the rotation from
-its random start to where few full steps remain: unaccelerated, the ica-d10
-panel runs 22 + 5 and 44 + 19 coarse + full steps, against 23 and 64 full
-steps without the coarse stage. Smaller fits sweep all columns from the
-first step.
-
-Past the coarse handoff the plain full-sample steps converge only linearly:
-on the panel's second fit each of 19 cuts the drift by about 0.7x. So once
-a step's drift falls below _COARSE_TOL (the handoff, or the same point in a
-fit below the gate), each step is Anderson-accelerated (Walker and Ni,
-SIAM J. Numer. Anal. 49(4), 2011): the update's rows are turned to the
-signs of the rotation's, and the update is mixed with the last _DEPTH
-(rotation, update) pairs by _anderson. The history is cleared at the
-handoff and after any step whose drift does not fall below the previous
-step's. The convergence test is the plain one: a fit converges when a plain
-full-sample step from its current rotation moves it by less than _TOL, and
-returns that step. Mixing does not move the fixed point, and it starts only
-after the coarse stage has picked the basin. The panel now runs 22 + 4 and
-44 + 7 coarse + full steps, and the ica-d10 pass, which also whitens without
-centred copies, takes a median 0.305 s of CPU against 0.451 s (one OpenBLAS
-thread on a 2-CPU x86-64 machine, 10 alternating pairs).
+contiguous copy of every _COARSE-th column, and moves to all columns once a
+step's drift falls below _COARSE_TOL. From there (or the same point in a
+smaller fit) each step is Anderson-accelerated by _anderson (Walker and Ni,
+SIAM J. Numer. Anal. 49(4), 2011). Only a plain step over all columns
+converges, so neither the subsample nor the mixing moves the fixed point.
 """
 
 from __future__ import annotations
@@ -71,12 +32,9 @@ import numpy as np
 from .metrics import pooled_moments
 
 _RANK_RTOL = 1e-10
-# Columns per block of the fixed-point sweep; changing it changes the order
-# of the float32 sums, and so the results. At d=10 and 750k columns, with one
-# OpenBLAS thread on a 2-CPU x86-64 machine, a float32 step over blocks of
-# 8192 columns costs 8.9-11.6 ms, 4096 columns 9.8-12.7 ms, 2048 columns
-# 11.2-14.7 ms, 1024 columns 14.9-20.5 ms and 16384 columns 23.6-28.9 ms
-# (each range spans the medians of three sessions of 12 interleaved runs).
+# Columns per block of the fixed-point sweep, the fastest of the powers of two
+# from 1024 to 16384 at d=10; changing it changes the order of the float32
+# sums, and so the results.
 _CHUNK = 8192
 # Fixed-point step cap, coarse steps included, and the largest change in |cos|
 # between a row of the rotation and its update at which a step over all

@@ -3,18 +3,19 @@
 Criteria 1-4 and 9 execute the full benchmark protocol (5 seeds, 50 epochs,
 up to 2*10^5 rows per environment, d up to 30) and dominate the runtime.
 Each criterion prints a single CRITERION k: PASS/FAIL line with the measured
-numbers.
+numbers. The last test holds README's results table to the same means.
 """
 
 import itertools
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from varsparse._rng import derive_seed
-from varsparse.data import MixingMatrix, generate, is_zero_variance, sample_mixing
+from varsparse.data import MixingMatrix, generate, sample_mixing, zero_variance
 from varsparse.envs import (
     EnvironmentSet,
     InterventionRegime,
@@ -136,7 +137,8 @@ def test_criterion_5_mixing_never_kills_observational_variance():
             z = sample(scm, 400, rng_seed=derive_seed(base, 3))
             x = z @ mixing.entries
             for j in range(d):
-                assert not is_zero_variance(x[:, j]), f"d={d} trial {k} column {j}"
+                c = x[:, j]
+                assert not zero_variance(c.mean(), c.var()), f"d={d} trial {k} column {j}"
                 checked += 1
     _verdict(5, True, f"{checked} mixed columns across 300 random instances, zero below threshold")
 
@@ -247,3 +249,53 @@ def test_criterion_9_trained_composition_is_scaled_permutation():
         f"dense mixing itself fails: {dense_fails}"
     )
     _verdict(9, passes >= 4 and dense_fails, detail)
+
+
+# README's results table: the (scm, d, p, n_per_env) cell behind each row label
+_TABLE_CELLS = {
+    "linear d=3": ("linear", 3, 0.5, 100_000),
+    "linear d=6": ("linear", 6, 0.5, 100_000),
+    "linear d=10": ("linear", 10, 0.5, 100_000),
+    "linear d=30": ("linear", 30, 0.5, 100_000),
+    "d=6, independent (p=0)": ("linear", 6, 0.0, 100_000),
+    "nonlinear mechanisms 1": ("nonlinear-1", 6, 0.5, 100_000),
+    "nonlinear mechanisms 2": ("nonlinear-2", 6, 0.5, 100_000),
+}
+_EMPTY = "\u2014"  # an em dash: a cell nothing computes
+
+
+def _readme_table() -> list[list[str]]:
+    """The rows of README's results table, header first, as stripped cells."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| setting "))
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip().strip("|").split("|")])
+    return [rows[0], *rows[2:]]  # without the --- row
+
+
+def _markdown(rows: list[list[str]]) -> str:
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = ["| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |" for row in rows]
+    lines.insert(1, "| " + " | ".join("-" * w for w in widths) + " |")
+    return "\n".join(lines)
+
+
+def test_readme_results_table_is_what_the_code_computes():
+    # the same _mean_mcc calls as the criteria, so its cache serves their cells
+    header, *body = _readme_table()
+    unmapped = [row[0] for row in body if row[0] not in _TABLE_CELLS and set(row[1:]) != {_EMPTY}]
+    assert unmapped == [], f"README's results table has rows no cell computes: {unmapped}"
+    computed = [header] + [
+        [label] + [
+            text if text == _EMPTY else f"{_mean_mcc(method, *_TABLE_CELLS[label]):.3f}"
+            for method, text in zip(header[1:], cells)
+        ]
+        for label, *cells in body
+    ]
+    assert computed == [header, *body], (
+        "README's results table differs from what the code computes, which is:\n\n"
+        + _markdown(computed)
+    )

@@ -13,7 +13,6 @@ import varsparse.unmixing as unmixing
 from varsparse.experiments import (
     ExperimentConfig,
     ResultRow,
-    build_scm,
     make_dataset,
     pooled_test_moments,
     regenerate,
@@ -89,20 +88,24 @@ def test_config_accepts_numpy_scalars():
 
 
 def test_build_scm_kinds():
-    linear = build_scm("linear", 4, 0.5, seed=3)
+    linear = experiments._scm("linear", 4, 0.5, experiments._derived_seeds(3))
     assert linear.d == 4
     for which, kind in ((1, "nonlinear-1"), (2, "nonlinear-2")):
-        scm = build_scm(kind, 6, 0.5, seed=0)
-        again = build_scm(kind, 6, 0.5, seed=99)  # fixed mechanisms ignore the seed
+        scm = experiments._scm(kind, 6, 0.5, experiments._derived_seeds(0))
+        # fixed mechanisms ignore the seed
+        again = experiments._scm(kind, 6, 0.5, experiments._derived_seeds(99))
         assert scm.d == 6
         assert np.array_equal(scm.dag.edges, again.dag.edges)
     with pytest.raises(ValueError):
-        build_scm("polynomial", 4, 0.5, seed=0)
+        experiments._scm("polynomial", 4, 0.5, experiments._derived_seeds(0))
 
 
 def test_linear_scm_differs_across_seeds():
     # fresh instance per seed: over several seeds the graphs cannot all agree
-    dags = [build_scm("linear", 6, 0.5, seed=s).dag.edges for s in range(5)]
+    dags = [
+        experiments._scm("linear", 6, 0.5, experiments._derived_seeds(s)).dag.edges
+        for s in range(5)
+    ]
     assert any(not np.array_equal(dags[0], d) for d in dags[1:])
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from varsparse.data import MixingMatrix, is_zero_variance
+from varsparse.data import MixingMatrix, zero_variance
 
 from varsparse.metrics import (
     DisentanglementReport,
@@ -117,8 +117,8 @@ def _sample_pairs(draw):
 @given(_sample_pairs())
 def test_pearson_zeroes_exactly_the_zero_variance_columns(pair):
     x, y = pair
-    x_dead = np.array([is_zero_variance(col) for col in x.T])
-    y_dead = np.array([is_zero_variance(col) for col in y.T])
+    x_dead = np.array([zero_variance(c.mean(), c.var()) for c in x.T])
+    y_dead = np.array([zero_variance(c.mean(), c.var()) for c in y.T])
     # a column's self-correlation is 1 if it is live and 0 if it is zeroed
     assert np.allclose(np.diag(pearson(x, x)), np.where(x_dead, 0.0, 1.0), rtol=0, atol=1e-12)
     assert np.allclose(np.diag(pearson(y, y)), np.where(y_dead, 0.0, 1.0), rtol=0, atol=1e-12)
@@ -199,8 +199,8 @@ def _assert_pearson_of_rows(c, z, y, constant, dead):
     """c's live entries match the stacked rows' corrcoef, an independent
     reference; a constant reference column and an all-zero learned column
     are dead."""
-    live_z = np.flatnonzero([not is_zero_variance(col) for col in z.T])
-    live_y = np.flatnonzero([not is_zero_variance(col) for col in y.T])
+    live_z = np.flatnonzero([not zero_variance(c.mean(), c.var()) for c in z.T])
+    live_y = np.flatnonzero([not zero_variance(c.mean(), c.var()) for c in y.T])
     full = np.corrcoef(z[:, live_z], y[:, live_y], rowvar=False)[: live_z.size, live_z.size :]
     assert np.allclose(c[np.ix_(live_z, live_y)], full, rtol=0, atol=1e-12)
     if constant is not None:
