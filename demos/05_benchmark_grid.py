@@ -25,8 +25,6 @@ def main():
 
     out = args.out or tempfile.mkdtemp(prefix="varsparse_")
     config = replace(FULL if args.full else QUICK, out_dir=out)
-    if not args.full:  # skip d=30 in the quick pass
-        GRIDS[args.which] = tuple(c for c in GRIDS[args.which] if c.get("d", config.d) <= 10)
     rows_path, summary_path, rows = reproduce(args.which, config)
 
     failures = sum(1 for r in rows if r.error)

@@ -1,18 +1,19 @@
 """Mixed multi-environment datasets: generation, train/test split, persistence.
 
-Ground-truth latents Z are drawn per environment; observations are derived once
-as their image under a fixed invertible square mixing. The latents only ever
-feed evaluation. Files round-trip bit-exactly through a small self-describing
-binary container with a trailing checksum; load checks its stored observations.
-save and load stream the container a record or a few MiB at a time, so neither
-holds more than the dataset itself.
+A dataset is its environments, its mixing and its latents. Ground-truth
+latents Z are drawn per environment; observations are derived once as their
+image under a fixed invertible square mixing, and the first 75% of every
+environment's rows train. The latents only ever feed evaluation. Files
+round-trip bit-exactly through a binary container with a trailing checksum,
+whose header holds only the environments and the row count; load checks its
+stored observations. save and load stream the container a record or a few MiB
+at a time, so neither holds more than the dataset itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from .scm import Scm, sample
 EPS_VAR = 1e-8
 
 _MAGIC = b"VSDS"
-_VERSION = 1
+_VERSION = 2
 _DET_MIN = 1e-6
 _COND_MAX = 1e6
 _TRAIN_FRACTION = 0.75  # n_train = floor(0.75 * n)
@@ -141,18 +142,16 @@ def sample_mixing(d: int, rng_seed: int) -> MixingMatrix:
 
 @dataclass(frozen=True, eq=False)
 class EnvDataset:
-    """Per-environment latents, their mixing, and the train/test row split.
+    """Per-environment latents under their regimes, and their mixing.
 
     The observations are derived once, observed[e] = latents[e] @ mixing, and
-    every environment has n_per_env rows, the latents' row count. Rows
+    every environment has n_per_env >= 4 rows, the latents' row count. Rows
     [:n_train] of every environment are training rows, the rest test.
     """
 
     envs: EnvironmentSet
     mixing: MixingMatrix
     latents: tuple[np.ndarray, ...]
-    n_train: int
-    seed: int
     observed: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -169,10 +168,8 @@ class EnvDataset:
                 raise ValueError(
                     f"environment {e}: latents shaped {z.shape}, expected one (n, {d}) shape for all"
                 )
-        if not 0 < self.n_train < self.n_per_env:
-            raise ValueError(
-                f"split must leave both parts nonempty: n_train={self.n_train}, n={self.n_per_env}"
-            )
+        if self.n_per_env < 4:
+            raise ValueError("need at least 4 rows per environment for a 75/25 split")
         object.__setattr__(self, "observed", tuple(z @ self.mixing.entries for z in self.latents))
 
     @property
@@ -186,6 +183,10 @@ class EnvDataset:
     @property
     def n_per_env(self) -> int:
         return self.latents[0].shape[0]
+
+    @property
+    def n_train(self) -> int:
+        return int(self.n_per_env * _TRAIN_FRACTION)
 
     def train_observed(self, e: int) -> np.ndarray:
         return self.observed[e][: self.n_train]
@@ -207,47 +208,29 @@ def generate(
     n_per_env: int,
     rng_seed: int,
 ) -> EnvDataset:
-    """Draw n_per_env rows under every regime, mix them, and split 75/25."""
+    """Draw n_per_env rows under every regime and mix them."""
+    n_per_env = _integer("n_per_env", n_per_env)
     if scm.d != envs.d or scm.d != mixing.d:
         raise ValueError(
             f"dimension mismatch: scm d={scm.d}, envs d={envs.d}, mixing rows={mixing.d}"
         )
-    if n_per_env < 4:
-        raise ValueError("need at least 4 rows per environment for a 75/25 split")
     latents = tuple(
         sample(scm, n_per_env, intervention=regime, rng_seed=derive_seed(rng_seed, e))
         for e, regime in enumerate(envs.regimes)
     )
-    n_train = int(n_per_env * _TRAIN_FRACTION)
-    return EnvDataset(envs=envs, mixing=mixing, latents=latents, n_train=n_train, seed=rng_seed)
-
-
-def _layout(d: int, n_envs: int, n_per_env: int) -> list[dict]:
-    """The container's records in file order: the d x d mixing, then each
-    environment's (n_per_env, d) latents and observations."""
-    layout = [{"name": "mixing", "shape": [d, d]}]
-    for e in range(n_envs):
-        layout.append({"name": f"latents_{e}", "shape": [n_per_env, d]})
-        layout.append({"name": f"observed_{e}", "shape": [n_per_env, d]})
-    return layout
+    return EnvDataset(envs=envs, mixing=mixing, latents=latents)
 
 
 def save(dataset: EnvDataset, path: Union[str, Path]) -> None:
     """Write the container: magic, version, header JSON, float64 payload, sha256.
 
+    The header holds the environments and n_per_env. The payload is the d x d
+    mixing, then each environment's (n_per_env, d) latents and observations.
     Each record goes out from its array's own buffer; a failed write removes
     the partial file and re-raises.
     """
-    header = {
-        "d": dataset.d,
-        "m": dataset.d,  # kept for the container format: the mixing is d x d
-        "n_per_env": dataset.n_per_env,
-        "n_train": dataset.n_train,
-        "seed": dataset.seed,
-        "envs": json.loads(dataset.envs.to_json()),
-        "matrices": _layout(dataset.d, dataset.n_envs, dataset.n_per_env),
-    }
-    records = [dataset.mixing.entries]  # in _layout's order
+    header = {"envs": json.loads(dataset.envs.to_json()), "n_per_env": dataset.n_per_env}
+    records = [dataset.mixing.entries]
     for latents, observed in zip(dataset.latents, dataset.observed):
         records += [latents, observed]
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -309,12 +292,13 @@ def _matches_stored(file: BinaryIO, path: Union[str, Path], derived: np.ndarray)
 
 
 def load(path: Union[str, Path]) -> EnvDataset:
-    """Read a container written by save, verifying checksum and layout.
+    """Read a container written by save, verifying checksum and size.
 
-    The whole body is hashed before anything is parsed, and the header must
-    list exactly the records _layout gives for its counts. Each latents record
-    is then read straight into its final array; the stored observations are
-    compared with the derived ones a chunk at a time and never held whole.
+    The whole body is hashed before anything is parsed, and the payload must
+    be as long as save writes for the header's environments and n_per_env.
+    Each latents record is then read straight into its final array; the
+    stored observations are compared with the derived ones a chunk at a time
+    and never held whole.
     """
     with open(path, "rb") as file:
         body_len = os.fstat(file.fileno()).st_size - 32
@@ -328,44 +312,35 @@ def load(path: Union[str, Path]) -> EnvDataset:
         if magic != _MAGIC:
             raise DatasetFormatError(f"{path}: bad magic {magic!r}")
         if version != _VERSION:
-            raise DatasetFormatError(f"{path}: unsupported container version {version}")
+            raise DatasetFormatError(
+                f"{path}: unsupported container version {version}, this reads version "
+                f"{_VERSION}; regenerate it from its manifest with `varsparse generate --from-manifest`"
+            )
         payload_start = 16 + header_len
         if payload_start > body_len:
             raise DatasetFormatError(f"{path}: header length overruns file")
         try:
             header = json.loads(file.read(header_len).decode("utf-8"))
-            counts = [_integer(k, header[k]) for k in ("d", "m", "n_per_env", "n_train", "seed")]
-            if min(counts) < 0:
-                raise ValueError(f"d, m, n_per_env, n_train and seed must be nonnegative: {counts}")
-            d, m, n_per_env, n_train, seed = counts
+            n_per_env = _integer("n_per_env", header["n_per_env"])
             envs = EnvironmentSet.from_json(json.dumps(header["envs"]))
-            matrices = header["matrices"]
         except (ValueError, KeyError, TypeError, OverflowError) as err:
             raise DatasetFormatError(f"{path}: malformed header: {err}") from err
-        if m != d:
-            raise DatasetFormatError(f"{path}: header says d={d} but m={m}: the mixing is d x d")
-        n_envs = len(envs.regimes)
-        layout = _layout(d, n_envs, n_per_env)
-        # compared as JSON: in Python [4.0, 3] == [4, 3] and True == 1
-        if json.dumps(matrices, sort_keys=True) != json.dumps(layout, sort_keys=True):
-            raise DatasetFormatError(
-                f"{path}: header says d={d}, {n_envs} environments, n_per_env={n_per_env}, "
-                "but lists other matrices than that layout"
-            )
-        payload_len = 8 * sum(math.prod(rec["shape"]) for rec in layout)
+        d, n_envs = envs.d, len(envs.regimes)
+        payload_len = 8 * d * (d + 2 * n_envs * n_per_env)
         if body_len - payload_start != payload_len:
-            raise DatasetFormatError(f"{path}: payload is not its layout's {payload_len} bytes")
+            raise DatasetFormatError(
+                f"{path}: header says d={d}, {n_envs} environments and n_per_env={n_per_env}, "
+                f"so {payload_len} payload bytes, but the file holds {body_len - payload_start}"
+            )
 
-        try:  # at d=0 the size check leaves n_per_env unbounded: numpy may refuse the shape
+        try:  # a negative n_per_env can meet the size check: numpy refuses its shape
             mixing = np.empty((d, d), "<f8")
             latents = tuple(np.empty((n_per_env, d), "<f8") for _ in range(n_envs))
             _read_into(file, path, mixing)
             for z in latents:
                 _read_into(file, path, z)
                 file.seek(z.nbytes, os.SEEK_CUR)  # past the stored observations, checked below
-            dataset = EnvDataset(
-                envs=envs, mixing=MixingMatrix(mixing), latents=latents, n_train=n_train, seed=seed
-            )
+            dataset = EnvDataset(envs=envs, mixing=MixingMatrix(mixing), latents=latents)
         except ValueError as err:
             raise DatasetFormatError(f"{path}: inconsistent contents: {err}") from err
         for e, derived in enumerate(dataset.observed):  # every record is derived.nbytes long

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from ._rng import substream
+from .envs import _integer
 
 if TYPE_CHECKING:
     from .envs import InterventionRegime
@@ -200,6 +201,7 @@ def sample(
     node draws noise from its own counter-based substream of ``rng_seed``, so
     results do not depend on evaluation order.
     """
+    n = _integer("n", n)
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     d = scm.d

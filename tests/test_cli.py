@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -415,6 +417,29 @@ def test_evaluate_rejects_a_checkpoint_of_another_dimension(tmp_path, tiny_confi
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: checkpoint unmixes d=3 but the dataset has d=4\n"
+
+
+def test_train_and_evaluate_reject_a_version_1_container_and_write_nothing(tmp_path, tiny_config, capsys):
+    out = tmp_path / "run"
+    main(["generate", "--config", tiny_config, "--out", str(out)])
+    main(["train", "--config", tiny_config, "--data", str(out / "dataset.bin"), "--out", str(out)])
+    body = bytearray((out / "dataset.bin").read_bytes()[:-32])
+    body[4:8] = struct.pack("<I", 1)  # the version word, as releases before version 2 wrote it
+    old = tmp_path / "old.bin"
+    old.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    fresh = tmp_path / "fresh"
+    for argv in (
+        ["train", "--config", tiny_config, "--data", str(old), "--out", str(fresh)],
+        ["evaluate", "--data", str(old), "--checkpoint", str(out / "checkpoint.bin")],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {old}: unsupported container version 1,")
+        assert "`varsparse generate --from-manifest`" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_evaluate_requires_both_inputs(capsys):

@@ -168,6 +168,15 @@ def test_generate_rejects_dimension_mismatch():
         )
 
 
+@pytest.mark.parametrize("n", [100.5, np.float64(8.0), True, "8"])
+def test_generate_rejects_a_row_count_that_is_not_an_integer(n):
+    envs, mix = leave_one_out_design(3, 1), MixingMatrix(CHAIN_MIX)
+    with pytest.raises(ValueError, match="n_per_env must be an integer"):
+        generate(chain_example_scm(), envs, mix, n_per_env=n, rng_seed=0)
+    # a NumPy integer is an integer
+    assert generate(chain_example_scm(), envs, mix, n_per_env=np.int64(8), rng_seed=0).n_train == 6
+
+
 def test_observed_is_mixed_latents():
     ds = _chain_dataset()
     for z, x in zip(ds.latents, ds.observed):
@@ -232,7 +241,6 @@ def test_save_load_round_trip(tmp_path):
     back = load(path)
     assert back.n_per_env == ds.n_per_env
     assert back.n_train == ds.n_train
-    assert back.seed == ds.seed
     assert back.envs.regimes == ds.envs.regimes
     assert np.array_equal(back.mixing.entries, ds.mixing.entries)
     for e in range(ds.n_envs):
@@ -260,7 +268,7 @@ def _split_container(path):
 
 def _write_container(path, header_bytes, payload):
     """A container with the given header JSON and payload and a valid checksum."""
-    body = b"VSDS" + struct.pack("<I", 1) + struct.pack("<Q", len(header_bytes))
+    body = b"VSDS" + struct.pack("<I", 2) + struct.pack("<Q", len(header_bytes))
     body += header_bytes + payload
     path.write_bytes(body + hashlib.sha256(body).digest())
 
@@ -270,9 +278,9 @@ def test_load_detects_header_payload_mismatch(tmp_path):
     path = tmp_path / "chain.vsds"
     save(ds, path)
     header, payload = _split_container(path)
-    header["d"] = 7  # payload still describes d=3
+    header["envs"]["d"] = 7  # payload still describes d=3
     _write_container(path, json.dumps(header, sort_keys=True).encode(), payload)
-    with pytest.raises(DatasetFormatError, match="header says"):
+    with pytest.raises(DatasetFormatError, match="header says d=7"):
         load(path)
 
 
@@ -287,68 +295,65 @@ def _tiny_container_dataset():
         ),
     )
     latents = tuple(np.arange(12.0).reshape(4, 3) * (e + 1) - 5.0 * e for e in range(3))
-    return EnvDataset(envs=envs, mixing=MixingMatrix(CHAIN_MIX), latents=latents, n_train=3, seed=11)
+    return EnvDataset(envs=envs, mixing=MixingMatrix(CHAIN_MIX), latents=latents)
 
 
 def test_container_bytes_are_pinned(tmp_path):
     path = tmp_path / "tiny.vsds"
     save(_tiny_container_dataset(), path)
     raw = path.read_bytes()
-    assert len(raw) == 1208
+    assert len(raw) == 872
     assert hashlib.sha256(raw).hexdigest() == (
-        "f6a46dff4b783d97421c4e7aad9badf97831352102e4886e259744186208f16f"
+        "251f79f2af25de8c613b86f3b56b2670683dd7bfddeba11c34ec175df91c5a22"
     )
     header, _ = _split_container(path)
-    assert header["m"] == header["d"] == 3
+    assert set(header) == {"envs", "n_per_env"}
 
 
 def test_load_rejects_a_wide_mixing(tmp_path):
-    # a consistent container whose mixing maps 3 latents to 4 observed columns
+    # a payload whose mixing maps 3 latents to 4 observed columns
     ds = _tiny_container_dataset()
     wide = np.hstack([CHAIN_MIX, [[1.0], [2.0], [3.0]]])
     path = tmp_path / "wide.vsds"
     save(ds, path)
     header, _ = _split_container(path)
-    header["m"] = 4
     matrices = [wide]
     for e, z in enumerate(ds.latents):
         matrices += [z, z @ wide]
-    for rec, arr in zip(header["matrices"], matrices):
-        rec["shape"] = list(arr.shape)
     payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in matrices)
     _write_container(path, json.dumps(header).encode(), payload)
-    with pytest.raises(DatasetFormatError, match="header says d=3 but m=4"):
+    with pytest.raises(DatasetFormatError, match="header says d=3"):
         load(path)
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda h: h["matrices"][1].pop("shape"),
-        lambda h: h.update(matrices={"name": "mixing", "shape": [3, 3]}),
-        lambda h: h.update(matrices=7),
-        lambda h: h["matrices"][1].update(shape=[-4, -3]),
-        lambda h: h["matrices"][1].update(shape=[0, 10**30]),
-        lambda h: h["matrices"][1].update(shape=[4.0, 3]),
-        lambda h: h["matrices"][1].update(name=["latents_0"]),
-        lambda h: h.update(d=float("inf")),
+        lambda h: h.pop("n_per_env"),
+        lambda h: h.pop("envs"),
+        lambda h: h.update(envs=7),
+        lambda h: h["envs"].pop("regimes"),
+        lambda h: h["envs"].update(regimes=7),
+        lambda h: h["envs"]["regimes"][1].pop("values"),
+        lambda h: h["envs"]["regimes"][1].update(targets=[0, 1, 2]),
+        lambda h: h["envs"].update(d=float("inf")),
         lambda h: h["envs"]["regimes"][0].update(targets=[float("inf")]),
         lambda h: h["envs"]["regimes"][0].update(targets=[0], values=["1.5"]),
-        # an empty mixing, its 9 floats handed to the next matrix
+        # an empty mixing: no dataset has d=0
         lambda h: (
-            h.update(d=0, m=0),
-            h["matrices"][0].update(shape=[0, 0]),
-            h["matrices"][1].update(shape=[7, 3]),
+            h["envs"].update(d=0),
+            [r.update(targets=[], values=[]) for r in h["envs"]["regimes"]],
         ),
-        # the 12 floats of observed_0, transposed: no broadcast may reach the caller
-        lambda h: h["matrices"][2].update(shape=[3, 4]),
+        # a target past d
+        lambda h: h["envs"]["regimes"][2].update(targets=[1, 3]),
         # counts that int() would coerce or that no dataset has
-        lambda h: h.update(d=3.7),
-        lambda h: h.update(n_train=2.9),
-        lambda h: h.update(n_train=True),
-        lambda h: h.update(seed="11"),
-        lambda h: h.update(seed=-4),
+        lambda h: h["envs"].update(d=3.7),
+        lambda h: h.update(n_per_env=4.0),
+        lambda h: h.update(n_per_env=True),
+        lambda h: h["envs"].update(d="3"),
+        lambda h: h.update(n_per_env=-4),
         lambda h: h.update(n_per_env="4"),
+        lambda h: h.update(n_per_env=2**70),
     ],
 )
 def test_load_rejects_malformed_headers_with_format_errors(tmp_path, mutate):
@@ -381,24 +386,20 @@ def test_load_rejects_records_off_the_saved_layout(tmp_path, records):
     recs = [("mixing", ds.mixing.entries)]
     for e in range(ds.n_envs):
         recs += [(f"latents_{e}", ds.latents[e]), (f"observed_{e}", ds.observed[e])]
-    recs = records(recs)
-    header["matrices"] = [{"name": name, "shape": list(a.shape)} for name, a in recs]
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in recs)
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for _, a in records(recs))
     _write_container(path, json.dumps(header).encode(), payload)
-    with pytest.raises(DatasetFormatError, match="header says"):
+    with pytest.raises(DatasetFormatError):
         load(path)
 
 
 def test_load_rejects_empty_records_numpy_cannot_shape(tmp_path):
-    # with d=0 every record holds 0 bytes whatever n_per_env says
+    # d=2 and 1 environment of -1 rows: 8 * d * (d + 2 * 1 * -1) = 0 payload bytes
     path = tmp_path / "tiny.vsds"
     save(_tiny_container_dataset(), path)
     header, _ = _split_container(path)
-    header.update(d=0, m=0, n_per_env=2**62)
-    for rec in header["matrices"]:
-        rec["shape"] = [0, 0] if rec["name"] == "mixing" else [2**62, 0]
+    header.update(envs={"d": 2, "regimes": [{"targets": [], "values": []}]}, n_per_env=-1)
     _write_container(path, json.dumps(header).encode(), b"")
-    with pytest.raises(DatasetFormatError):
+    with pytest.raises(DatasetFormatError, match="inconsistent contents: negative dimensions"):
         load(path)
 
 
@@ -407,7 +408,6 @@ def test_load_rejects_a_container_with_no_environments(tmp_path):
     save(_tiny_container_dataset(), path)
     header, payload = _split_container(path)
     header["envs"]["regimes"] = []
-    header["matrices"] = header["matrices"][:1]
     _write_container(path, json.dumps(header).encode(), payload[: 8 * 9])  # the mixing alone
     with pytest.raises(DatasetFormatError, match="at least one environment"):
         load(path)
@@ -421,7 +421,7 @@ def _json_values():
         st.floats(),
         st.text(max_size=4),
     )
-    keys = st.sampled_from(["d", "m", "name", "shape", "targets", "values", "regimes", "x"])
+    keys = st.sampled_from(["n_per_env", "envs", "d", "regimes", "targets", "values", "x"])
     return st.recursive(
         scalars,
         lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3),
@@ -493,6 +493,12 @@ def test_load_rejects_wrong_magic_and_version(tmp_path):
     path.write_bytes(bytes(raw) + hashlib.sha256(bytes(raw)).digest())
     with pytest.raises(DatasetFormatError, match="magic"):
         load(path)
+    # version 1, which every earlier release wrote, stored a header this does not read
+    raw[0:4] = b"VSDS"
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw) + hashlib.sha256(bytes(raw)).digest())
+    with pytest.raises(DatasetFormatError, match="unsupported container version 1.*--from-manifest"):
+        load(path)
 
 
 def test_csv_export(tmp_path):
@@ -508,34 +514,28 @@ def test_csv_export(tmp_path):
 
 def test_dataset_validation():
     ds = _chain_dataset(n=40)
-    with pytest.raises(ValueError, match="split"):
-        EnvDataset(
-            envs=ds.envs,
-            mixing=ds.mixing,
-            latents=ds.latents,
-            n_train=ds.n_per_env,
-            seed=ds.seed,
-        )
+    with pytest.raises(ValueError, match="need at least 4 rows per environment"):
+        EnvDataset(envs=ds.envs, mixing=ds.mixing, latents=tuple(z[:3] for z in ds.latents))
     with pytest.raises(ValueError, match="at least one environment"):
-        EnvDataset(envs=EnvironmentSet(3, ()), mixing=ds.mixing, latents=(), n_train=1, seed=0)
+        EnvDataset(envs=EnvironmentSet(3, ()), mixing=ds.mixing, latents=())
     with pytest.raises(ValueError, match="latents shaped"):
         EnvDataset(
             envs=ds.envs,
             mixing=ds.mixing,
             latents=(ds.latents[0], ds.latents[1][:-1], ds.latents[2]),
-            n_train=ds.n_train,
-            seed=ds.seed,
         )
+    # the split is floor(0.75 n): a dataset holds no row count of its own
+    for n in (4, 5, 7, 40):
+        split = EnvDataset(envs=ds.envs, mixing=ds.mixing, latents=tuple(z[:n] for z in ds.latents))
+        assert split.n_train == int(0.75 * n)
 
 
 def _with_observed_0(path, observed_0):
     """Rewrite a saved container with another observed_0 record and a valid checksum."""
     header, payload = _split_container(path)
-    sizes = [8 * int(np.prod(rec["shape"])) for rec in header["matrices"]]
-    start = sum(sizes[:2])  # records run mixing, latents_0, observed_0, ...
     record = np.ascontiguousarray(observed_0, dtype="<f8").tobytes()
-    assert len(record) == sizes[2]
-    payload = payload[:start] + record + payload[start + sizes[2] :]
+    start = 8 * observed_0.shape[1] ** 2 + len(record)  # records run mixing, latents_0, observed_0, ...
+    payload = payload[:start] + record + payload[start + len(record) :]
     _write_container(path, json.dumps(header).encode(), payload)
 
 
@@ -684,7 +684,8 @@ def test_container_round_trip_is_bitwise(tmp_path_factory, ds):
     back = load(path)
     assert back.envs.d == ds.envs.d
     assert back.envs.regimes == ds.envs.regimes
-    assert (back.n_per_env, back.n_train, back.seed) == (ds.n_per_env, ds.n_train, ds.seed)
+    assert ds.n_train == int(0.75 * ds.n_per_env)
+    assert (back.n_per_env, back.n_train) == (ds.n_per_env, ds.n_train)
     assert back.mixing.entries.tobytes() == ds.mixing.entries.tobytes()
     for e in range(ds.n_envs):
         assert back.latents[e].tobytes() == ds.latents[e].tobytes()

@@ -201,6 +201,10 @@ def test_sample_argument_errors():
         sample(scm, 0, rng_seed=0)
     with pytest.raises(ValueError, match="outside"):
         sample(scm, 10, intervention=InterventionRegime((5,), (1.0,)), rng_seed=0)
+    for n in (True, 10.5, np.float64(8.0), "8"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample(scm, n, rng_seed=0)
+    assert sample(scm, np.int64(8), rng_seed=0).shape == (8, 3)
 
 
 def _reference_sample(scm, n, intervention, rng_seed):
