@@ -17,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .data import export_csv, load, save
+from .data import export_csv
 from .envs import EnvironmentSet, check_sufficient_coverage
 from .experiments import (
     DESIGN_KINDS,
@@ -26,6 +26,7 @@ from .experiments import (
     SCM_KINDS,
     ExperimentConfig,
     build_design,
+    dataset_sha256,
     make_dataset,
     pooled_test_moments,
     regenerate,
@@ -139,17 +140,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
         dataset = regenerate(manifest)
     else:
         dataset, manifest = make_dataset(config, seed)
+    if "sha256" not in manifest:  # one that regenerate checked is kept as it was
+        manifest["sha256"] = dataset_sha256(dataset)
     try:  # read before writing: a manifest short of a summary field leaves no output
         summary = f"seed {manifest['seed']}, {manifest['n_edges']} edges"
     except KeyError as err:
         raise ValueError(f"malformed manifest: missing field {err}") from err
     out.mkdir(parents=True, exist_ok=True)
-    save(dataset, out / "dataset.bin")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     paths = export_csv(dataset, out)
-    print(f"wrote {out / 'dataset.bin'} ({dataset.n_envs} environments, {dataset.n_per_env} rows each)")
     print(f"wrote {out / 'manifest.json'} ({summary})")
-    print(f"wrote {len(paths)} per-environment CSV files under {out}")
+    print(f"wrote {len(paths)} per-environment CSV files under {out} ({dataset.n_per_env} rows each)")
     return EXIT_OK
 
 
@@ -168,8 +169,8 @@ def cmd_check_design(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args)
     if not args.data:
-        raise ValueError("train needs --data pointing at a generated dataset")
-    dataset = load(args.data)
+        raise ValueError("train needs --data pointing at a generated manifest.json")
+    dataset = regenerate(json.loads(Path(args.data).read_text()))
     seed = config.seeds[0]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -188,7 +189,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.data or not args.checkpoint:
         raise ValueError("evaluate needs --data and --checkpoint")
-    dataset = load(args.data)
+    dataset = regenerate(json.loads(Path(args.data).read_text()))
     model, _ = load_checkpoint(args.checkpoint)
     if model.d != dataset.d:
         raise ValueError(f"checkpoint unmixes d={model.d} but the dataset has d={dataset.d}")
@@ -237,7 +238,7 @@ def build_parser() -> _Parser:
     everything = [run, out, design, sampling]
 
     sub = parser.add_subparsers(dest="command", required=True)
-    gen = sub.add_parser("generate", parents=everything, help="sample a dataset to disk")
+    gen = sub.add_parser("generate", parents=everything, help="write a dataset's manifest and CSVs")
     gen.add_argument("--from-manifest", help="regenerate bit-exactly from a manifest JSON")
     gen.set_defaults(func=cmd_generate)
 
@@ -247,11 +248,11 @@ def build_parser() -> _Parser:
     chk.set_defaults(func=cmd_check_design)
 
     trn = sub.add_parser("train", parents=[run, out], help="fit the unmixing model on a dataset")
-    trn.add_argument("--data", help="dataset container from generate")
+    trn.add_argument("--data", help="manifest.json from generate")
     trn.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("evaluate", help="score a checkpoint on a dataset")
-    ev.add_argument("--data", help="dataset container from generate")
+    ev.add_argument("--data", help="manifest.json from generate")
     ev.add_argument("--checkpoint", help="checkpoint from train")
     ev.set_defaults(func=cmd_evaluate)
 

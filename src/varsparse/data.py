@@ -53,6 +53,14 @@ class MixingDrawsExhausted(RuntimeError):
     """No draw of a mixing matrix passed the invertibility guard."""
 
 
+def rows_per_env(n_per_env) -> int:
+    """n_per_env as an int, once it is at least the 4 rows a 75/25 split needs."""
+    n_per_env = _integer("n_per_env", n_per_env)
+    if n_per_env < 4:
+        raise ValueError(f"need at least 4 rows per environment for a 75/25 split, got {n_per_env}")
+    return n_per_env
+
+
 def zero_variance(mean: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Which columns of the given means and variances count as constant.
 
@@ -168,8 +176,7 @@ class EnvDataset:
                 raise ValueError(
                     f"environment {e}: latents shaped {z.shape}, expected one (n, {d}) shape for all"
                 )
-        if self.n_per_env < 4:
-            raise ValueError("need at least 4 rows per environment for a 75/25 split")
+        rows_per_env(self.n_per_env)
         object.__setattr__(self, "observed", tuple(z @ self.mixing.entries for z in self.latents))
 
     @property
@@ -209,7 +216,7 @@ def generate(
     rng_seed: int,
 ) -> EnvDataset:
     """Draw n_per_env rows under every regime and mix them."""
-    n_per_env = _integer("n_per_env", n_per_env)
+    n_per_env = rows_per_env(n_per_env)
     if scm.d != envs.d or scm.d != mixing.d:
         raise ValueError(
             f"dimension mismatch: scm d={scm.d}, envs d={envs.d}, mixing rows={mixing.d}"

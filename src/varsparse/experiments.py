@@ -4,13 +4,17 @@ One experiment cell = (scm kind, d, p, n_per_env, seed, method). Every seed
 expands into independent substreams for the graph/coefficients, the data,
 the mixing matrix, the intervention constants, the optimizer, and the ICA
 init, so different seeds are fully fresh problem instances while any single
-cell is bit-reproducible. Results collect into long-format rows plus a
-mean/standard-error summary, both written with round-trippable float
-formatting so identical configs produce byte-identical files.
+cell is bit-reproducible. regenerate rebuilds a seed's dataset from its
+manifest and checks the manifest's sha256 (dataset_sha256) where it has one:
+NumPy may change its streams across versions (NEP 19). Results collect into
+long-format rows plus a mean/standard-error summary, both written with
+round-trippable float formatting so identical configs produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -19,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._rng import derive_seed
-from .data import EnvDataset, MixingDrawsExhausted, MixingMatrix, generate, sample_mixing
+from .data import EnvDataset, MixingDrawsExhausted, MixingMatrix, generate, sample_mixing, rows_per_env
 from .envs import (
     EnvironmentSet,
     _integer,
@@ -67,6 +71,10 @@ class DesignDimensionError(ValueError):
     """A design file's dimension differs from the experiment's d."""
 
 
+class ManifestDigestError(ValueError):
+    """The regenerated data differs from what the manifest's sha256 records."""
+
+
 # Failures a valid configuration can meet on some seed. Each becomes a NaN row
 # whose error names its class; any other exception is a bug and propagates.
 _EXPECTED_FAILURES = (
@@ -98,7 +106,7 @@ class ExperimentConfig:
         # a float or bool count would pass the range checks and fail later, in
         # make_dataset; NumPy numbers are stored as ints and floats, which JSON
         # and the CSV writers print plainly
-        d, n_per_env = _integer("d", self.d), _integer("n_per_env", self.n_per_env)
+        d, n_per_env = _integer("d", self.d), rows_per_env(self.n_per_env)
         seeds = tuple(_integer("seed", seed) for seed in self.seeds)
         p = _real("p", self.p)
         for name, value in (("d", d), ("p", p), ("n_per_env", n_per_env), ("seeds", seeds)):
@@ -107,8 +115,6 @@ class ExperimentConfig:
             raise ValueError(f"d must be >= 2, got {self.d}")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if n_per_env < 4:
-            raise ValueError(f"n_per_env must be >= 4, got {self.n_per_env}")
         if not seeds:
             raise ValueError("seeds must be nonempty")
         if min(seeds) < 0:
@@ -226,10 +232,19 @@ def make_dataset(config: ExperimentConfig, seed: int) -> tuple[EnvDataset, dict]
     return regenerate(manifest), manifest
 
 
+def dataset_sha256(dataset: EnvDataset) -> str:
+    """Hex sha256 of the mixing, then each environment's latents, as little-endian float64."""
+    digest = hashlib.sha256()
+    for array in (dataset.mixing.entries, *dataset.latents):
+        digest.update(np.ascontiguousarray(array, dtype="<f8"))
+    return digest.hexdigest()
+
+
 def regenerate(manifest: dict) -> EnvDataset:
     """Rebuild the exact dataset a manifest describes (bit-identical).
 
-    A missing or mistyped field raises ValueError("malformed manifest: ...")."""
+    A missing or mistyped field raises ValueError("malformed manifest: ...").
+    Data that differ from the manifest's sha256, if any, raise ManifestDigestError."""
     if not isinstance(manifest, dict) or manifest.get("format") != "varsparse-manifest":
         raise ValueError("not a dataset manifest")
     try:
@@ -250,7 +265,10 @@ def regenerate(manifest: dict) -> EnvDataset:
         raise ValueError(f"malformed manifest: {err}") from err
     scm = _scm(kind, d, p, seeds)
     envs = EnvironmentSet.from_json(environments)
-    return generate(scm, envs, MixingMatrix(entries), n_per_env, rng_seed=seeds["data"])
+    dataset = generate(scm, envs, MixingMatrix(entries), n_per_env, rng_seed=seeds["data"])
+    if "sha256" in manifest and manifest["sha256"] != (found := dataset_sha256(dataset)):
+        raise ManifestDigestError(f"regenerated sha256 {found} != manifest's {manifest['sha256']!r}")
+    return dataset
 
 
 def train_covariances(dataset: EnvDataset) -> np.ndarray:

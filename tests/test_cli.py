@@ -1,7 +1,5 @@
-import hashlib
 import json
 import re
-import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,8 +9,7 @@ import pytest
 from varsparse import cli
 from varsparse.cli import _SECTIONS, build_config, build_parser, load_config_file, main
 from varsparse.envs import EnvironmentSet, InterventionRegime, leave_one_out_design
-from varsparse import data
-from varsparse.experiments import ExperimentConfig
+from varsparse.experiments import ExperimentConfig, dataset_sha256, regenerate
 from varsparse.metrics import mcc_between
 import varsparse.ica as ica
 import varsparse.unmixing as unmixing
@@ -123,6 +120,12 @@ def test_readme_quick_start_prints_what_the_readme_quotes(capsys):
     assert capsys.readouterr().out == printed
 
 
+def _written(directory):
+    """The bytes of the manifest and of every per-environment CSV under directory, by name."""
+    paths = [directory / "manifest.json", *sorted(directory.glob("env_*.csv"))]
+    return {path.name: path.read_bytes() for path in paths}
+
+
 def test_flags_override_config_file(tiny_config):
     parser = build_parser()
     args = parser.parse_args(["generate", "--config", tiny_config, "--d", "4", "--p", "0.25"])
@@ -140,10 +143,14 @@ def test_seed_flag_narrows_to_single_run(tiny_config):
 def test_generate_writes_dataset_manifest_and_env_files(tmp_path, tiny_config, capsys):
     out = tmp_path / "run"
     assert main(["generate", "--config", tiny_config, "--out", str(out)]) == 0
-    assert (out / "dataset.bin").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["env_00.csv", "env_01.csv", "env_02.csv", "manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["format"] == "varsparse-manifest" and manifest["d"] == 3
-    assert sorted(p.name for p in out.glob("env_*.csv")) == ["env_00.csv", "env_01.csv", "env_02.csv"]
+    dataset = regenerate(manifest)
+    assert manifest["sha256"] == dataset_sha256(dataset)
+    for e in range(dataset.n_envs):  # savetxt's %.18e round-trips float64
+        table = np.loadtxt(out / f"env_{e:02d}.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table, dataset.observed[e])
     assert "wrote" in capsys.readouterr().out
 
 
@@ -157,7 +164,7 @@ def test_generate_from_manifest_is_bit_exact(tmp_path, tiny_config):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["generate", "--config", tiny_config, "--out", str(a)]) == 0
     assert main(["generate", "--from-manifest", str(a / "manifest.json"), "--out", str(b)]) == 0
-    assert (a / "dataset.bin").read_bytes() == (b / "dataset.bin").read_bytes()
+    assert _written(a) == _written(b)
 
 
 @pytest.mark.parametrize(
@@ -184,7 +191,7 @@ def test_generate_from_manifest_still_reads_the_config_file(tmp_path, tiny_confi
     b = tmp_path / "b"
     assert main(["generate", "--config", tiny_config, "--from-manifest", str(a / "manifest.json"),
                  "--out", str(b)]) == 0
-    assert (a / "dataset.bin").read_bytes() == (b / "dataset.bin").read_bytes()
+    assert _written(a) == _written(b)
 
 
 def test_generate_from_a_design_file_records_its_path_and_regenerates(tmp_path, tiny_config):
@@ -197,7 +204,7 @@ def test_generate_from_a_design_file_records_its_path_and_regenerates(tmp_path, 
     assert manifest["environments"] == json.loads(design.read_text())
     design.unlink()  # the manifest alone regenerates the data
     assert main(["generate", "--from-manifest", str(a / "manifest.json"), "--out", str(b)]) == 0
-    assert (a / "dataset.bin").read_bytes() == (b / "dataset.bin").read_bytes()
+    assert _written(a) == _written(b)
 
 
 @pytest.mark.parametrize(
@@ -211,10 +218,12 @@ def test_generate_from_a_design_file_records_its_path_and_regenerates(tmp_path, 
         lambda m: {**m, "p": True},
         lambda m: {**m, "mixing": [[str(x) for x in row] for row in m["mixing"]]},
         lambda m: {**m, "mixing": [[True, *row[1:]] for row in m["mixing"]]},
+        lambda m: {**m, "sha256": "0" * 64},
+        lambda m: {**m, "sha256": 7},
     ],
     ids=[
         "p-string", "n-string", "json-list", "no-derived-seeds", "seed-bool", "p-bool",
-        "mixing-string", "mixing-bool",
+        "mixing-string", "mixing-bool", "sha256-wrong", "sha256-int",
     ],
 )
 def test_generate_from_malformed_manifest_exits_1_without_traceback(tmp_path, tiny_config, capsys, corrupt):
@@ -240,7 +249,7 @@ def test_generate_from_a_manifest_short_of_a_summary_field_writes_nothing(tmp_pa
     captured = capsys.readouterr()
     assert "malformed manifest: missing field 'n_edges'" in captured.err
     assert "wrote" not in captured.out
-    assert not (b / "dataset.bin").exists()
+    assert not b.exists()
 
 
 def test_a_programming_error_propagates_instead_of_exiting_1(tmp_path, tiny_config, monkeypatch):
@@ -338,7 +347,7 @@ def test_check_design_rejects_an_infinite_integer(tmp_path, capsys, text):
 def test_train_writes_checkpoint_and_reports(tmp_path, tiny_config, capsys):
     out = tmp_path / "run"
     assert main(["generate", "--config", tiny_config, "--out", str(out)]) == 0
-    assert main(["train", "--config", tiny_config, "--data", str(out / "dataset.bin"), "--out", str(out)]) == 0
+    assert main(["train", "--config", tiny_config, "--data", str(out / "manifest.json"), "--out", str(out)]) == 0
     assert (out / "checkpoint.bin").exists()
     assert (out / "train_report.json").exists()
     assert (out / "train_losses.csv").read_text().startswith("epoch,total,")
@@ -352,7 +361,7 @@ def test_train_writes_checkpoint_and_reports(tmp_path, tiny_config, capsys):
 def test_train_seed_changes_checkpoint(tmp_path, tiny_config):
     out = tmp_path / "run"
     main(["generate", "--config", tiny_config, "--out", str(out)])
-    data = str(out / "dataset.bin")
+    data = str(out / "manifest.json")
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     for dest, seed in ((a, "0"), (b, "1"), (c, "0")):
         assert main(["train", "--config", tiny_config, "--data", data, "--out", str(dest), "--seed", seed]) == 0
@@ -363,7 +372,7 @@ def test_train_seed_changes_checkpoint(tmp_path, tiny_config):
 def test_train_without_dataset_is_a_validation_error(capsys):
     assert main(["train"]) == 1
     assert "needs --data" in capsys.readouterr().err
-    assert main(["train", "--data", "/no/such/dataset.bin"]) == 1
+    assert main(["train", "--data", "/no/such/manifest.json"]) == 1
 
 
 def test_train_numerical_blowup_exits_with_abort_code(tmp_path, tiny_config, capsys, monkeypatch):
@@ -371,7 +380,7 @@ def test_train_numerical_blowup_exits_with_abort_code(tmp_path, tiny_config, cap
     main(["generate", "--config", tiny_config, "--out", str(out)])
     monkeypatch.setattr(unmixing, "LAMBDA_DIAG", 1e308)  # a non-finite objective
     with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train", "--config", tiny_config, "--data", str(out / "dataset.bin"), "--out", str(out)])
+        code = main(["train", "--config", tiny_config, "--data", str(out / "manifest.json"), "--out", str(out)])
     assert code == 2
     assert "numerical abort" in capsys.readouterr().err
 
@@ -379,16 +388,16 @@ def test_train_numerical_blowup_exits_with_abort_code(tmp_path, tiny_config, cap
 def test_evaluate_scores_checkpoint(tmp_path, tiny_config, capsys):
     out = tmp_path / "run"
     main(["generate", "--config", tiny_config, "--out", str(out)])
-    main(["train", "--config", tiny_config, "--data", str(out / "dataset.bin"), "--out", str(out)])
+    main(["train", "--config", tiny_config, "--data", str(out / "manifest.json"), "--out", str(out)])
     capsys.readouterr()
     code = main([
-        "evaluate", "--data", str(out / "dataset.bin"), "--checkpoint", str(out / "checkpoint.bin"),
+        "evaluate", "--data", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.bin"),
     ])
     assert code == 0
     text = capsys.readouterr().out
     assert "test-split mcc" in text and "matched pairs" in text
     # the printed score is the row MCC of the test split, read off its moments
-    dataset = data.load(out / "dataset.bin")
+    dataset = regenerate(json.loads((out / "manifest.json").read_text()))
     z = np.vstack([dataset.test_latents(e) for e in range(dataset.n_envs)])
     x = np.vstack([dataset.test_observed(e) for e in range(dataset.n_envs)])
     rows = mcc_between(z, x @ load_checkpoint(out / "checkpoint.bin")[0].lhat).score
@@ -401,7 +410,7 @@ def test_evaluate_reports_a_non_object_checkpoint_header(tmp_path, tiny_config, 
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"[1, 2]\n" + np.zeros(9).tobytes())
     capsys.readouterr()
-    code = main(["evaluate", "--data", str(out / "dataset.bin"), "--checkpoint", str(bad)])
+    code = main(["evaluate", "--data", str(out / "manifest.json"), "--checkpoint", str(bad)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not a JSON object" in err
@@ -410,36 +419,54 @@ def test_evaluate_reports_a_non_object_checkpoint_header(tmp_path, tiny_config, 
 def test_evaluate_rejects_a_checkpoint_of_another_dimension(tmp_path, tiny_config, capsys):
     d3, d4 = tmp_path / "d3", tmp_path / "d4"
     main(["generate", "--config", tiny_config, "--out", str(d3)])
-    main(["train", "--config", tiny_config, "--data", str(d3 / "dataset.bin"), "--out", str(d3)])
+    main(["train", "--config", tiny_config, "--data", str(d3 / "manifest.json"), "--out", str(d3)])
     main(["generate", "--config", tiny_config, "--d", "4", "--out", str(d4)])
     capsys.readouterr()
-    code = main(["evaluate", "--data", str(d4 / "dataset.bin"), "--checkpoint", str(d3 / "checkpoint.bin")])
+    code = main(["evaluate", "--data", str(d4 / "manifest.json"), "--checkpoint", str(d3 / "checkpoint.bin")])
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: checkpoint unmixes d=3 but the dataset has d=4\n"
 
 
-def test_train_and_evaluate_reject_a_version_1_container_and_write_nothing(tmp_path, tiny_config, capsys):
+@pytest.mark.parametrize("edited", ["0" * 64, 7], ids=["wrong-hex", "integer"])
+def test_an_edited_sha256_exits_1_with_the_digest_error_and_writes_nothing(
+    tmp_path, tiny_config, capsys, edited
+):
     out = tmp_path / "run"
     main(["generate", "--config", tiny_config, "--out", str(out)])
-    main(["train", "--config", tiny_config, "--data", str(out / "dataset.bin"), "--out", str(out)])
-    body = bytearray((out / "dataset.bin").read_bytes()[:-32])
-    body[4:8] = struct.pack("<I", 1)  # the version word, as releases before version 2 wrote it
-    old = tmp_path / "old.bin"
-    old.write_bytes(bytes(body) + hashlib.sha256(bytes(body)).digest())
+    main(["train", "--config", tiny_config, "--data", str(out / "manifest.json"), "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps({**manifest, "sha256": edited}))
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     fresh = tmp_path / "fresh"
     for argv in (
-        ["train", "--config", tiny_config, "--data", str(old), "--out", str(fresh)],
-        ["evaluate", "--data", str(old), "--checkpoint", str(out / "checkpoint.bin")],
+        ["generate", "--from-manifest", str(bad), "--out", str(fresh)],
+        ["train", "--config", tiny_config, "--data", str(bad), "--out", str(fresh)],
+        ["evaluate", "--data", str(bad), "--checkpoint", str(out / "checkpoint.bin")],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {old}: unsupported container version 1,")
-        assert "`varsparse generate --from-manifest`" in captured.err
+        assert captured.err == f"error: regenerated sha256 {manifest['sha256']} != manifest's {edited!r}\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_manifest_without_sha256_regenerates_and_trains_the_same(tmp_path, tiny_config, capsys):
+    # manifests written before the digest, like make_dataset's own, carry no sha256
+    out = tmp_path / "run"
+    main(["generate", "--config", tiny_config, "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text())
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({k: v for k, v in manifest.items() if k != "sha256"}))
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    for data, dest in ((out / "manifest.json", a), (old, b)):
+        assert main(["train", "--config", tiny_config, "--data", str(data), "--out", str(dest)]) == 0
+    assert (a / "checkpoint.bin").read_bytes() == (b / "checkpoint.bin").read_bytes()
+    assert main(["evaluate", "--data", str(old), "--checkpoint", str(b / "checkpoint.bin")]) == 0
+    assert main(["generate", "--from-manifest", str(old), "--out", str(c)]) == 0
+    assert _written(c) == _written(out)  # the rewritten manifest records the digest
 
 
 def test_evaluate_requires_both_inputs(capsys):

@@ -501,6 +501,23 @@ def test_load_rejects_wrong_magic_and_version(tmp_path):
         load(path)
 
 
+def test_the_four_row_rule_is_one_check_that_generate_runs_before_sampling(monkeypatch):
+    ds = _chain_dataset(n=40)
+    calls = []
+    monkeypatch.setattr(data, "sample", lambda *args, **kwargs: calls.append(args))
+    messages = []
+    for build in (
+        lambda: ExperimentConfig(n_per_env=3),
+        lambda: generate(chain_example_scm(), ds.envs, ds.mixing, n_per_env=3, rng_seed=0),
+        lambda: EnvDataset(envs=ds.envs, mixing=ds.mixing, latents=tuple(z[:3] for z in ds.latents)),
+    ):
+        with pytest.raises(ValueError) as err:
+            build()
+        messages.append(str(err.value))
+    assert messages == ["need at least 4 rows per environment for a 75/25 split, got 3"] * 3
+    assert calls == []
+
+
 def test_csv_export(tmp_path):
     ds = _chain_dataset(n=8)
     paths = export_csv(ds, tmp_path / "csv")

@@ -5,14 +5,20 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import varsparse.data as data
 import varsparse.experiments as experiments
 import varsparse.ica as ica
 import varsparse.unmixing as unmixing
 from varsparse.experiments import (
+    DESIGN_KINDS,
+    SCM_KINDS,
     ExperimentConfig,
+    ManifestDigestError,
     ResultRow,
+    dataset_sha256,
     make_dataset,
     pooled_test_moments,
     regenerate,
@@ -130,6 +136,50 @@ def test_manifest_regenerates_dataset_bit_exactly():
         assert np.array_equal(dataset.latents[e], clone.latents[e])
         assert np.array_equal(dataset.observed[e], clone.observed[e])
     assert np.array_equal(dataset.mixing.entries, clone.mixing.entries)
+
+
+def test_regenerate_checks_a_recorded_sha256_and_hashes_nothing_without_one(monkeypatch):
+    dataset, manifest = make_dataset(TINY, seed=5)
+    assert "sha256" not in manifest
+    digest = dataset_sha256(dataset)
+    arrays = (dataset.mixing.entries, *dataset.latents)  # in that order, little-endian float64
+    assert digest == hashlib.sha256(b"".join(a.astype("<f8").tobytes() for a in arrays)).hexdigest()
+    assert regenerate({**manifest, "sha256": digest}).latents[2].tobytes() == dataset.latents[2].tobytes()
+    with pytest.raises(ManifestDigestError, match=f"regenerated sha256 {digest} != manifest's 'beef'"):
+        regenerate({**manifest, "sha256": "beef"})
+
+    def refuse(dataset):
+        raise AssertionError("hashed a manifest that records no sha256")
+
+    monkeypatch.setattr(experiments, "dataset_sha256", refuse)
+    regenerate(make_dataset(TINY, seed=5)[1])
+
+
+@st.composite
+def _small_configs(draw):
+    scm = draw(st.sampled_from(SCM_KINDS))
+    return ExperimentConfig(
+        d=6 if scm != "linear" else draw(st.integers(2, 6)),  # the nonlinear mechanisms are d=6
+        p=draw(st.floats(0.0, 1.0)),
+        n_per_env=draw(st.integers(4, 30)),
+        seeds=(draw(st.integers(0, 2**32)),),
+        design=draw(st.sampled_from(DESIGN_KINDS)),
+        scm=scm,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_configs())
+def test_the_digest_is_the_same_from_make_dataset_regenerate_and_the_container(tmp_path_factory, config):
+    dataset, manifest = make_dataset(config, config.seeds[0])
+    path = tmp_path_factory.mktemp("container") / "ds.vsds"
+    data.save(dataset, path)
+    digests = {
+        dataset_sha256(dataset),
+        dataset_sha256(regenerate(json.loads(json.dumps(manifest)))),
+        dataset_sha256(data.load(path)),
+    }
+    assert len(digests) == 1
 
 
 def test_zero_edge_probability_recorded_in_manifest():

@@ -55,3 +55,15 @@ def test_readme_cites_only_names_and_files_that_exist():
                 stale.append(f"{span} (it is {value!r})")
     stale += [f for f in re.findall(r"BENCH_\d+\.json", readme) if not (ROOT / f).is_file()]
     assert stale == [], f"README cites names or files that do not exist: {sorted(set(stale))}"
+
+
+def test_readme_commands_parse_and_read_manifests():
+    # every `varsparse …` line of the Command line block is a valid invocation,
+    # and a dataset is passed to train and evaluate as its manifest
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", readme, flags=re.S)
+    lines = [line.split() for line in block.splitlines() if line.startswith("varsparse ")]
+    assert {words[1] for words in lines} == {"generate", "check-design", "train", "evaluate", "reproduce"}
+    parsed = [varsparse.cli.build_parser().parse_args(words[1:]) for words in lines]
+    data = [args.data for args in parsed if getattr(args, "data", None)]
+    assert len(data) == 2 and all(Path(path).name == "manifest.json" for path in data)
