@@ -29,6 +29,7 @@ from .experiments import (
     dataset_sha256,
     make_dataset,
     pooled_test_moments,
+    read_json,
     regenerate,
     reproduce,
     train_covariances,
@@ -94,10 +95,9 @@ def _parse_section(parser: configparser.ConfigParser, name: str, schema: dict) -
 def load_config_file(path: str) -> tuple[dict, dict]:
     """Read the two sections of a config file into typed dicts."""
     parser = configparser.ConfigParser(interpolation=None)  # values are literal: '%' is no escape
-    text = Path(path).read_text()
     try:
-        parser.read_string(text, source=path)
-    except configparser.Error as err:
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=path)
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ValueError(f"cannot parse config {path}: {err}") from err
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -136,7 +136,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     seed = config.seeds[0]
     out = Path(config.out_dir)
     if args.from_manifest:
-        manifest = json.loads(Path(args.from_manifest).read_text())
+        manifest = read_json(args.from_manifest)
         dataset = regenerate(manifest)
     else:
         dataset, manifest = make_dataset(config, seed)
@@ -160,7 +160,7 @@ def cmd_check_design(args: argparse.Namespace) -> int:
     if config.design in DESIGN_KINDS or "d" in given:
         envs = build_design(config.design, config.d, config.seeds[0])
     else:  # a regimes file keeps its own d unless --d or the config file names one
-        envs = EnvironmentSet.from_json(Path(config.design).read_text())
+        envs = EnvironmentSet.from_dict(read_json(config.design))
     report = check_sufficient_coverage(envs)
     print(f"{len(envs)} environments over d={envs.d}: {report}")
     return EXIT_OK if report.passed else EXIT_VALIDATION
@@ -170,7 +170,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args)
     if not args.data:
         raise ValueError("train needs --data pointing at a generated manifest.json")
-    dataset = regenerate(json.loads(Path(args.data).read_text()))
+    dataset = regenerate(read_json(args.data))
     seed = config.seeds[0]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,7 +189,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.data or not args.checkpoint:
         raise ValueError("evaluate needs --data and --checkpoint")
-    dataset = regenerate(json.loads(Path(args.data).read_text()))
+    dataset = regenerate(read_json(args.data))
     model, _ = load_checkpoint(args.checkpoint)
     if model.d != dataset.d:
         raise ValueError(f"checkpoint unmixes d={model.d} but the dataset has d={dataset.d}")

@@ -236,7 +236,7 @@ def save(dataset: EnvDataset, path: Union[str, Path]) -> None:
     Each record goes out from its array's own buffer; a failed write removes
     the partial file and re-raises.
     """
-    header = {"envs": json.loads(dataset.envs.to_json()), "n_per_env": dataset.n_per_env}
+    header = {"envs": dataset.envs.to_dict(), "n_per_env": dataset.n_per_env}
     records = [dataset.mixing.entries]
     for latents, observed in zip(dataset.latents, dataset.observed):
         records += [latents, observed]
@@ -329,7 +329,7 @@ def load(path: Union[str, Path]) -> EnvDataset:
         try:
             header = json.loads(file.read(header_len).decode("utf-8"))
             n_per_env = _integer("n_per_env", header["n_per_env"])
-            envs = EnvironmentSet.from_json(json.dumps(header["envs"]))
+            envs = EnvironmentSet.from_dict(header["envs"])
         except (ValueError, KeyError, TypeError, OverflowError) as err:
             raise DatasetFormatError(f"{path}: malformed header: {err}") from err
         d, n_envs = envs.d, len(envs.regimes)

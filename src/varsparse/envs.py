@@ -9,7 +9,6 @@ of coordinates that are never separated.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import operator
@@ -84,19 +83,18 @@ class EnvironmentSet:
     def __len__(self) -> int:
         return len(self.regimes)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "d": self.d,
             "regimes": [
                 {"targets": list(r.targets), "values": list(r.values)}
                 for r in self.regimes
             ],
         }
-        return json.dumps(doc, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "EnvironmentSet":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "EnvironmentSet":
+        """The set a to_dict document describes, else ValueError("malformed environment document")."""
         try:
             regimes = tuple(
                 InterventionRegime(tuple(r["targets"]), tuple(r["values"]))

@@ -195,13 +195,21 @@ def _scm(kind: str, d: int, p: Optional[float], seeds: dict) -> Scm:
     raise ValueError(f"unknown scm kind {kind!r}")
 
 
+def read_json(path: Union[str, Path]):
+    """The JSON document in the file at path; ValueError naming the file if it cannot be parsed."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as err:  # undecodable, not JSON, or nested too deep
+        raise ValueError(f"{path}: {err}") from err
+
+
 def build_design(design: str, d: int, seed: int) -> EnvironmentSet:
     """The named design for one run seed, or else the regimes file at path design."""
     if design == "leave-one-out":
         return leave_one_out_design(d, derive_seed(seed, SEED_DESIGN))
     if design == "separating":
         return separating_design(d, derive_seed(seed, SEED_DESIGN))
-    envs = EnvironmentSet.from_json(Path(design).read_text())
+    envs = EnvironmentSet.from_dict(read_json(design))
     if envs.d != d:
         raise DesignDimensionError(f"design file is for d={envs.d}, experiment wants d={d}")
     return envs
@@ -225,7 +233,7 @@ def make_dataset(config: ExperimentConfig, seed: int) -> tuple[EnvDataset, dict]
         "seed": seed,
         "derived_seeds": seeds,
         "design": config.design,
-        "environments": json.loads(envs.to_json()),
+        "environments": envs.to_dict(),
         "mixing": sample_mixing(config.d, seeds["mixing"]).entries.tolist(),
         "n_edges": _scm(config.scm, config.d, p, seeds).dag.n_edges,
     }
@@ -257,14 +265,13 @@ def regenerate(manifest: dict) -> EnvDataset:
             key: _integer(f"derived seed {key}", manifest["derived_seeds"][key])
             for key in ("dag", "coefficients", "data")
         }
-        environments = json.dumps(manifest["environments"])
+        envs = EnvironmentSet.from_dict(manifest["environments"])
         entries = np.array([[_real("mixing entry", x) for x in row] for row in manifest["mixing"]])
     except KeyError as err:
         raise ValueError(f"malformed manifest: missing field {err}") from err
     except (TypeError, ValueError) as err:
         raise ValueError(f"malformed manifest: {err}") from err
     scm = _scm(kind, d, p, seeds)
-    envs = EnvironmentSet.from_json(environments)
     dataset = generate(scm, envs, MixingMatrix(entries), n_per_env, rng_seed=seeds["data"])
     if "sha256" in manifest and manifest["sha256"] != (found := dataset_sha256(dataset)):
         raise ManifestDigestError(f"regenerated sha256 {found} != manifest's {manifest['sha256']!r}")

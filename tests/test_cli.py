@@ -196,7 +196,7 @@ def test_generate_from_manifest_still_reads_the_config_file(tmp_path, tiny_confi
 
 def test_generate_from_a_design_file_records_its_path_and_regenerates(tmp_path, tiny_config):
     design = tmp_path / "regimes.json"
-    design.write_text(leave_one_out_design(3, value_seed=7).to_json())
+    design.write_text(json.dumps(leave_one_out_design(3, value_seed=7).to_dict()))
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["generate", "--config", tiny_config, "--design", str(design), "--out", str(a)]) == 0
     manifest = json.loads((a / "manifest.json").read_text())
@@ -278,7 +278,7 @@ def test_check_design_takes_design_and_d_from_the_config_file(tmp_path, capsys):
 
 def test_check_design_rejects_a_d_flag_that_differs_from_the_design_file(tmp_path, capsys):
     path = tmp_path / "design.json"
-    path.write_text(leave_one_out_design(3, value_seed=0).to_json())
+    path.write_text(json.dumps(leave_one_out_design(3, value_seed=0).to_dict()))
     assert main(["check-design", "--design", str(path)]) == 0
     assert main(["check-design", "--design", str(path), "--d", "3"]) == 0
     capsys.readouterr()
@@ -292,7 +292,7 @@ def test_check_design_rejects_a_d_flag_that_differs_from_the_design_file(tmp_pat
 
 def test_check_design_reads_the_config_file_once(tmp_path, monkeypatch, capsys):
     design = tmp_path / "design.json"
-    design.write_text(leave_one_out_design(3, value_seed=0).to_json())
+    design.write_text(json.dumps(leave_one_out_design(3, value_seed=0).to_dict()))
     reads = []
 
     def counting_load(path):
@@ -315,10 +315,45 @@ def test_check_design_reports_each_failing_coordinate(tmp_path, capsys):
     # single regime on coordinate 0 only: nothing ever intervenes on 1 or 2
     envs = EnvironmentSet(3, (InterventionRegime((0,), (1.0,)),))
     path = tmp_path / "design.json"
-    path.write_text(envs.to_json())
+    path.write_text(json.dumps(envs.to_dict()))
     assert main(["check-design", "--design", str(path)]) == 1
     out = capsys.readouterr().out
     assert "coverage violated" in out and "coordinate" in out
+
+
+# every input file the command line reads, as the path it is given under: a
+# binary file fails each, and a truncated or too deeply nested document each
+# that reads JSON
+_READERS = {
+    "generate-from-manifest": ["generate", "--from-manifest", "{file}", "--out", "{out}"],
+    "train-data": ["train", "--data", "{file}", "--out", "{out}"],
+    "evaluate-data": ["evaluate", "--data", "{file}", "--checkpoint", "{out}/absent.bin"],
+    "check-design": ["check-design", "--design", "{file}"],
+    "generate-design": ["generate", "--design", "{file}", "--out", "{out}"],
+    "generate-config": ["generate", "--config", "{file}", "--out", "{out}"],
+}
+_BINARY = b"\xff" + np.random.default_rng(0).bytes(399)  # 0xff is never UTF-8
+_JSON = {
+    "truncated": json.dumps(leave_one_out_design(3, value_seed=0).to_dict()).encode()[:40],
+    "nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+_UNREADABLE = [pytest.param(r, _BINARY, id=f"{r}-binary") for r in _READERS] + [
+    pytest.param(r, text, id=f"{r}-{kind}")
+    for kind, text in _JSON.items()
+    for r in _READERS
+    if r != "generate-config"
+]
+
+
+@pytest.mark.parametrize("reader,content", _UNREADABLE)
+def test_an_unreadable_input_file_exits_1_naming_it(tmp_path, capsys, reader, content):
+    path, out = tmp_path / "input", tmp_path / "out"
+    path.write_bytes(content)
+    argv = [arg.format(file=path, out=out) for arg in _READERS[reader]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [path]  # nothing written, under --out or elsewhere
 
 
 def test_check_design_missing_file_is_a_validation_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -176,32 +177,52 @@ def test_environment_set_validation():
         EnvironmentSet(0, ())
     assert len(EnvironmentSet(3, (reg, reg))) == 2
     # d is validated, not coerced: 2.5 and True are no dimension, and a NumPy
-    # integer is stored as the int that to_json can write
+    # integer is stored as the int that JSON can write
     for d in (2.5, True):
         with pytest.raises(ValueError, match="d must be an integer"):
             EnvironmentSet(d, (reg,))
     envs = EnvironmentSet(np.int64(3), (reg,))
     assert type(envs.d) is int
-    assert EnvironmentSet.from_json(envs.to_json()).d == 3
+    assert EnvironmentSet.from_dict(json.loads(json.dumps(envs.to_dict()))).d == 3
 
 
-def test_environment_set_json_round_trip():
+def test_environment_set_dict_round_trip():
     envs = leave_one_out_design(4, 9)
-    back = EnvironmentSet.from_json(envs.to_json())
+    back = EnvironmentSet.from_dict(envs.to_dict())
     assert back.d == envs.d
     assert back.regimes == envs.regimes
-    with pytest.raises(ValueError, match="malformed"):
-        EnvironmentSet.from_json("{\"regimes\": []}")
-    for text in (
-        '{"d": 3.9, "regimes": []}',
-        '{"d": true, "regimes": []}',
-        '{"d": 3, "regimes": [{"targets": [0.7, true], "values": [1.0, 2.0]}]}',
-        '{"d": 3, "regimes": [{"targets": [0], "values": [NaN]}]}',
-        '{"d": 2, "regimes": [{"targets": [0], "values": [true]}]}',
-        '{"d": 2, "regimes": [{"targets": [1], "values": ["1.5"]}]}',
+    for doc in (
+        {"regimes": []},
+        {"d": 3.9, "regimes": []},
+        {"d": True, "regimes": []},
+        {"d": 3, "regimes": [{"targets": [0.7, True], "values": [1.0, 2.0]}]},
+        {"d": 3, "regimes": [{"targets": [0], "values": [float("nan")]}]},
+        {"d": 2, "regimes": [{"targets": [0], "values": [True]}]},
+        {"d": 2, "regimes": [{"targets": [1], "values": ["1.5"]}]},
     ):
-        with pytest.raises(ValueError, match="malformed"):
-            EnvironmentSet.from_json(text)
+        with pytest.raises(ValueError, match="malformed environment document"):
+            EnvironmentSet.from_dict(doc)
+
+
+@st.composite
+def _environment_set(draw):
+    d = draw(st.integers(1, 7))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    regimes = []
+    for targets in draw(st.lists(st.lists(st.integers(0, d - 1), unique=True), max_size=8)):
+        values = draw(st.lists(finite, min_size=len(targets), max_size=len(targets)))
+        regimes.append(InterventionRegime(tuple(targets), tuple(values)))
+    return EnvironmentSet(d, tuple(regimes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_environment_set())
+def test_environment_set_survives_its_dict_and_json(envs):
+    # the dict goes straight between modules and through JSON text to disk
+    for doc in (envs.to_dict(), json.loads(json.dumps(envs.to_dict()))):
+        back = EnvironmentSet.from_dict(doc)
+        assert back.d == envs.d
+        assert back.regimes == envs.regimes
 
 
 @st.composite

@@ -67,3 +67,24 @@ def test_readme_commands_parse_and_read_manifests():
     parsed = [varsparse.cli.build_parser().parse_args(words[1:]) for words in lines]
     data = [args.data for args in parsed if getattr(args, "data", None)]
     assert len(data) == 2 and all(Path(path).name == "manifest.json" for path in data)
+
+
+def _reads_json_text(function: ast.AST) -> bool:
+    """Does function both read a file's text and decode JSON, or decode a file object?"""
+    called = {ast.unparse(n.func) for n in ast.walk(function) if isinstance(n, ast.Call)}
+    reads_text = any(name.endswith(".read_text") for name in called)
+    return "json.load" in called or (reads_text and "json.loads" in called)
+
+
+def test_read_json_is_the_one_reader_of_json_files():
+    # experiments.read_json names the file it cannot parse; a second reader would
+    # fail with the decoder's message alone. A design crosses modules as
+    # EnvironmentSet.to_dict's dict, never as JSON text.
+    readers = [
+        f"{path.stem}.{node.name}"
+        for path in sorted((ROOT / "src" / "varsparse").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and _reads_json_text(node)
+    ]
+    assert readers == ["experiments.read_json"]
+    assert [name for name in ("to_json", "from_json") if hasattr(varsparse.EnvironmentSet, name)] == []
