@@ -48,9 +48,7 @@ from .unmixing import (
     TrainingAborted,
     UnmixingModel,
     covariances,
-    load_checkpoint,
     objective,
-    save_checkpoint,
     train,
     variance_matrix,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "fit_fastica",
     "generate",
     "leave_one_out_design",
-    "load_checkpoint",
     "mcc",
     "mcc_between",
     "moments_pearson",
@@ -100,7 +97,6 @@ __all__ = [
     "sample_er_dag",
     "sample_linear_scm",
     "sample_mixing",
-    "save_checkpoint",
     "separating_design",
     "train",
     "variance_matrix",

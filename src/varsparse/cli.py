@@ -35,13 +35,7 @@ from .experiments import (
     train_covariances,
 )
 from .metrics import disentanglement_check, mcc_between
-from .unmixing import (
-    TrainConfig,
-    TrainingAborted,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from .unmixing import TrainConfig, TrainingAborted, UnmixingModel, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -93,16 +87,18 @@ def _parse_section(parser: configparser.ConfigParser, name: str, schema: dict) -
 
 
 def load_config_file(path: str) -> tuple[dict, dict]:
-    """Read the two sections of a config file into typed dicts."""
+    """Read the two sections of a config file into typed dicts; ValueError starting with the path."""
     parser = configparser.ConfigParser(interpolation=None)  # values are literal: '%' is no escape
     try:
         parser.read_string(Path(path).read_text(encoding="utf-8"), source=path)
-    except (configparser.Error, UnicodeDecodeError) as err:
-        raise ValueError(f"cannot parse config {path}: {err}") from err
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ValueError(f"unknown config section [{section}] in {path}")
-    return tuple(_parse_section(parser, name, keys) for name, keys in _SECTIONS.items())
+        for section in parser.sections():
+            if section not in _SECTIONS:
+                raise ValueError(f"unknown config section [{section}]")
+        return tuple(_parse_section(parser, name, keys) for name, keys in _SECTIONS.items())
+    except configparser.Error as err:
+        raise ValueError(f"{path}: cannot parse config: {err}") from err
+    except ValueError as err:  # not UTF-8, or an unknown section, key or value
+        raise ValueError(f"{path}: {err}") from err
 
 
 def _given_fields(args: argparse.Namespace) -> dict:
@@ -127,6 +123,14 @@ def _flags_given(args: argparse.Namespace, names: Sequence[str]) -> str:
     return " ".join(spelled.get(n, f"--{n}") for n in names if getattr(args, n, None) is not None)
 
 
+def _summary(manifest: dict) -> str:
+    """The seed and edge count that generate reports for a manifest."""
+    try:
+        return f"seed {manifest['seed']}, {manifest['n_edges']} edges"
+    except KeyError as err:
+        raise ValueError(f"malformed manifest: missing field {err}") from err
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.from_manifest:  # the manifest fixes what these flags would set
         unread = _flags_given(args, ("seeds", "design", "d", "scm", "p", "n_per_env"))
@@ -135,17 +139,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = build_config(args)
     seed = config.seeds[0]
     out = Path(config.out_dir)
-    if args.from_manifest:
-        manifest = read_json(args.from_manifest)
-        dataset = regenerate(manifest)
+    if args.from_manifest:  # read before writing: a manifest short of a summary field leaves no output
+        manifest, dataset, summary = read_json(
+            args.from_manifest, lambda doc: (doc, regenerate(doc), _summary(doc))
+        )
     else:
         dataset, manifest = make_dataset(config, seed)
+        summary = _summary(manifest)
     if "sha256" not in manifest:  # one that regenerate checked is kept as it was
         manifest["sha256"] = dataset_sha256(dataset)
-    try:  # read before writing: a manifest short of a summary field leaves no output
-        summary = f"seed {manifest['seed']}, {manifest['n_edges']} edges"
-    except KeyError as err:
-        raise ValueError(f"malformed manifest: missing field {err}") from err
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     paths = export_csv(dataset, out)
@@ -160,7 +162,7 @@ def cmd_check_design(args: argparse.Namespace) -> int:
     if config.design in DESIGN_KINDS or "d" in given:
         envs = build_design(config.design, config.d, config.seeds[0])
     else:  # a regimes file keeps its own d unless --d or the config file names one
-        envs = EnvironmentSet.from_dict(read_json(config.design))
+        envs = read_json(config.design, EnvironmentSet.from_dict)
     report = check_sufficient_coverage(envs)
     print(f"{len(envs)} environments over d={envs.d}: {report}")
     return EXIT_OK if report.passed else EXIT_VALIDATION
@@ -170,27 +172,28 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = build_config(args)
     if not args.data:
         raise ValueError("train needs --data pointing at a generated manifest.json")
-    dataset = regenerate(read_json(args.data))
+    dataset = read_json(args.data, regenerate)
     seed = config.seeds[0]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_config = config.train_config(seed)
     model, report = train(train_covariances(dataset), dataset.n_train, train_config)
-    save_checkpoint(model, out / "checkpoint.bin", train_config)
+    checkpoint = out / "checkpoint.json"
+    checkpoint.write_text(json.dumps({"config": vars(train_config), **model.to_dict()}) + "\n")
     (out / "train_report.json").write_text(report.to_json() + "\n")
     report.to_csv(out / "train_losses.csv")
     score = mcc_between(pooled_test_moments(dataset), (model.lhat, 0.0)).score
     print(f"last epoch's mean training loss {float(report.epoch_losses[-1].total)!r}")
     print(f"test-split mcc {score!r}")
-    print(f"wrote {out / 'checkpoint.bin'}")
+    print(f"wrote {checkpoint}")
     return EXIT_OK
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.data or not args.checkpoint:
         raise ValueError("evaluate needs --data and --checkpoint")
-    dataset = regenerate(read_json(args.data))
-    model, _ = load_checkpoint(args.checkpoint)
+    dataset = read_json(args.data, regenerate)
+    model = read_json(args.checkpoint, UnmixingModel.from_dict)
     if model.d != dataset.d:
         raise ValueError(f"checkpoint unmixes d={model.d} but the dataset has d={dataset.d}")
     result = mcc_between(pooled_test_moments(dataset), (model.lhat, 0.0))

@@ -29,9 +29,13 @@ def _integer(name: str, value) -> int:
 
 
 def _real(name: str, value) -> float:
-    """value as a float, refusing what is not a real number: bools, strings, None."""
+    """value as a float, refusing what is not a real number (bools, strings,
+    None) and an integer too large for a float."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as err:
+            raise ValueError(f"{name} is too large for a float") from err
     raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
@@ -101,7 +105,7 @@ class EnvironmentSet:
                 for r in doc["regimes"]
             )
             return cls(doc["d"], regimes)
-        except (KeyError, TypeError, ValueError, OverflowError) as err:
+        except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"malformed environment document: {err}") from err
 
 

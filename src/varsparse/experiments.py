@@ -18,7 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -195,11 +195,13 @@ def _scm(kind: str, d: int, p: Optional[float], seeds: dict) -> Scm:
     raise ValueError(f"unknown scm kind {kind!r}")
 
 
-def read_json(path: Union[str, Path]):
-    """The JSON document in the file at path; ValueError naming the file if it cannot be parsed."""
+def read_json(path: Union[str, Path], parse: Callable):
+    """parse(document) for the JSON document in the file at path. A file that
+    cannot be parsed, or a document that parse rejects with ValueError, raises
+    ValueError whose message starts with the path."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as err:  # undecodable, not JSON, or nested too deep
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, RecursionError) as err:  # undecodable, not JSON, nested too deep, or malformed
         raise ValueError(f"{path}: {err}") from err
 
 
@@ -209,9 +211,9 @@ def build_design(design: str, d: int, seed: int) -> EnvironmentSet:
         return leave_one_out_design(d, derive_seed(seed, SEED_DESIGN))
     if design == "separating":
         return separating_design(d, derive_seed(seed, SEED_DESIGN))
-    envs = EnvironmentSet.from_dict(read_json(design))
+    envs = read_json(design, EnvironmentSet.from_dict)
     if envs.d != d:
-        raise DesignDimensionError(f"design file is for d={envs.d}, experiment wants d={d}")
+        raise DesignDimensionError(f"{design}: design file is for d={envs.d}, experiment wants d={d}")
     return envs
 
 

@@ -37,7 +37,7 @@ from scipy.special import expit
 
 from ._rng import derive_seed
 from .data import block_moments
-from .envs import _integer
+from .envs import _integer, _real
 
 # AdamW step size, moment decays, denominator guard and decoupled weight decay
 ADAMW_LEARNING_RATE = 2e-3
@@ -89,6 +89,19 @@ class UnmixingModel:
     @property
     def d(self) -> int:
         return self.lhat.shape[1]
+
+    def to_dict(self) -> dict:
+        return {"lhat": self.lhat.tolist()}  # float repr round-trips every bit
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "UnmixingModel":
+        """The model a to_dict document describes, else ValueError("malformed checkpoint")."""
+        if not isinstance(doc, dict):
+            raise ValueError("malformed checkpoint: not a JSON object")
+        try:
+            return cls(np.array([[_real("lhat entry", x) for x in row] for row in doc["lhat"]]))
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"malformed checkpoint: {err}") from err
 
 
 def _initial_lhat(d: int, seed: int) -> np.ndarray:
@@ -416,32 +429,3 @@ def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingM
     report.final_variances = variance_matrix(covs, lhat)
     report.wall_time_s = time.perf_counter() - started
     return UnmixingModel(lhat), report
-
-
-def save_checkpoint(model: UnmixingModel, path: Union[str, Path], config: TrainConfig) -> None:
-    """One-line JSON header, newline, then the row-major float64 parameters."""
-    header = {"d": model.d, "config": vars(config).copy()}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-    blob += np.ascontiguousarray(model.lhat, dtype="<f8").tobytes()
-    Path(path).write_bytes(blob)
-
-
-def load_checkpoint(path: Union[str, Path]) -> tuple[UnmixingModel, dict]:
-    raw = Path(path).read_bytes()
-    sep = raw.find(b"\n")
-    if sep < 0:
-        raise ValueError(f"{path}: missing checkpoint header")
-    try:
-        header = json.loads(raw[:sep].decode("utf-8"))
-    except ValueError as err:
-        raise ValueError(f"{path}: malformed checkpoint header: {err}") from err
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: checkpoint header is not a JSON object")
-    d = header.get("d")  # older headers also carry the row count m, which equals d
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise ValueError(f"{path}: checkpoint d must be a nonnegative integer, got {d!r}")
-    payload = raw[sep + 1 :]
-    if len(payload) != 8 * d * d:
-        raise ValueError(f"{path}: expected {8 * d * d} payload bytes, found {len(payload)}")
-    lhat = np.frombuffer(payload, dtype="<f8").reshape(d, d).copy()
-    return UnmixingModel(lhat), header

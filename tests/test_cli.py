@@ -9,11 +9,11 @@ import pytest
 from varsparse import cli
 from varsparse.cli import _SECTIONS, build_config, build_parser, load_config_file, main
 from varsparse.envs import EnvironmentSet, InterventionRegime, leave_one_out_design
-from varsparse.experiments import ExperimentConfig, dataset_sha256, regenerate
+from varsparse.experiments import ExperimentConfig, dataset_sha256, make_dataset, read_json, regenerate
 from varsparse.metrics import mcc_between
 import varsparse.ica as ica
 import varsparse.unmixing as unmixing
-from varsparse.unmixing import load_checkpoint
+from varsparse.unmixing import UnmixingModel
 
 TINY_INI = """\
 [experiment]
@@ -327,7 +327,7 @@ def test_check_design_reports_each_failing_coordinate(tmp_path, capsys):
 _READERS = {
     "generate-from-manifest": ["generate", "--from-manifest", "{file}", "--out", "{out}"],
     "train-data": ["train", "--data", "{file}", "--out", "{out}"],
-    "evaluate-data": ["evaluate", "--data", "{file}", "--checkpoint", "{out}/absent.bin"],
+    "evaluate-data": ["evaluate", "--data", "{file}", "--checkpoint", "{out}/absent.json"],
     "check-design": ["check-design", "--design", "{file}"],
     "generate-design": ["generate", "--design", "{file}", "--out", "{out}"],
     "generate-config": ["generate", "--config", "{file}", "--out", "{out}"],
@@ -356,6 +356,56 @@ def test_an_unreadable_input_file_exits_1_naming_it(tmp_path, capsys, reader, co
     assert list(tmp_path.iterdir()) == [path]  # nothing written, under --out or elsewhere
 
 
+# well-formed JSON (or INI) whose content its reader rejects, made from a valid
+# manifest; evaluate --checkpoint reads the file with the manifest as --data
+_BAD_DESIGN = json.dumps({"d": 3, "regimes": [{"targets": [0.5], "values": [1.0]}]})
+_MANIFEST_READERS = ("generate-from-manifest", "train-data", "evaluate-data")
+_CHECKPOINT_READER = ["evaluate", "--data", "{manifest}", "--checkpoint", "{file}"]
+_V1_CHECKPOINT = b'{"config": {"batch_size": 4096, "epochs": 50, "seed": 0}, "d": 2}\n' + np.eye(2).tobytes()
+_BAD_DOCUMENTS = [
+    *(pytest.param(r, lambda m: _BAD_DESIGN, id=f"{r}-non-integer-target") for r in ("check-design", "generate-design")),
+    *(pytest.param(r, lambda m: json.dumps([m]), id=f"{r}-json-list") for r in _MANIFEST_READERS),
+    *(
+        pytest.param(r, lambda m: json.dumps({k: v for k, v in m.items() if k != "mixing"}), id=f"{r}-missing-field")
+        for r in _MANIFEST_READERS
+    ),
+    pytest.param(
+        "generate-from-manifest",
+        lambda m: json.dumps({k: v for k, v in m.items() if k != "n_edges"}),  # only the summary reads it
+        id="generate-from-manifest-missing-summary-field",
+    ),
+    pytest.param(
+        "train-data",
+        lambda m: json.dumps({**m, "mixing": [[10**400, *row[1:]] for row in m["mixing"]]}),
+        id="train-data-mixing-entry-too-large-for-a-float",
+    ),
+    pytest.param("evaluate-checkpoint", lambda m: "[]", id="evaluate-checkpoint-json-list"),
+    pytest.param("evaluate-checkpoint", lambda m: '{"lhat": [[1.0, 0.0]]}', id="evaluate-checkpoint-non-square"),
+    pytest.param("evaluate-checkpoint", lambda m: _V1_CHECKPOINT, id="evaluate-checkpoint-binary-format"),
+    pytest.param("generate-config", lambda m: "[experiment]\nfoo = 1\n", id="generate-config-unknown-key"),
+    pytest.param("generate-config", lambda m: "[train]\nepochs = x\n", id="generate-config-bad-value"),
+]
+
+
+@pytest.fixture(scope="module")
+def tiny_manifest():
+    return make_dataset(ExperimentConfig(d=3, n_per_env=1200, seeds=(0,)), 0)[1]
+
+
+@pytest.mark.parametrize("reader,document", _BAD_DOCUMENTS)
+def test_a_malformed_input_document_exits_1_naming_it(tmp_path, capsys, tiny_manifest, reader, document):
+    path, out, manifest = tmp_path / "input", tmp_path / "out", tmp_path / "manifest.json"
+    content = document(tiny_manifest)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    manifest.write_text(json.dumps(tiny_manifest))
+    template = _CHECKPOINT_READER if reader == "evaluate-checkpoint" else _READERS[reader]
+    assert main([arg.format(file=path, out=out, manifest=manifest) for arg in template]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [path, manifest]  # nothing written, under --out or elsewhere
+
+
 def test_check_design_missing_file_is_a_validation_error(tmp_path, capsys):
     assert main(["check-design", "--design", str(tmp_path / "absent.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -375,7 +425,7 @@ def test_check_design_rejects_an_infinite_integer(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["check-design", "--design", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: malformed environment document")
+    assert err.startswith(f"error: {path}: malformed environment document")
     assert "Traceback" not in err
 
 
@@ -383,7 +433,7 @@ def test_train_writes_checkpoint_and_reports(tmp_path, tiny_config, capsys):
     out = tmp_path / "run"
     assert main(["generate", "--config", tiny_config, "--out", str(out)]) == 0
     assert main(["train", "--config", tiny_config, "--data", str(out / "manifest.json"), "--out", str(out)]) == 0
-    assert (out / "checkpoint.bin").exists()
+    assert (out / "checkpoint.json").exists()
     assert (out / "train_report.json").exists()
     assert (out / "train_losses.csv").read_text().startswith("epoch,total,")
     text = capsys.readouterr().out
@@ -400,8 +450,8 @@ def test_train_seed_changes_checkpoint(tmp_path, tiny_config):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     for dest, seed in ((a, "0"), (b, "1"), (c, "0")):
         assert main(["train", "--config", tiny_config, "--data", data, "--out", str(dest), "--seed", seed]) == 0
-    assert (a / "checkpoint.bin").read_bytes() != (b / "checkpoint.bin").read_bytes()
-    assert (a / "checkpoint.bin").read_bytes() == (c / "checkpoint.bin").read_bytes()
+    assert (a / "checkpoint.json").read_bytes() != (b / "checkpoint.json").read_bytes()
+    assert (a / "checkpoint.json").read_bytes() == (c / "checkpoint.json").read_bytes()
 
 
 def test_train_without_dataset_is_a_validation_error(capsys):
@@ -426,7 +476,7 @@ def test_evaluate_scores_checkpoint(tmp_path, tiny_config, capsys):
     main(["train", "--config", tiny_config, "--data", str(out / "manifest.json"), "--out", str(out)])
     capsys.readouterr()
     code = main([
-        "evaluate", "--data", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.bin"),
+        "evaluate", "--data", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
     ])
     assert code == 0
     text = capsys.readouterr().out
@@ -435,20 +485,19 @@ def test_evaluate_scores_checkpoint(tmp_path, tiny_config, capsys):
     dataset = regenerate(json.loads((out / "manifest.json").read_text()))
     z = np.vstack([dataset.test_latents(e) for e in range(dataset.n_envs)])
     x = np.vstack([dataset.test_observed(e) for e in range(dataset.n_envs)])
-    rows = mcc_between(z, x @ load_checkpoint(out / "checkpoint.bin")[0].lhat).score
+    rows = mcc_between(z, x @ read_json(out / "checkpoint.json", UnmixingModel.from_dict).lhat).score
     assert abs(float(re.search(r"test-split mcc (\S+)", text).group(1)) - rows) <= 1e-12
 
 
 def test_evaluate_reports_a_non_object_checkpoint_header(tmp_path, tiny_config, capsys):
     out = tmp_path / "run"
     main(["generate", "--config", tiny_config, "--out", str(out)])
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"[1, 2]\n" + np.zeros(9).tobytes())
+    bad = tmp_path / "checkpoint.json"
+    bad.write_text("[1, 2]")
     capsys.readouterr()
     code = main(["evaluate", "--data", str(out / "manifest.json"), "--checkpoint", str(bad)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "not a JSON object" in err
+    assert capsys.readouterr().err == f"error: {bad}: malformed checkpoint: not a JSON object\n"
 
 
 def test_evaluate_rejects_a_checkpoint_of_another_dimension(tmp_path, tiny_config, capsys):
@@ -457,7 +506,7 @@ def test_evaluate_rejects_a_checkpoint_of_another_dimension(tmp_path, tiny_confi
     main(["train", "--config", tiny_config, "--data", str(d3 / "manifest.json"), "--out", str(d3)])
     main(["generate", "--config", tiny_config, "--d", "4", "--out", str(d4)])
     capsys.readouterr()
-    code = main(["evaluate", "--data", str(d4 / "manifest.json"), "--checkpoint", str(d3 / "checkpoint.bin")])
+    code = main(["evaluate", "--data", str(d4 / "manifest.json"), "--checkpoint", str(d3 / "checkpoint.json")])
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: checkpoint unmixes d=3 but the dataset has d=4\n"
@@ -479,12 +528,12 @@ def test_an_edited_sha256_exits_1_with_the_digest_error_and_writes_nothing(
     for argv in (
         ["generate", "--from-manifest", str(bad), "--out", str(fresh)],
         ["train", "--config", tiny_config, "--data", str(bad), "--out", str(fresh)],
-        ["evaluate", "--data", str(bad), "--checkpoint", str(out / "checkpoint.bin")],
+        ["evaluate", "--data", str(bad), "--checkpoint", str(out / "checkpoint.json")],
     ):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: regenerated sha256 {manifest['sha256']} != manifest's {edited!r}\n"
+        assert captured.err == f"error: {bad}: regenerated sha256 {manifest['sha256']} != manifest's {edited!r}\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -498,8 +547,8 @@ def test_a_manifest_without_sha256_regenerates_and_trains_the_same(tmp_path, tin
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     for data, dest in ((out / "manifest.json", a), (old, b)):
         assert main(["train", "--config", tiny_config, "--data", str(data), "--out", str(dest)]) == 0
-    assert (a / "checkpoint.bin").read_bytes() == (b / "checkpoint.bin").read_bytes()
-    assert main(["evaluate", "--data", str(old), "--checkpoint", str(b / "checkpoint.bin")]) == 0
+    assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
+    assert main(["evaluate", "--data", str(old), "--checkpoint", str(b / "checkpoint.json")]) == 0
     assert main(["generate", "--from-manifest", str(old), "--out", str(c)]) == 0
     assert _written(c) == _written(out)  # the rewritten manifest records the digest
 
@@ -586,16 +635,16 @@ def test_usage_errors_use_validation_exit_code():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["evaluate", "--data", "d.bin", "--checkpoint", "c.bin", "--config", "cfg.ini"],
-        ["evaluate", "--data", "d.bin", "--checkpoint", "c.bin", "--d", "99"],
-        ["train", "--data", "d.bin", "--n", "5000"],
-        ["train", "--data", "d.bin", "--design", "nope.json"],
-        ["train", "--data", "d.bin", "--scm", "nonlinear-1"],
-        ["train", "--d", "5", "--data", "d.bin"],  # --d is no prefix of --data
+        ["evaluate", "--data", "d.json", "--checkpoint", "c.json", "--config", "cfg.ini"],
+        ["evaluate", "--data", "d.json", "--checkpoint", "c.json", "--d", "99"],
+        ["train", "--data", "d.json", "--n", "5000"],
+        ["train", "--data", "d.json", "--design", "nope.json"],
+        ["train", "--data", "d.json", "--scm", "nonlinear-1"],
+        ["train", "--d", "5", "--data", "d.json"],  # --d is no prefix of --data
         ["check-design", "--design", "separating", "--d", "16", "--scm", "nonlinear-1"],
         ["check-design", "--design", "separating", "--n", "2"],
         ["check-design", "--design", "separating", "--out", "run"],
-        ["evaluate", "--data", "d.bin", "--check", "c.bin"],
+        ["evaluate", "--data", "d.json", "--check", "c.json"],
     ],
 )
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):

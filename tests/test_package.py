@@ -59,7 +59,8 @@ def test_readme_cites_only_names_and_files_that_exist():
 
 def test_readme_commands_parse_and_read_manifests():
     # every `varsparse …` line of the Command line block is a valid invocation,
-    # and a dataset is passed to train and evaluate as its manifest
+    # a dataset is passed to train and evaluate as its manifest, and a model to
+    # evaluate as the checkpoint.json that train writes
     readme = (ROOT / "README.md").read_text()
     (block,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", readme, flags=re.S)
     lines = [line.split() for line in block.splitlines() if line.startswith("varsparse ")]
@@ -67,24 +68,35 @@ def test_readme_commands_parse_and_read_manifests():
     parsed = [varsparse.cli.build_parser().parse_args(words[1:]) for words in lines]
     data = [args.data for args in parsed if getattr(args, "data", None)]
     assert len(data) == 2 and all(Path(path).name == "manifest.json" for path in data)
+    checkpoints = [args.checkpoint for args in parsed if getattr(args, "checkpoint", None)]
+    assert [Path(path).name for path in checkpoints] == ["checkpoint.json"]
 
 
-def _reads_json_text(function: ast.AST) -> bool:
-    """Does function both read a file's text and decode JSON, or decode a file object?"""
-    called = {ast.unparse(n.func) for n in ast.walk(function) if isinstance(n, ast.Call)}
-    reads_text = any(name.endswith(".read_text") for name in called)
-    return "json.load" in called or (reads_text and "json.loads" in called)
+def _json_decoders(node: ast.AST, scope: str) -> list[str]:
+    """The scope (module, then class and function names) of each call under node
+    to json.load or json.loads, and of each import from json, which would hide one."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and ast.unparse(child.func) in ("json.load", "json.loads"):
+            found.append(scope)
+        if isinstance(child, ast.ImportFrom) and child.module == "json":
+            found.append(f"{scope} imports from json")
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        found += _json_decoders(child, f"{scope}.{child.name}" if named else scope)
+    return found
 
 
 def test_read_json_is_the_one_reader_of_json_files():
-    # experiments.read_json names the file it cannot parse; a second reader would
-    # fail with the decoder's message alone. A design crosses modules as
-    # EnvironmentSet.to_dict's dict, never as JSON text.
-    readers = [
-        f"{path.stem}.{node.name}"
+    # experiments.read_json parses and interprets every input file and puts the
+    # path in front of each error; a second decoder would fail without naming
+    # its file. data.load decodes the header of the container only the
+    # benchmark reads. A design or a model crosses modules as a to_dict dict,
+    # never as JSON text.
+    decoders = [
+        site
         for path in sorted((ROOT / "src" / "varsparse").glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.FunctionDef) and _reads_json_text(node)
+        for site in _json_decoders(ast.parse(path.read_text()), path.stem)
     ]
-    assert readers == ["experiments.read_json"]
-    assert [name for name in ("to_json", "from_json") if hasattr(varsparse.EnvironmentSet, name)] == []
+    assert decoders == ["data.load", "experiments.read_json"]
+    for cls in (varsparse.EnvironmentSet, varsparse.UnmixingModel):
+        assert [name for name in ("to_json", "from_json") if hasattr(cls, name)] == []

@@ -1,17 +1,18 @@
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
 import varsparse.unmixing as unmixing
 from varsparse.data import EPS_VAR, MixingMatrix, generate
 from varsparse.envs import EnvironmentSet, InterventionRegime
-from varsparse.experiments import train_covariances
+from varsparse.experiments import read_json, train_covariances
 from varsparse.scm import chain_example_scm
 from varsparse.unmixing import (
     ADAMW_BETA1,
@@ -31,14 +32,12 @@ from varsparse.unmixing import (
     adamw_init,
     adamw_step,
     covariances,
-    load_checkpoint,
     loss_diag,
     loss_dim,
     loss_env,
     loss_norm,
     loss_var,
     objective,
-    save_checkpoint,
     train,
     variance_matrix,
 )
@@ -932,59 +931,55 @@ def test_loss_weights_and_config_validation():
 
 # ---------------------------------------------------------------- checkpoints
 
-
-def test_checkpoint_round_trip(tmp_path):
-    model = UnmixingModel(unmixing._initial_lhat(3, seed=9))
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path, TrainConfig(seed=9))
-    loaded, header = load_checkpoint(path)
-    assert np.array_equal(loaded.lhat, model.lhat)
-    assert sorted(header) == ["config", "d"] and header["d"] == 3
-    assert header["config"]["seed"] == 9
-    assert header["config"]["epochs"] == 50
-    assert header["config"]["batch_size"] == 4096
+# float64 values whose JSON text is easy to get wrong: signed zero, the smallest
+# subnormal and normal magnitudes, and the largest finite magnitudes
+_EDGE_FLOATS = (-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308)
 
 
-def test_checkpoint_loads_a_header_with_keys_it_does_not_use(tmp_path):
-    # the header of checkpoints written before init_seed and epoch were dropped
-    lhat = np.arange(9.0).reshape(3, 3)
-    path = tmp_path / "old.ckpt"
-    header = b'{"config": null, "d": 3, "epoch": 50, "init_seed": 9, "m": 3}'
-    path.write_bytes(header + b"\n" + lhat.astype("<f8").tobytes())
-    assert np.array_equal(load_checkpoint(path)[0].lhat, lhat)
+@st.composite
+def _square_matrices(draw):
+    d = draw(st.integers(1, 8))
+    elements = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+    return np.array(draw(st.lists(st.lists(elements, min_size=d, max_size=d), min_size=d, max_size=d)))
 
 
-def test_checkpoint_rejects_corruption(tmp_path):
-    model = UnmixingModel(unmixing._initial_lhat(3, seed=9))
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path, TrainConfig(seed=9))
-    raw = path.read_bytes()
-    truncated = tmp_path / "short.ckpt"
-    truncated.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="payload bytes"):
-        load_checkpoint(truncated)
-    headerless = tmp_path / "headerless.ckpt"
-    headerless.write_bytes(b"no newline here")
-    with pytest.raises(ValueError, match="header"):
-        load_checkpoint(headerless)
+@settings(max_examples=200, deadline=None)
+@given(_square_matrices())
+@example(np.array([[-0.0, 5e-324], [1e308, -1.7976931348623157e308]]))
+def test_checkpoint_round_trip(lhat):
+    # the document train writes: JSON's shortest float repr parses back to the
+    # same bits, and from_dict reads lhat alone, not the config beside it
+    doc = {"config": vars(TrainConfig(seed=9)), **UnmixingModel(lhat).to_dict()}
+    loaded = UnmixingModel.from_dict(json.loads(json.dumps(doc)))
+    assert loaded.lhat.dtype == np.float64 and loaded.lhat.tobytes() == lhat.tobytes()
 
 
 @pytest.mark.parametrize(
-    "header,match",
+    "doc,match",
     [
-        (b"[1, 2]", "not a JSON object"),
-        (b'"text"', "not a JSON object"),
-        (b"{not json", "malformed"),
-        (b'{"m": 3}', "d must be a nonnegative integer"),
-        (b'{"d": 3.5}', "d must be a nonnegative integer"),
-        (b'{"d": "3"}', "d must be a nonnegative integer"),
-        (b'{"d": true}', "d must be a nonnegative integer"),
-        (b'{"d": -3}', "d must be a nonnegative integer"),
-        (b'{"m": 3, "d": -3}', "d must be a nonnegative integer"),
+        ([[1.0]], "not a JSON object"),
+        ({"config": {}}, "'lhat'"),
+        ({"lhat": [[1.0, 0.0], [0.0]]}, ""),  # NumPy's message for a ragged list
+        ({"lhat": [[True]]}, "lhat entry must be a real number, got True"),
+        ({"lhat": [["1.0"]]}, "lhat entry must be a real number, got '1.0'"),
+        ({"lhat": [[10**400]]}, "lhat entry is too large for a float"),
+        ({"lhat": [[float("nan")]]}, "lhat must be finite"),
+        ({"lhat": [[1.0, 0.0]]}, r"lhat must be square, got shape \(1, 2\)"),
+        ({"lhat": []}, "lhat must be a 2-d matrix"),
+        ({"lhat": [1.0, 0.0]}, "not iterable"),  # 1-d: each row is a number
     ],
+    ids=["json-list", "no-lhat", "ragged", "bool", "string", "huge-integer", "nan", "non-square", "empty", "1-d"],
 )
-def test_checkpoint_rejects_malformed_headers(tmp_path, header, match):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(header + b"\n" + np.zeros(9).tobytes())
-    with pytest.raises(ValueError, match=match):
-        load_checkpoint(path)
+def test_checkpoint_rejects_malformed_documents(doc, match):
+    with pytest.raises(ValueError, match=f"^malformed checkpoint: .*{match}"):
+        UnmixingModel.from_dict(json.loads(json.dumps(doc)))
+
+
+def test_checkpoint_rejects_corruption(tmp_path):
+    # a truncated document, and a checkpoint in the binary format the JSON document replaced
+    path = tmp_path / "checkpoint.json"
+    text = json.dumps(UnmixingModel(np.eye(3)).to_dict())
+    for raw in (text[:-8].encode(), b'{"config": null, "d": 3}\n' + np.eye(3).tobytes()):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            read_json(path, UnmixingModel.from_dict)
