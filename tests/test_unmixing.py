@@ -954,6 +954,16 @@ def test_checkpoint_round_trip(lhat):
     assert loaded.lhat.dtype == np.float64 and loaded.lhat.tobytes() == lhat.tobytes()
 
 
+def test_checkpoint_loads_a_header_with_keys_it_does_not_use(tmp_path):
+    # a checkpoint document carrying keys from_dict does not read, such as the
+    # fields of the binary header it replaced, loads from its lhat alone
+    lhat = np.arange(9.0).reshape(3, 3)
+    path = tmp_path / "old.json"
+    doc = {"config": None, "d": 3, "epoch": 50, "init_seed": 9, "m": 3, "lhat": lhat.tolist()}
+    path.write_text(json.dumps(doc))
+    assert np.array_equal(read_json(path, UnmixingModel.from_dict).lhat, lhat)
+
+
 @pytest.mark.parametrize(
     "doc,match",
     [
