@@ -37,7 +37,8 @@ def main():
 
     np.set_printoptions(precision=5, suppress=True)
     first, last = report.epoch_losses[0], report.epoch_losses[-1]
-    print(f"loss {first.total:.3f} -> {last.total:.3f} over {args.epochs} epochs "
+    print(f"loss {first.total:.3f} -> {last.total:.3f} over {len(report.epoch_losses)} epochs, "
+          f"{report.n_iter} L-BFGS-B iterations, converged {report.converged} "
           f"({report.wall_time_s:.1f}s, gradient check {report.grad_check_rel_err:.2e})")
     print()
 

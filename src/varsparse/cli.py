@@ -102,13 +102,20 @@ def load_config_file(path: str) -> tuple[dict, dict]:
 
 
 def _given_fields(args: argparse.Namespace) -> dict:
-    """The ExperimentConfig fields that the config file or a flag sets, flags winning."""
+    """The ExperimentConfig fields that the config file or a flag sets, flags winning.
+    A file value that no flag overrides is checked, and its error names the file."""
     exp, train_kwargs = load_config_file(args.config) if args.config else ({}, {})
-    given = {**exp, **train_kwargs}
+    from_file = {**exp, **train_kwargs}
+    given = dict(from_file)
     for f in fields(ExperimentConfig):  # flags are stored under the field they set
         value = getattr(args, f.name, None)
         if value is not None:
             given[f.name] = (value,) if f.name == "seeds" else value
+            from_file.pop(f.name, None)
+    try:
+        ExperimentConfig(**from_file)  # on the defaults, so only the file's values can fail
+    except ValueError as err:
+        raise ValueError(f"{args.config}: {err}") from err
     return given
 
 
@@ -184,6 +191,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     report.to_csv(out / "train_losses.csv")
     score = mcc_between(pooled_test_moments(dataset), (model.lhat, 0.0)).score
     print(f"last epoch's mean training loss {float(report.epoch_losses[-1].total)!r}")
+    print(f"L-BFGS-B converged {report.converged} after {report.n_iter} iterations, {report.n_evals} evaluations")
     print(f"test-split mcc {score!r}")
     print(f"wrote {checkpoint}")
     return EXIT_OK

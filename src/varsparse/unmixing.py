@@ -18,8 +18,8 @@ keeps the parameters away from the all-zero collapse. Each term function
 returns its value and its analytic gradient (wrt V, or wrt lhat for
 loss_norm; the row and column terms' gradients broadcast against V), and
 objective(covs, lhat) calls them and combines them on the stack with the
-fixed weights LAMBDA_*. It is the one implementation of the loss: every step
-of train, a self-contained AdamW, calls it.
+fixed weights LAMBDA_*. It is the one implementation of the loss: every
+evaluation that train's L-BFGS-B makes calls it.
 """
 
 from __future__ import annotations
@@ -33,18 +33,13 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import expit
 
 from ._rng import derive_seed
 from .data import block_moments
 from .envs import _integer, _real
 
-# AdamW step size, moment decays, denominator guard and decoupled weight decay
-ADAMW_LEARNING_RATE = 2e-3
-ADAMW_BETA1 = 0.9
-ADAMW_BETA2 = 0.999
-ADAMW_EPS = 1e-8
-ADAMW_WEIGHT_DECAY = 1e-2
 # Frobenius norm that loss_norm holds lhat to. The variance terms are
 # scale-free, so this only sets ||lhat||_F, which MCC and the relative
 # structural check both ignore.
@@ -145,13 +140,20 @@ class LossBreakdown:
 class TrainReport:
     """Per-epoch mean loss breakdown and end-of-run diagnostics.
 
-    grad_norms[k] is the Frobenius norm of epoch k's last gradient."""
+    Epoch k is block k of ceil(n_rows / batch_size) accepted iterates (the
+    last may be short; with none accepted, the start): epoch_losses[k] is its
+    mean breakdown and grad_norms[k] the Frobenius norm of its last gradient.
+    converged, n_iter and n_evals: whether L-BFGS-B met its tolerances, and
+    how many iterates it accepted and evaluations it made."""
 
     epoch_losses: list[LossBreakdown] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
     final_variances: Optional[np.ndarray] = None
     wall_time_s: float = 0.0
     grad_check_rel_err: float = float("nan")
+    converged: bool = False
+    n_iter: int = 0
+    n_evals: int = 0
 
     def to_json(self) -> str:
         doc = {
@@ -159,6 +161,9 @@ class TrainReport:
             "grad_norms": self.grad_norms,
             "wall_time_s": self.wall_time_s,
             "grad_check_rel_err": self.grad_check_rel_err,
+            "converged": self.converged,
+            "n_iter": self.n_iter,
+            "n_evals": self.n_evals,
             "final_variances": None
             if self.final_variances is None
             else self.final_variances.tolist(),
@@ -311,45 +316,6 @@ def objective(covs: np.ndarray, lhat: np.ndarray) -> tuple[LossBreakdown, np.nda
     return LossBreakdown(total, l_var, l_env, l_dim, l_diag, l_norm), grad, v
 
 
-@dataclass
-class AdamWState:
-    """Optimizer state: parameters plus first/second moment accumulators."""
-
-    theta: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-
-def adamw_init(theta: np.ndarray) -> AdamWState:
-    theta = np.asarray(theta, dtype=float)
-    return AdamWState(theta.copy(), np.zeros_like(theta), np.zeros_like(theta), 0)
-
-
-def adamw_step(state: AdamWState, grad: np.ndarray) -> AdamWState:
-    """One decoupled-weight-decay update; returns a fresh state."""
-    if grad.shape != state.theta.shape:
-        raise ValueError(f"gradient shape {grad.shape} != parameter shape {state.theta.shape}")
-    t = state.t + 1
-    # theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta), with
-    # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, each operation in
-    # that order, on fresh arrays updated in place
-    m = ADAMW_BETA1 * state.m
-    m += (1.0 - ADAMW_BETA1) * grad
-    v = ADAMW_BETA2 * state.v
-    g2 = (1.0 - ADAMW_BETA2) * grad
-    g2 *= grad
-    v += g2
-    step = m / (1.0 - ADAMW_BETA1**t)
-    denom = v / (1.0 - ADAMW_BETA2**t)
-    np.sqrt(denom, out=denom)
-    denom += ADAMW_EPS
-    step /= denom
-    step += ADAMW_WEIGHT_DECAY * state.theta
-    step *= ADAMW_LEARNING_RATE
-    return AdamWState(state.theta - step, m, v, t)
-
-
 def _directional_grad_check(
     covs: np.ndarray, lhat: np.ndarray, grad: np.ndarray, rng: np.random.Generator
 ) -> float:
@@ -369,14 +335,23 @@ def _directional_grad_check(
     return worst
 
 
-def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingModel, TrainReport]:
-    """Full-batch minimization of the objective over an (E, d, d) stack of
-    per-environment train covariances, E >= 2 and d >= 1, which it only
-    reads. A stack that is not finite, symmetric and positive semi-definite
-    is rejected.
+def _record_blocks(report: TrainReport, iterates: list, size: int) -> None:
+    """Append the mean breakdown and last gradient norm of each block of size iterates."""
+    for start in range(0, len(iterates), size):
+        block = iterates[start : start + size]
+        terms = zip(*(vars(breakdown).values() for breakdown, _ in block))
+        report.epoch_losses.append(LossBreakdown(*(math.fsum(t) / len(block) for t in terms)))
+        report.grad_norms.append(block[-1][1])
 
-    n_rows, the train rows per environment, only sets the steps per epoch,
-    ceil(n_rows / batch_size), so any batch_size >= n_rows takes one.
+
+def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingModel, TrainReport]:
+    """Full-batch minimization of the objective by L-BFGS-B over an (E, d, d)
+    stack of per-environment train covariances, E >= 2 and d >= 1, which it
+    only reads. A stack that is not finite, symmetric and positive
+    semi-definite is rejected.
+
+    n_rows, the train rows per environment, only sets the iterations per
+    epoch, ceil(n_rows / batch_size), and so the cap of epochs times that.
     Bit-reproducible for a fixed config.seed.
     """
     covs = np.asarray(covs, dtype=float)
@@ -401,31 +376,45 @@ def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingM
         raise ValueError(f"n_rows must be >= 2, got {n_rows}")
 
     started = time.perf_counter()
-    lhat = _initial_lhat(d, config.seed)
-    state = adamw_init(lhat)
     steps_per_epoch = -(-n_rows // config.batch_size)
     report = TrainReport()
+    # (breakdown, gradient norm) at the start, then at each accepted iterate,
+    # taken from the latest evaluation: L-BFGS-B accepts the point it evaluated last
+    iterates: list = []
+    latest: list = []  # the bytes of the point last evaluated, and its entry
 
-    for epoch in range(config.epochs):
-        sums = [0.0] * len(fields(LossBreakdown))
-        for step in range(steps_per_epoch):
-            try:
-                breakdown, grad, _ = objective(covs, lhat)
-                if epoch == 0 and step == 0:
-                    # a stream of its own: switching the diagnostic off changes no result
-                    check_rng = np.random.default_rng(derive_seed(config.seed, 1))
-                    report.grad_check_rel_err = _directional_grad_check(covs, lhat, grad, check_rng)
-            except NumericalError as err:
-                report.wall_time_s = time.perf_counter() - started
-                raise TrainingAborted(
-                    f"aborted at epoch {epoch}, step {step}: {err}", epoch, step, report
-                ) from err
-            state = adamw_step(state, grad)
-            lhat = state.theta
-            sums = [total + term for total, term in zip(sums, vars(breakdown).values())]
-        report.epoch_losses.append(LossBreakdown(*(total / steps_per_epoch for total in sums)))
-        report.grad_norms.append(float(np.linalg.norm(grad)))
+    def evaluate(x: np.ndarray) -> tuple[float, np.ndarray]:
+        lhat = x.reshape(d, d)
+        breakdown, grad, _ = objective(covs, lhat)
+        report.n_evals += 1
+        latest[:] = x.tobytes(), (breakdown, float(_frobenius(grad)))
+        if report.n_evals == 1:  # L-BFGS-B evaluates its start first
+            iterates.append(latest[1])
+            # a stream of its own: switching the diagnostic off changes no result
+            check_rng = np.random.default_rng(derive_seed(config.seed, 1))
+            report.grad_check_rel_err = _directional_grad_check(covs, lhat, grad, check_rng)
+        return breakdown.total, grad.ravel()
 
+    def accept(x: np.ndarray) -> None:
+        if x.tobytes() != latest[0]:
+            raise RuntimeError("L-BFGS-B accepted an iterate other than the one it evaluated last")
+        iterates.append(latest[1])
+        report.n_iter += 1
+
+    try:
+        result = minimize(
+            evaluate, _initial_lhat(d, config.seed).ravel(), jac=True, method="L-BFGS-B",
+            callback=accept, options={"maxiter": config.epochs * steps_per_epoch},
+        )
+    except NumericalError as err:
+        epoch, step = divmod(report.n_iter, steps_per_epoch)
+        _record_blocks(report, iterates[1 : 1 + epoch * steps_per_epoch], steps_per_epoch)
+        report.wall_time_s = time.perf_counter() - started
+        message = f"aborted at epoch {epoch}, step {step}: {err}"
+        raise TrainingAborted(message, epoch, step, report) from err
+    _record_blocks(report, iterates[1:] or iterates, steps_per_epoch)
+    report.converged = bool(result.success)
+    lhat = result.x.reshape(d, d)
     report.final_variances = variance_matrix(covs, lhat)
     report.wall_time_s = time.perf_counter() - started
     return UnmixingModel(lhat), report

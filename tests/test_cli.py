@@ -384,6 +384,7 @@ _BAD_DOCUMENTS = [
     pytest.param("evaluate-checkpoint", lambda m: _V1_CHECKPOINT, id="evaluate-checkpoint-binary-format"),
     pytest.param("generate-config", lambda m: "[experiment]\nfoo = 1\n", id="generate-config-unknown-key"),
     pytest.param("generate-config", lambda m: "[train]\nepochs = x\n", id="generate-config-bad-value"),
+    pytest.param("generate-config", lambda m: "[experiment]\nd = 1\n", id="generate-config-out-of-range"),
 ]
 
 
@@ -438,9 +439,12 @@ def test_train_writes_checkpoint_and_reports(tmp_path, tiny_config, capsys):
     assert (out / "train_losses.csv").read_text().startswith("epoch,total,")
     text = capsys.readouterr().out
     assert "test-split mcc" in text
-    # the printed loss is the last epoch's mean over its steps, as the report records it
+    # the printed loss is the last epoch's mean over its iterates, as the report records it
+    report = json.loads((out / "train_report.json").read_text())
     printed = float(re.search(r"last epoch's mean training loss (\S+)", text).group(1))
-    assert printed == json.loads((out / "train_report.json").read_text())["epochs"][-1]["total"]
+    assert printed == report["epochs"][-1]["total"]
+    counts = f"L-BFGS-B converged {report['converged']} after {report['n_iter']} iterations, {report['n_evals']} evaluations"
+    assert counts in text.splitlines()
 
 
 def test_train_seed_changes_checkpoint(tmp_path, tiny_config):
@@ -659,6 +663,6 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypa
 
 def test_invalid_parameter_is_validation_exit(capsys):
     assert main(["generate", "--d", "1", "--out", "/tmp/never"]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: d must be >= 2, got 1\n"  # a flag names no file
     assert main(["generate", "--seed", "-1", "--out", "/tmp/never"]) == 1
     assert "error: seeds must be nonnegative" in capsys.readouterr().err

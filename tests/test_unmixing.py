@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult, minimize
 from scipy.special import expit
 
 import varsparse.unmixing as unmixing
@@ -15,22 +16,14 @@ from varsparse.envs import EnvironmentSet, InterventionRegime
 from varsparse.experiments import read_json, train_covariances
 from varsparse.scm import chain_example_scm
 from varsparse.unmixing import (
-    ADAMW_BETA1,
-    ADAMW_BETA2,
-    ADAMW_EPS,
-    ADAMW_LEARNING_RATE,
-    ADAMW_WEIGHT_DECAY,
     LAMBDA_DIAG,
     LAMBDA_E,
     LAMBDA_M,
     LAMBDA_NORM,
     NORM_TARGET,
-    AdamWState,
     TrainConfig,
     TrainingAborted,
     UnmixingModel,
-    adamw_init,
-    adamw_step,
     covariances,
     loss_diag,
     loss_dim,
@@ -625,71 +618,25 @@ def test_objective_norm_weight_scales_norm_term_alone():
     assert b1.total - b0.total == pytest.approx(5.0 * loss_norm(lhat)[0], abs=1e-12)
 
 
-# ---------------------------------------------------------------- optimizer
-
-
-def test_adamw_zero_gradient_is_pure_weight_decay():
-    theta = np.array([[1.0, -2.0], [0.5, 4.0]])
-    state = adamw_init(theta)
-    new = adamw_step(state, np.zeros_like(theta))
-    assert np.allclose(new.theta, theta * (1.0 - ADAMW_LEARNING_RATE * ADAMW_WEIGHT_DECAY), atol=1e-15)
-
-
-def test_adamw_first_step_closed_form():
-    theta = np.array([[0.3, -0.7]])
-    state = adamw_init(theta)
-    new = adamw_step(state, np.ones_like(theta))
-    expected = theta - ADAMW_LEARNING_RATE * (
-        1.0 / (1.0 + ADAMW_EPS) + ADAMW_WEIGHT_DECAY * theta
-    )
-    assert np.allclose(new.theta, expected, atol=1e-12)
-    assert new.t == 1
-
-
-def test_adamw_two_step_hand_trace():
-    theta = np.array([[1.0, 2.0], [3.0, 4.0]])
-    g1 = np.array([[1.0, -1.0], [0.5, 0.0]])
-    g2 = np.array([[-1.0, 1.0], [0.5, 2.0]])
-    state = adamw_step(adamw_step(adamw_init(theta), g1), g2)
-
-    # step 2e-3, beta1 0.9, beta2 0.999, eps 1e-8, weight decay 1e-2 on the pre-step value
-    m = 0.1 * g1
-    v = 0.001 * g1 * g1
-    th = theta - 2e-3 * ((m / (1 - 0.9)) / (np.sqrt(v / (1 - 0.999)) + 1e-8) + 0.01 * theta)
-    m = 0.9 * m + 0.1 * g2
-    v = 0.999 * v + 0.001 * g2 * g2
-    th = th - 2e-3 * ((m / (1 - 0.9**2)) / (np.sqrt(v / (1 - 0.999**2)) + 1e-8) + 0.01 * th)
-    assert np.allclose(state.theta, th, atol=1e-12)
-    assert state.t == 2
-
-
-def test_adamw_rejects_shape_mismatch():
-    state = adamw_init(np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="shape"):
-        adamw_step(state, np.zeros((3, 2)))
-
-
-def test_adamw_state_fields():
-    state = adamw_init(np.ones((2, 3)))
-    assert isinstance(state, AdamWState)
-    assert state.t == 0
-    assert np.array_equal(state.m, np.zeros((2, 3)))
-    assert np.array_equal(state.v, np.zeros((2, 3)))
-
-
 # ---------------------------------------------------------------- training
+
+
+def _blocks(report, n_rows, config):
+    """The epoch count the report must hold: one per started block of accepted iterates."""
+    return max(1, -(-report.n_iter // -(-n_rows // config.batch_size)))
 
 
 def test_train_loss_decreases_on_chain_data():
     down = 0
     for seed in range(5):
         ds = _chain_dataset(n=20_000, seed=seed)
-        _, report = train(train_covariances(ds), ds.n_train, TrainConfig(seed=seed))
-        assert len(report.epoch_losses) == 50
+        config = TrainConfig(seed=seed)
+        _, report = train(train_covariances(ds), ds.n_train, config)
+        assert len(report.epoch_losses) == _blocks(report, ds.n_train, config)
         assert report.grad_check_rel_err < 1e-4
         if report.epoch_losses[-1].total < report.epoch_losses[0].total:
             down += 1
-    assert down >= 4
+    assert down == 5
 
 
 def test_train_is_bit_reproducible():
@@ -736,7 +683,8 @@ def test_train_runs_on_a_stack_built_without_rows(covs, n_rows, epochs, seed):
     second, _ = train(covs, n_rows, config)
     assert np.isfinite(first.lhat).all()
     assert first.lhat.tobytes() == second.lhat.tobytes()
-    assert len(report.epoch_losses) == epochs
+    assert report.n_iter <= epochs * -(-n_rows // config.batch_size)
+    assert len(report.epoch_losses) == _blocks(report, n_rows, config)
     assert report.final_variances.shape == covs.shape[:2]
 
 
@@ -822,9 +770,104 @@ def test_train_evaluates_the_objective_once_per_step_plus_the_gradient_check(
 
     ds = _chain_dataset(n=1_000)
     monkeypatch.setattr(unmixing, "objective", counting)
-    train(train_covariances(ds), ds.n_train, TrainConfig(epochs=epochs, batch_size=batch_size))
-    # three directions of the step-0 gradient check, each evaluated on both sides
-    assert len(calls) == epochs * -(-ds.n_train // batch_size) + 6
+    _, report = train(train_covariances(ds), ds.n_train, TrainConfig(epochs=epochs, batch_size=batch_size))
+    # each L-BFGS-B evaluation once, and the three directions of the start's
+    # gradient check, each evaluated on both sides
+    assert len(calls) == report.n_evals + 6
+
+
+def test_train_caps_its_iterations_at_the_epochs_steps():
+    ds = _chain_dataset(n=1_000)
+    covs = train_covariances(ds)
+    # 3 steps per epoch; 6 iterations do not reach the minimum, 300 do
+    _, capped = train(covs, ds.n_train, TrainConfig(epochs=2, batch_size=300, seed=0))
+    assert (capped.n_iter, capped.converged) == (6, False)
+    assert capped.n_evals >= capped.n_iter
+    _, free = train(covs, ds.n_train, TrainConfig(epochs=100, batch_size=300, seed=0))
+    assert free.converged and free.n_iter < 300
+    doc = json.loads(free.to_json())
+    assert (doc["converged"], doc["n_iter"], doc["n_evals"]) == (True, free.n_iter, free.n_evals)
+
+
+def _spy_on_accepted_iterates(monkeypatch, calls):
+    """The list that train's L-BFGS-B fills with (point, len(calls)) at each
+    iterate it accepts, and then with SciPy's result."""
+    accepted = []
+
+    def spying(fun, x0, callback, **kwargs):
+        def accept(x):
+            accepted.append((x.copy(), len(calls)))
+            callback(x)
+
+        result = minimize(fun, x0, callback=accept, **kwargs)
+        accepted.append(result)
+        return result
+
+    monkeypatch.setattr(unmixing, "minimize", spying)
+    return accepted
+
+
+def test_train_reports_each_block_of_accepted_iterates(monkeypatch):
+    ds = _chain_dataset(n=1_000)
+    covs = train_covariances(ds)
+    config = TrainConfig(epochs=100, batch_size=300, seed=0)  # 3 steps per epoch
+    spied = _spy_on_accepted_iterates(monkeypatch, [])
+    model, report = train(covs, ds.n_train, config)
+    *accepted, result = spied
+    assert (report.converged, report.n_iter, report.n_evals) == (result.success, result.nit, result.nfev)
+    assert report.converged and report.n_iter == len(accepted) and report.n_iter % 3 != 0
+    assert len(report.epoch_losses) == len(report.grad_norms) == _blocks(report, ds.n_train, config)
+    points = [x.reshape(3, 3) for x, _ in accepted]
+    assert np.array_equal(points[-1], model.lhat)
+    for k, (mean, norm) in enumerate(zip(report.epoch_losses, report.grad_norms)):
+        block = [objective(covs, lhat) for lhat in points[3 * k : 3 * k + 3]]
+        terms = np.mean([list(asdict(breakdown).values()) for breakdown, _, _ in block], axis=0)
+        assert np.allclose(list(asdict(mean).values()), terms, rtol=1e-12, atol=0.0)
+        assert norm == float(np.linalg.norm(block[-1][1]))
+
+
+def test_a_run_that_accepts_no_iterate_reports_its_start(monkeypatch):
+    ds = _chain_dataset(n=1_000)
+    covs = train_covariances(ds)
+
+    def no_iterate(fun, x0, callback, **kwargs):
+        fun(x0)
+        return OptimizeResult(x=x0, success=True)
+
+    monkeypatch.setattr(unmixing, "minimize", no_iterate)
+    model, report = train(covs, ds.n_train, TrainConfig(seed=2))
+    breakdown, grad, _ = objective(covs, unmixing._initial_lhat(3, 2))
+    assert (report.n_iter, report.n_evals, report.converged) == (0, 1, True)
+    assert report.epoch_losses == [breakdown]
+    assert report.grad_norms == [float(np.linalg.norm(grad))]
+
+
+def test_a_numerical_error_mid_run_aborts_at_the_iterations_done(monkeypatch):
+    ds = _chain_dataset(n=1_000)
+    covs = train_covariances(ds)
+    config = TrainConfig(epochs=5, batch_size=300, seed=0)  # 3 steps per epoch
+    calls, fail_at = [], []
+
+    def failing(covs, lhat):
+        calls.append(1)
+        if [len(calls)] == fail_at:
+            raise unmixing.NumericalError("injected")
+        return objective(covs, lhat)
+
+    monkeypatch.setattr(unmixing, "objective", failing)
+    accepted = _spy_on_accepted_iterates(monkeypatch, calls)
+    _, clean = train(covs, ds.n_train, config)
+    # the first evaluation after the fifth accepted iterate: epoch 1, step 2
+    fail_at.append(accepted[4][1] + 1)
+    calls.clear()
+    with pytest.raises(TrainingAborted) as err:
+        train(covs, ds.n_train, config)
+    assert str(err.value) == "aborted at epoch 1, step 2: injected"
+    assert (err.value.epoch, err.value.step) == (1, 2)
+    partial = err.value.report
+    assert partial.n_iter == 5 and not partial.converged and partial.wall_time_s > 0
+    assert partial.epoch_losses == clean.epoch_losses[:1]
+    assert partial.grad_norms == clean.grad_norms[:1]
 
 
 def test_train_takes_one_step_per_epoch_from_any_batch_size_past_the_train_rows():
@@ -841,9 +884,10 @@ def test_train_records_each_epochs_last_gradient_norm():
     ds = _chain_dataset(n=1_000)
     covs = train_covariances(ds)
     config = TrainConfig(epochs=1, batch_size=ds.n_train, seed=3)
-    _, report = train(covs, ds.n_train, config)
-    first = objective(covs, unmixing._initial_lhat(ds.d, config.seed))[1]
-    assert report.grad_norms == [float(np.linalg.norm(first))]
+    model, report = train(covs, ds.n_train, config)
+    last = objective(covs, model.lhat)[1]  # one step per epoch: the last accepted iterate
+    assert report.n_iter == 1
+    assert report.grad_norms == [float(np.linalg.norm(last))]
     _, report = train(covs, ds.n_train, TrainConfig(epochs=4, batch_size=300, seed=3))
     assert json.loads(report.to_json())["grad_norms"] == report.grad_norms
     assert len(report.grad_norms) == 4
@@ -924,9 +968,7 @@ def test_loss_weights_and_config_validation():
     assert (defaults.epochs, defaults.batch_size) == (50, 4096)
     assert [f.name for f in fields(TrainConfig)] == ["epochs", "batch_size", "seed"]
     assert (LAMBDA_E, LAMBDA_M, LAMBDA_DIAG, LAMBDA_NORM) == (1.0, 1.0, 10.0, 5.0)
-    assert (ADAMW_LEARNING_RATE, NORM_TARGET) == (2e-3, 1.0)
-    assert (ADAMW_BETA1, ADAMW_BETA2) == (0.9, 0.999)
-    assert (ADAMW_EPS, ADAMW_WEIGHT_DECAY) == (1e-8, 1e-2)
+    assert NORM_TARGET == 1.0
 
 
 # ---------------------------------------------------------------- checkpoints
