@@ -1,8 +1,8 @@
 """Command-line front end: generate datasets, validate intervention designs,
 train and evaluate unmixing models, and reproduce the benchmark grids as CSV.
 
-Configuration comes from an INI-style file (sections ``[experiment]`` and
-``[train]``) with command-line flags taking precedence over file values.
+A run's fields come from flags, with ExperimentConfig's defaults for the rest;
+the files it reads (manifests, regimes files, checkpoints) are JSON documents.
 Exit codes: 0 on success, 1 on validation or I/O failure, 2 when
 optimization aborts on non-finite numbers.
 """
@@ -10,7 +10,6 @@ optimization aborts on non-finite numbers.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
 from dataclasses import fields
@@ -35,7 +34,7 @@ from .experiments import (
     train_covariances,
 )
 from .metrics import disentanglement_check, mcc_between
-from .unmixing import TrainConfig, TrainingAborted, UnmixingModel, train
+from .unmixing import TrainingAborted, UnmixingModel, train
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -43,21 +42,11 @@ EXIT_NUMERICAL = 2
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+    try:
+        return tuple(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"not a list of integer seeds: {text!r}") from None
 
-
-def _parsers(cls: type) -> dict:
-    """Each field of cls with the parser of its default's type."""
-    return {f.name: _seed_list if f.name == "seeds" else type(f.default) for f in fields(cls)}
-
-
-# Config-file keys are ExperimentConfig's fields. [train] holds those that
-# TrainConfig shares; [experiment] holds the rest.
-_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
-_SECTIONS = {
-    "experiment": {k: v for k, v in _parsers(ExperimentConfig).items() if k not in _TRAIN_FIELDS},
-    "train": {k: v for k, v in _parsers(ExperimentConfig).items() if k in _TRAIN_FIELDS},
-}
 
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit 2; this tool reserves 2 for
@@ -72,56 +61,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _parse_section(parser: configparser.ConfigParser, name: str, schema: dict) -> dict:
-    out = {}
-    if not parser.has_section(name):
-        return out
-    for key, raw in parser.items(name):
-        if key not in schema:
-            raise ValueError(f"unknown config key [{name}] {key}")
-        try:
-            out[key] = schema[key](raw)
-        except ValueError as err:
-            raise ValueError(f"bad config value [{name}] {key} = {raw!r}: {err}") from err
-    return out
-
-
-def load_config_file(path: str) -> tuple[dict, dict]:
-    """Read the two sections of a config file into typed dicts; ValueError starting with the path."""
-    parser = configparser.ConfigParser(interpolation=None)  # values are literal: '%' is no escape
-    try:
-        parser.read_string(Path(path).read_text(encoding="utf-8"), source=path)
-        for section in parser.sections():
-            if section not in _SECTIONS:
-                raise ValueError(f"unknown config section [{section}]")
-        return tuple(_parse_section(parser, name, keys) for name, keys in _SECTIONS.items())
-    except configparser.Error as err:
-        raise ValueError(f"{path}: cannot parse config: {err}") from err
-    except ValueError as err:  # not UTF-8, or an unknown section, key or value
-        raise ValueError(f"{path}: {err}") from err
-
-
-def _given_fields(args: argparse.Namespace) -> dict:
-    """The ExperimentConfig fields that the config file or a flag sets, flags winning.
-    A file value that no flag overrides is checked, and its error names the file."""
-    exp, train_kwargs = load_config_file(args.config) if args.config else ({}, {})
-    from_file = {**exp, **train_kwargs}
-    given = dict(from_file)
-    for f in fields(ExperimentConfig):  # flags are stored under the field they set
-        value = getattr(args, f.name, None)
-        if value is not None:
-            given[f.name] = (value,) if f.name == "seeds" else value
-            from_file.pop(f.name, None)
-    try:
-        ExperimentConfig(**from_file)  # on the defaults, so only the file's values can fail
-    except ValueError as err:
-        raise ValueError(f"{args.config}: {err}") from err
-    return given
-
-
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge config file then flags into a validated ExperimentConfig."""
-    return ExperimentConfig(**_given_fields(args))
+    """The validated ExperimentConfig of the flags given, defaults filling the rest."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}  # flags are stored by field
+    return ExperimentConfig(**{name: value for name, value in given.items() if value is not None})
+
+
+def _one_run(args: argparse.Namespace) -> tuple[ExperimentConfig, int]:
+    """build_config(args) and the seed of a command that makes one run: the
+    one seed --seed names, else the first default."""
+    config = build_config(args)
+    if args.seeds is not None and len(args.seeds) > 1:
+        raise ValueError(f"{args.command} makes one run, so --seed takes one seed, not {len(args.seeds)}")
+    return config, config.seeds[0]
 
 
 def _flags_given(args: argparse.Namespace, names: Sequence[str]) -> str:
@@ -143,8 +95,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         unread = _flags_given(args, ("seeds", "design", "d", "scm", "p", "n_per_env"))
         if unread:
             raise ValueError(f"--from-manifest regenerates what the manifest records; drop {unread}")
-    config = build_config(args)
-    seed = config.seeds[0]
+    config, seed = _one_run(args)
     out = Path(config.out_dir)
     if args.from_manifest:  # read before writing: a manifest short of a summary field leaves no output
         manifest, dataset, summary = read_json(
@@ -164,11 +115,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_check_design(args: argparse.Namespace) -> int:
-    given = _given_fields(args)
-    config = ExperimentConfig(**given)
-    if config.design in DESIGN_KINDS or "d" in given:
-        envs = build_design(config.design, config.d, config.seeds[0])
-    else:  # a regimes file keeps its own d unless --d or the config file names one
+    config, seed = _one_run(args)
+    if config.design in DESIGN_KINDS or args.d is not None:
+        envs = build_design(config.design, config.d, seed)
+    else:  # a regimes file keeps its own d unless --d names one
         envs = read_json(config.design, EnvironmentSet.from_dict)
     report = check_sufficient_coverage(envs)
     print(f"{len(envs)} environments over d={envs.d}: {report}")
@@ -176,11 +126,10 @@ def cmd_check_design(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = build_config(args)
+    config, seed = _one_run(args)
     if not args.data:
         raise ValueError("train needs --data pointing at a generated manifest.json")
     dataset = read_json(args.data, regenerate)
-    seed = config.seeds[0]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_config = config.train_config(seed)
@@ -238,8 +187,10 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="varsparse", description=__doc__)
     # flags grouped by what they describe; each subcommand takes the groups it reads
     run, out, design, sampling = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    run.add_argument("--config", help="INI config file; flags override it")
-    run.add_argument("--seed", type=int, dest="seeds", metavar="SEED", help="run seed")
+    run.add_argument(
+        "--seed", type=_seed_list, dest="seeds", metavar="SEEDS",
+        help="run seed; reproduce also takes a comma list, such as 0,1,2",
+    )
     out.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
     design.add_argument("--design", help="leave-one-out, separating, or a regimes JSON file")
     design.add_argument("--d", type=int, help="latent dimension")

@@ -32,7 +32,7 @@ from .envs import (
     leave_one_out_design,
     separating_design,
 )
-from .ica import IcaModel, IcaRankError, fit_fastica
+from .ica import IcaRankError, fit_fastica
 from .metrics import PooledMoments, mcc_between, pooled_moments
 from .scm import Scm, builtin_nonlinear_scm, sample_er_dag, sample_linear_scm
 from .unmixing import TrainConfig, TrainingAborted, covariances, train
@@ -297,7 +297,7 @@ def evaluate_method(
     dataset: EnvDataset, method: str, config: ExperimentConfig, seed: int
 ) -> float:
     """Train/fit one method on the dataset and score MCC on the test split."""
-    return _fit_and_score(dataset, method, config, seed, pooled_test_moments(dataset))[0]
+    return _fit_and_score(dataset, method, config, seed, pooled_test_moments(dataset))["mcc"]
 
 
 def _fit_and_score(
@@ -306,22 +306,23 @@ def _fit_and_score(
     config: ExperimentConfig,
     seed: int,
     moments: PooledMoments,
-) -> tuple[float, Optional[IcaModel]]:
-    """evaluate_method's score, plus the fitted FastICA model (None for ours).
+) -> dict:
+    """The ResultRow fields of one method's fit: its mcc, and FastICA's
+    ica_converged and ica_n_iter.
 
     Both methods learn a linear map (x - offset) @ unmixing, scored from the
     dataset's pooled test moments, which the caller builds once."""
-    ica = None
     if method == "ours":
         model, _ = train(train_covariances(dataset), dataset.n_train, config.train_config(seed))
-        learned = (model.lhat, 0.0)
+        learned, fit = (model.lhat, 0.0), {}
     elif method == "fastica":
         blocks = [dataset.train_observed(e) for e in range(dataset.n_envs)]
         ica = fit_fastica(blocks, dataset.d, seed=derive_seed(seed, SEED_ICA))
         learned = (ica.whitening @ ica.rotation.T, ica.mean)
+        fit = dict(ica_converged=ica.converged, ica_n_iter=ica.n_iter)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return mcc_between(moments, learned).score, ica
+    return dict(mcc=mcc_between(moments, learned).score, **fit)
 
 
 def _score_methods(
@@ -350,12 +351,11 @@ def _score_methods(
     rows = []
     for method in methods:
         try:
-            score, ica = _fit_and_score(dataset, method, config, seed, moments)
+            fit = _fit_and_score(dataset, method, config, seed, moments)
         except _EXPECTED_FAILURES as exc:
             rows.append(failed(method, exc))
         else:
-            fit = {} if ica is None else dict(ica_converged=ica.converged, ica_n_iter=ica.n_iter)
-            rows.append(ResultRow(method=method, mcc=score, **fit, **base))
+            rows.append(ResultRow(method=method, **fit, **base))
     return rows
 
 

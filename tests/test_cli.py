@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from varsparse import cli
-from varsparse.cli import _SECTIONS, build_config, build_parser, load_config_file, main
+from varsparse.cli import build_config, build_parser, main
 from varsparse.envs import EnvironmentSet, InterventionRegime, leave_one_out_design
 from varsparse.experiments import ExperimentConfig, dataset_sha256, make_dataset, read_json, regenerate
 from varsparse.metrics import mcc_between
@@ -15,102 +15,36 @@ import varsparse.ica as ica
 import varsparse.unmixing as unmixing
 from varsparse.unmixing import UnmixingModel
 
-TINY_INI = """\
-[experiment]
-d = 3
-p = 0.5
-n_per_env = 1200
-seeds = 0
-[train]
-epochs = 3
-batch_size = 200
-"""
+TINY = ["--d", "3", "--p", "0.5", "--n", "1200", "--seed", "0"]
 
 
-@pytest.fixture()
-def tiny_config(tmp_path):
-    path = tmp_path / "cfg.ini"
-    path.write_text(TINY_INI)
-    return str(path)
+def test_seed_flag_lists_accept_commas_and_spaces(capsys):
+    parse = build_parser().parse_args
+    assert build_config(parse(["reproduce", "fig2b", "--seed", "0, 1, 2"])).seeds == (0, 1, 2)
+    assert build_config(parse(["reproduce", "fig2b", "--seed", "3 4"])).seeds == (3, 4)
+    with pytest.raises(SystemExit) as exc:
+        parse(["reproduce", "fig2b", "--seed", "0,x"])
+    assert exc.value.code == 1
+    assert "error: argument --seed: not a list of integer seeds: '0,x'" in capsys.readouterr().err
 
 
-def test_config_file_parses_sections(tiny_config):
-    exp, train = load_config_file(tiny_config)
-    assert exp == {"d": 3, "p": 0.5, "n_per_env": 1200, "seeds": (0,)}
-    assert train == {"epochs": 3, "batch_size": 200}
-
-
-def test_config_seed_lists_accept_commas_and_spaces(tmp_path):
-    path = tmp_path / "cfg.ini"
-    path.write_text("[experiment]\nseeds = 0, 1, 2\n")
-    exp, _ = load_config_file(path)
-    assert exp["seeds"] == (0, 1, 2)
-    path.write_text("[experiment]\nseeds = 3 4\n")
-    assert load_config_file(path)[0]["seeds"] == (3, 4)
-
-
-@pytest.mark.parametrize(
-    "text,match",
-    [
-        ("[experiment]\nwidth = 3\n", "unknown config key"),
-        ("[train]\nlearning_rate = 0.002\n", r"unknown config key \[train\] learning_rate"),
-        ("[weights]\nnorm_target = 1.0\n", r"unknown config section \[weights\]"),
-        ("[plotting]\ncolor = red\n", "unknown config section"),
-        ("[experiment]\nd = three\n", "bad config value"),
-        ("not an ini file", "cannot parse config"),
-    ],
-)
-def test_config_file_rejects_malformed_input(tmp_path, text, match):
-    path = tmp_path / "bad.ini"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=match):
-        load_config_file(path)
-
-
-def test_config_file_with_a_weights_section_exits_1(tmp_path, capsys):
-    # the loss weights are constants of varsparse.unmixing, not settings
-    path = tmp_path / "weights.ini"
-    path.write_text(TINY_INI + "[weights]\nlambda_diag = 10.0\n")
-    out = tmp_path / "run"
-    assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
-    assert "unknown config section [weights]" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_config_values_are_literal(tmp_path, capsys):
-    path = tmp_path / "cfg.ini"
-    path.write_text("[experiment]\nout_dir = runs/100%\n")
-    assert load_config_file(path)[0] == {"out_dir": "runs/100%"}
-    assert main(["check-design", "--config", str(path), "--design", "leave-one-out"]) == 0
-    assert "coverage ok" in capsys.readouterr().out
-
-
-def test_every_config_key_reaches_the_built_config(tmp_path):
+def test_every_flag_reaches_the_built_config():
     # d stays at its default 6: the built-in nonlinear mechanisms need it
-    path = tmp_path / "all.ini"
-    path.write_text(
-        "[experiment]\nd = 6\np = 0.25\nn_per_env = 1234\nseeds = 7, 8\n"
-        "design = separating\nscm = nonlinear-2\nout_dir = results/all\n"
-        "[train]\nepochs = 3\nbatch_size = 100\n"
-    )
-    assert sum(len(section) for section in load_config_file(path)) == 9
-    cfg = build_config(build_parser().parse_args(["generate", "--config", str(path)]))
+    args = build_parser().parse_args([
+        "generate", "--d", "6", "--p", "0.25", "--n", "1234", "--seed", "7,8",
+        "--design", "separating", "--scm", "nonlinear-2", "--out", "results/all",
+    ])
+    assert {name for name, value in vars(args).items() if value is not None} - {"command", "func"} == {
+        "d", "p", "n_per_env", "seeds", "design", "scm", "out_dir",
+    }
+    cfg = build_config(args)
     assert cfg == ExperimentConfig(
-        d=6, p=0.25, n_per_env=1234, seeds=(7, 8), design="separating", scm="nonlinear-2",
-        out_dir="results/all", epochs=3, batch_size=100,
+        d=6, p=0.25, n_per_env=1234, seeds=(7, 8), design="separating", scm="nonlinear-2", out_dir="results/all",
     )
     default = ExperimentConfig()
-    assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == ["d"]
-
-
-def test_readme_config_example_builds_and_names_every_key(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
-    path = tmp_path / "readme.ini"
-    path.write_text(block)
-    assert [set(s) for s in load_config_file(path)] == [set(keys) for keys in _SECTIONS.values()]
-    args = build_parser().parse_args(["generate", "--config", str(path)])
-    assert build_config(args) == ExperimentConfig(out_dir="results")  # the defaults
+    assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == [
+        "d", "epochs", "batch_size",  # the command line trains with the default budget
+    ]
 
 
 def test_readme_quick_start_prints_what_the_readme_quotes(capsys):
@@ -126,23 +60,14 @@ def _written(directory):
     return {path.name: path.read_bytes() for path in paths}
 
 
-def test_flags_override_config_file(tiny_config):
-    parser = build_parser()
-    args = parser.parse_args(["generate", "--config", tiny_config, "--d", "4", "--p", "0.25"])
-    cfg = build_config(args)
-    assert cfg.d == 4 and cfg.p == 0.25  # flags win
-    assert cfg.n_per_env == 1200  # file value survives where no flag given
-
-
-def test_seed_flag_narrows_to_single_run(tiny_config):
-    parser = build_parser()
-    args = parser.parse_args(["generate", "--config", tiny_config, "--seed", "9"])
+def test_seed_flag_narrows_to_single_run():
+    args = build_parser().parse_args(["reproduce", "fig2b", "--seed", "9"])
     assert build_config(args).seeds == (9,)
 
 
-def test_generate_writes_dataset_manifest_and_env_files(tmp_path, tiny_config, capsys):
+def test_generate_writes_dataset_manifest_and_env_files(tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(["generate", "--config", tiny_config, "--out", str(out)]) == 0
+    assert main(["generate", *TINY, "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["env_00.csv", "env_01.csv", "env_02.csv", "manifest.json"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["format"] == "varsparse-manifest" and manifest["d"] == 3
@@ -154,15 +79,22 @@ def test_generate_writes_dataset_manifest_and_env_files(tmp_path, tiny_config, c
     assert "wrote" in capsys.readouterr().out
 
 
+def test_generate_without_a_seed_flag_makes_seed_0s_dataset(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["generate", *TINY, "--out", str(a)]) == 0
+    assert main(["generate", *TINY[:-2], "--out", str(b)]) == 0  # TINY ends with --seed 0
+    assert _written(a) == _written(b)
+
+
 def test_generate_with_no_edges_records_zero_edge_count(tmp_path):
     out = tmp_path / "run"
     assert main(["generate", "--d", "3", "--p", "0", "--n", "100", "--seed", "0", "--out", str(out)]) == 0
     assert json.loads((out / "manifest.json").read_text())["n_edges"] == 0
 
 
-def test_generate_from_manifest_is_bit_exact(tmp_path, tiny_config):
+def test_generate_from_manifest_is_bit_exact(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["generate", "--config", tiny_config, "--out", str(a)]) == 0
+    assert main(["generate", *TINY, "--out", str(a)]) == 0
     assert main(["generate", "--from-manifest", str(a / "manifest.json"), "--out", str(b)]) == 0
     assert _written(a) == _written(b)
 
@@ -173,9 +105,9 @@ def test_generate_from_manifest_is_bit_exact(tmp_path, tiny_config):
      ["--p", "0.9"], ["--n", "999"], ["--d", "5", "--n", "999", "--p", "0.9", "--seed", "7"]],
     ids=["seed", "design", "d", "scm", "p", "n", "several"],
 )
-def test_generate_from_manifest_rejects_the_flags_the_manifest_fixes(tmp_path, tiny_config, capsys, flags):
+def test_generate_from_manifest_rejects_the_flags_the_manifest_fixes(tmp_path, capsys, flags):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["generate", "--config", tiny_config, "--out", str(a)]) == 0
+    assert main(["generate", *TINY, "--out", str(a)]) == 0
     capsys.readouterr()
     code = main(["generate", "--from-manifest", str(a / "manifest.json"), *flags, "--out", str(b)])
     assert code == 1
@@ -184,21 +116,11 @@ def test_generate_from_manifest_rejects_the_flags_the_manifest_fixes(tmp_path, t
     assert not b.exists()
 
 
-def test_generate_from_manifest_still_reads_the_config_file(tmp_path, tiny_config):
-    # one config file serves every subcommand, so its keys stay allowed
-    a = tmp_path / "a"
-    assert main(["generate", "--config", tiny_config, "--out", str(a)]) == 0
-    b = tmp_path / "b"
-    assert main(["generate", "--config", tiny_config, "--from-manifest", str(a / "manifest.json"),
-                 "--out", str(b)]) == 0
-    assert _written(a) == _written(b)
-
-
-def test_generate_from_a_design_file_records_its_path_and_regenerates(tmp_path, tiny_config):
+def test_generate_from_a_design_file_records_its_path_and_regenerates(tmp_path):
     design = tmp_path / "regimes.json"
     design.write_text(json.dumps(leave_one_out_design(3, value_seed=7).to_dict()))
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["generate", "--config", tiny_config, "--design", str(design), "--out", str(a)]) == 0
+    assert main(["generate", *TINY, "--design", str(design), "--out", str(a)]) == 0
     manifest = json.loads((a / "manifest.json").read_text())
     assert manifest["design"] == str(design)
     assert manifest["environments"] == json.loads(design.read_text())
@@ -226,9 +148,9 @@ def test_generate_from_a_design_file_records_its_path_and_regenerates(tmp_path, 
         "mixing-string", "mixing-bool", "sha256-wrong", "sha256-int",
     ],
 )
-def test_generate_from_malformed_manifest_exits_1_without_traceback(tmp_path, tiny_config, capsys, corrupt):
+def test_generate_from_malformed_manifest_exits_1_without_traceback(tmp_path, capsys, corrupt):
     a = tmp_path / "a"
-    assert main(["generate", "--config", tiny_config, "--out", str(a)]) == 0
+    assert main(["generate", *TINY, "--out", str(a)]) == 0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(corrupt(json.loads((a / "manifest.json").read_text()))))
     capsys.readouterr()
@@ -237,9 +159,9 @@ def test_generate_from_malformed_manifest_exits_1_without_traceback(tmp_path, ti
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_generate_from_a_manifest_short_of_a_summary_field_writes_nothing(tmp_path, tiny_config, capsys):
+def test_generate_from_a_manifest_short_of_a_summary_field_writes_nothing(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["generate", "--config", tiny_config, "--out", str(a)]) == 0
+    assert main(["generate", *TINY, "--out", str(a)]) == 0
     manifest = json.loads((a / "manifest.json").read_text())
     del manifest["n_edges"]  # regenerating does not need it, the summary line does
     bad = tmp_path / "bad.json"
@@ -252,27 +174,20 @@ def test_generate_from_a_manifest_short_of_a_summary_field_writes_nothing(tmp_pa
     assert not b.exists()
 
 
-def test_a_programming_error_propagates_instead_of_exiting_1(tmp_path, tiny_config, monkeypatch):
+def test_a_programming_error_propagates_instead_of_exiting_1(tmp_path, monkeypatch):
     # every input path turns its own KeyError into ValueError; one that escapes is a bug
     def broken(config, seed):
         raise KeyError("bug")
 
     monkeypatch.setattr(cli, "make_dataset", broken)
     with pytest.raises(KeyError, match="bug"):
-        main(["generate", "--config", tiny_config, "--out", str(tmp_path / "run")])
+        main(["generate", *TINY, "--out", str(tmp_path / "run")])
 
 
 def test_check_design_passes_builtin_constructions(capsys):
     assert main(["check-design", "--design", "leave-one-out", "--d", "6"]) == 0
     assert "coverage ok" in capsys.readouterr().out
     assert main(["check-design", "--design", "separating", "--d", "16"]) == 0
-    assert "8 environments" in capsys.readouterr().out
-
-
-def test_check_design_takes_design_and_d_from_the_config_file(tmp_path, capsys):
-    path = tmp_path / "cfg.ini"
-    path.write_text("[experiment]\ndesign = separating\nd = 16\n")
-    assert main(["check-design", "--config", str(path)]) == 0
     assert "8 environments" in capsys.readouterr().out
 
 
@@ -284,31 +199,6 @@ def test_check_design_rejects_a_d_flag_that_differs_from_the_design_file(tmp_pat
     capsys.readouterr()
     assert main(["check-design", "--design", str(path), "--d", "6"]) == 1
     assert "design file is for d=3" in capsys.readouterr().err
-    config = tmp_path / "cfg.ini"
-    config.write_text("[experiment]\nd = 16\n")
-    assert main(["check-design", "--config", str(config), "--design", str(path)]) == 1
-    assert "design file is for d=3" in capsys.readouterr().err
-
-
-def test_check_design_reads_the_config_file_once(tmp_path, monkeypatch, capsys):
-    design = tmp_path / "design.json"
-    design.write_text(json.dumps(leave_one_out_design(3, value_seed=0).to_dict()))
-    reads = []
-
-    def counting_load(path):
-        reads.append(path)
-        return load_config_file(path)
-
-    monkeypatch.setattr(cli, "load_config_file", counting_load)
-    for d, code in [(3, 0), (4, 1)]:  # a d the config names is checked against the regimes file
-        config = tmp_path / f"cfg{d}.ini"
-        config.write_text(f"[experiment]\ndesign = {design}\nd = {d}\n")
-        reads.clear()
-        assert main(["check-design", "--config", str(config)]) == code
-        assert reads == [str(config)]
-    out, err = capsys.readouterr()
-    assert "3 environments over d=3" in out
-    assert "design file is for d=3, experiment wants d=4" in err
 
 
 def test_check_design_reports_each_failing_coordinate(tmp_path, capsys):
@@ -330,7 +220,6 @@ _READERS = {
     "evaluate-data": ["evaluate", "--data", "{file}", "--checkpoint", "{out}/absent.json"],
     "check-design": ["check-design", "--design", "{file}"],
     "generate-design": ["generate", "--design", "{file}", "--out", "{out}"],
-    "generate-config": ["generate", "--config", "{file}", "--out", "{out}"],
 }
 _BINARY = b"\xff" + np.random.default_rng(0).bytes(399)  # 0xff is never UTF-8
 _JSON = {
@@ -341,7 +230,6 @@ _UNREADABLE = [pytest.param(r, _BINARY, id=f"{r}-binary") for r in _READERS] + [
     pytest.param(r, text, id=f"{r}-{kind}")
     for kind, text in _JSON.items()
     for r in _READERS
-    if r != "generate-config"
 ]
 
 
@@ -356,7 +244,7 @@ def test_an_unreadable_input_file_exits_1_naming_it(tmp_path, capsys, reader, co
     assert list(tmp_path.iterdir()) == [path]  # nothing written, under --out or elsewhere
 
 
-# well-formed JSON (or INI) whose content its reader rejects, made from a valid
+# well-formed JSON whose content its reader rejects, made from a valid
 # manifest; evaluate --checkpoint reads the file with the manifest as --data
 _BAD_DESIGN = json.dumps({"d": 3, "regimes": [{"targets": [0.5], "values": [1.0]}]})
 _MANIFEST_READERS = ("generate-from-manifest", "train-data", "evaluate-data")
@@ -382,9 +270,6 @@ _BAD_DOCUMENTS = [
     pytest.param("evaluate-checkpoint", lambda m: "[]", id="evaluate-checkpoint-json-list"),
     pytest.param("evaluate-checkpoint", lambda m: '{"lhat": [[1.0, 0.0]]}', id="evaluate-checkpoint-non-square"),
     pytest.param("evaluate-checkpoint", lambda m: _V1_CHECKPOINT, id="evaluate-checkpoint-binary-format"),
-    pytest.param("generate-config", lambda m: "[experiment]\nfoo = 1\n", id="generate-config-unknown-key"),
-    pytest.param("generate-config", lambda m: "[train]\nepochs = x\n", id="generate-config-bad-value"),
-    pytest.param("generate-config", lambda m: "[experiment]\nd = 1\n", id="generate-config-out-of-range"),
 ]
 
 
@@ -405,6 +290,24 @@ def test_a_malformed_input_document_exits_1_naming_it(tmp_path, capsys, tiny_man
     assert captured.err.startswith(f"error: {path}: ") and "Traceback" not in captured.err
     assert captured.out == ""
     assert sorted(tmp_path.iterdir()) == [path, manifest]  # nothing written, under --out or elsewhere
+
+
+# the commands that make one run, each with valid inputs
+_ONE_RUN = {
+    "generate": ["generate", *TINY[:-2], "--out", "{out}"],
+    "check-design": ["check-design", "--design", "leave-one-out", "--d", "3"],
+    "train": ["train", "--data", "{manifest}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", _ONE_RUN)
+def test_a_one_run_command_given_several_seeds_exits_1_naming_seed(tmp_path, capsys, tiny_manifest, command):
+    manifest, out = tmp_path / "manifest.json", tmp_path / "out"
+    manifest.write_text(json.dumps(tiny_manifest))
+    argv = [arg.format(manifest=manifest, out=out) for arg in _ONE_RUN[command]]
+    assert main([*argv, "--seed", "5,6"]) == 1
+    assert capsys.readouterr() == ("", f"error: {command} makes one run, so --seed takes one seed, not 2\n")
+    assert list(tmp_path.iterdir()) == [manifest]  # nothing written
 
 
 def test_check_design_missing_file_is_a_validation_error(tmp_path, capsys):
@@ -430,10 +333,10 @@ def test_check_design_rejects_an_infinite_integer(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
-def test_train_writes_checkpoint_and_reports(tmp_path, tiny_config, capsys):
+def test_train_writes_checkpoint_and_reports(tmp_path, capsys):
     out = tmp_path / "run"
-    assert main(["generate", "--config", tiny_config, "--out", str(out)]) == 0
-    assert main(["train", "--config", tiny_config, "--data", str(out / "manifest.json"), "--out", str(out)]) == 0
+    assert main(["generate", *TINY, "--out", str(out)]) == 0
+    assert main(["train", "--data", str(out / "manifest.json"), "--out", str(out)]) == 0
     assert (out / "checkpoint.json").exists()
     assert (out / "train_report.json").exists()
     assert (out / "train_losses.csv").read_text().startswith("epoch,total,")
@@ -447,13 +350,13 @@ def test_train_writes_checkpoint_and_reports(tmp_path, tiny_config, capsys):
     assert counts in text.splitlines()
 
 
-def test_train_seed_changes_checkpoint(tmp_path, tiny_config):
+def test_train_seed_changes_checkpoint(tmp_path):
     out = tmp_path / "run"
-    main(["generate", "--config", tiny_config, "--out", str(out)])
+    main(["generate", *TINY, "--out", str(out)])
     data = str(out / "manifest.json")
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    for dest, seed in ((a, "0"), (b, "1"), (c, "0")):
-        assert main(["train", "--config", tiny_config, "--data", data, "--out", str(dest), "--seed", seed]) == 0
+    for dest, seed in ((a, ["--seed", "0"]), (b, ["--seed", "1"]), (c, [])):  # no --seed is seed 0
+        assert main(["train", "--data", data, "--out", str(dest), *seed]) == 0
     assert (a / "checkpoint.json").read_bytes() != (b / "checkpoint.json").read_bytes()
     assert (a / "checkpoint.json").read_bytes() == (c / "checkpoint.json").read_bytes()
 
@@ -464,20 +367,20 @@ def test_train_without_dataset_is_a_validation_error(capsys):
     assert main(["train", "--data", "/no/such/manifest.json"]) == 1
 
 
-def test_train_numerical_blowup_exits_with_abort_code(tmp_path, tiny_config, capsys, monkeypatch):
+def test_train_numerical_blowup_exits_with_abort_code(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
-    main(["generate", "--config", tiny_config, "--out", str(out)])
+    main(["generate", *TINY, "--out", str(out)])
     monkeypatch.setattr(unmixing, "LAMBDA_DIAG", 1e308)  # a non-finite objective
     with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train", "--config", tiny_config, "--data", str(out / "manifest.json"), "--out", str(out)])
+        code = main(["train", "--data", str(out / "manifest.json"), "--out", str(out)])
     assert code == 2
     assert "numerical abort" in capsys.readouterr().err
 
 
-def test_evaluate_scores_checkpoint(tmp_path, tiny_config, capsys):
+def test_evaluate_scores_checkpoint(tmp_path, capsys):
     out = tmp_path / "run"
-    main(["generate", "--config", tiny_config, "--out", str(out)])
-    main(["train", "--config", tiny_config, "--data", str(out / "manifest.json"), "--out", str(out)])
+    main(["generate", *TINY, "--out", str(out)])
+    main(["train", "--data", str(out / "manifest.json"), "--out", str(out)])
     capsys.readouterr()
     code = main([
         "evaluate", "--data", str(out / "manifest.json"), "--checkpoint", str(out / "checkpoint.json"),
@@ -493,9 +396,9 @@ def test_evaluate_scores_checkpoint(tmp_path, tiny_config, capsys):
     assert abs(float(re.search(r"test-split mcc (\S+)", text).group(1)) - rows) <= 1e-12
 
 
-def test_evaluate_reports_a_non_object_checkpoint_header(tmp_path, tiny_config, capsys):
+def test_evaluate_reports_a_non_object_checkpoint_header(tmp_path, capsys):
     out = tmp_path / "run"
-    main(["generate", "--config", tiny_config, "--out", str(out)])
+    main(["generate", *TINY, "--out", str(out)])
     bad = tmp_path / "checkpoint.json"
     bad.write_text("[1, 2]")
     capsys.readouterr()
@@ -504,11 +407,11 @@ def test_evaluate_reports_a_non_object_checkpoint_header(tmp_path, tiny_config, 
     assert capsys.readouterr().err == f"error: {bad}: malformed checkpoint: not a JSON object\n"
 
 
-def test_evaluate_rejects_a_checkpoint_of_another_dimension(tmp_path, tiny_config, capsys):
+def test_evaluate_rejects_a_checkpoint_of_another_dimension(tmp_path, capsys):
     d3, d4 = tmp_path / "d3", tmp_path / "d4"
-    main(["generate", "--config", tiny_config, "--out", str(d3)])
-    main(["train", "--config", tiny_config, "--data", str(d3 / "manifest.json"), "--out", str(d3)])
-    main(["generate", "--config", tiny_config, "--d", "4", "--out", str(d4)])
+    main(["generate", *TINY, "--out", str(d3)])
+    main(["train", "--data", str(d3 / "manifest.json"), "--out", str(d3)])
+    main(["generate", "--d", "4", "--p", "0.5", "--n", "1200", "--seed", "0", "--out", str(d4)])
     capsys.readouterr()
     code = main(["evaluate", "--data", str(d4 / "manifest.json"), "--checkpoint", str(d3 / "checkpoint.json")])
     assert code == 1
@@ -518,11 +421,11 @@ def test_evaluate_rejects_a_checkpoint_of_another_dimension(tmp_path, tiny_confi
 
 @pytest.mark.parametrize("edited", ["0" * 64, 7], ids=["wrong-hex", "integer"])
 def test_an_edited_sha256_exits_1_with_the_digest_error_and_writes_nothing(
-    tmp_path, tiny_config, capsys, edited
+    tmp_path, capsys, edited
 ):
     out = tmp_path / "run"
-    main(["generate", "--config", tiny_config, "--out", str(out)])
-    main(["train", "--config", tiny_config, "--data", str(out / "manifest.json"), "--out", str(out)])
+    main(["generate", *TINY, "--out", str(out)])
+    main(["train", "--data", str(out / "manifest.json"), "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
     bad = tmp_path / "edited.json"
     bad.write_text(json.dumps({**manifest, "sha256": edited}))
@@ -531,7 +434,7 @@ def test_an_edited_sha256_exits_1_with_the_digest_error_and_writes_nothing(
     fresh = tmp_path / "fresh"
     for argv in (
         ["generate", "--from-manifest", str(bad), "--out", str(fresh)],
-        ["train", "--config", tiny_config, "--data", str(bad), "--out", str(fresh)],
+        ["train", "--data", str(bad), "--out", str(fresh)],
         ["evaluate", "--data", str(bad), "--checkpoint", str(out / "checkpoint.json")],
     ):
         assert main(argv) == 1
@@ -541,16 +444,16 @@ def test_an_edited_sha256_exits_1_with_the_digest_error_and_writes_nothing(
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_a_manifest_without_sha256_regenerates_and_trains_the_same(tmp_path, tiny_config, capsys):
+def test_a_manifest_without_sha256_regenerates_and_trains_the_same(tmp_path, capsys):
     # manifests written before the digest, like make_dataset's own, carry no sha256
     out = tmp_path / "run"
-    main(["generate", "--config", tiny_config, "--out", str(out)])
+    main(["generate", *TINY, "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
     old = tmp_path / "old.json"
     old.write_text(json.dumps({k: v for k, v in manifest.items() if k != "sha256"}))
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     for data, dest in ((out / "manifest.json", a), (old, b)):
-        assert main(["train", "--config", tiny_config, "--data", str(data), "--out", str(dest)]) == 0
+        assert main(["train", "--data", str(data), "--out", str(dest)]) == 0
     assert (a / "checkpoint.json").read_bytes() == (b / "checkpoint.json").read_bytes()
     assert main(["evaluate", "--data", str(old), "--checkpoint", str(b / "checkpoint.json")]) == 0
     assert main(["generate", "--from-manifest", str(old), "--out", str(c)]) == 0
@@ -562,10 +465,10 @@ def test_evaluate_requires_both_inputs(capsys):
     assert "--checkpoint" in capsys.readouterr().err
 
 
-def test_reproduce_writes_grid_and_summary(tmp_path, tiny_config, capsys):
+def test_reproduce_writes_grid_and_summary(tmp_path, capsys):
     out = tmp_path / "csv"
     code = main([
-        "reproduce", "fig2b", "--config", tiny_config, "--out", str(out), "--methods", "fastica",
+        "reproduce", "fig2b", "--n", "1200", "--seed", "0", "--out", str(out), "--methods", "fastica",
     ])
     assert code == 0
     rows = (out / "fig2b.csv").read_text().splitlines()
@@ -574,11 +477,11 @@ def test_reproduce_writes_grid_and_summary(tmp_path, tiny_config, capsys):
     assert (out / "fig2b_summary.csv").exists()
 
 
-def test_reproduce_prints_each_fastica_row_that_did_not_converge(tmp_path, tiny_config, capsys, monkeypatch):
+def test_reproduce_prints_each_fastica_row_that_did_not_converge(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ica, "_MAX_ITER", 1)
     out = tmp_path / "csv"
     code = main([
-        "reproduce", "fig2b", "--config", tiny_config, "--out", str(out), "--methods", "fastica",
+        "reproduce", "fig2b", "--n", "1200", "--seed", "0", "--out", str(out), "--methods", "fastica",
     ])
     assert code == 0
     lines = [line for line in capsys.readouterr().out.splitlines() if "did not converge" in line]
@@ -587,11 +490,22 @@ def test_reproduce_prints_each_fastica_row_that_did_not_converge(tmp_path, tiny_
         assert f"p={p} " in line and line.endswith("FastICA stopped at 1 iterations")
 
 
-def test_reproduce_rerun_is_byte_identical(tmp_path, tiny_config):
+def test_reproduce_runs_every_seed_of_a_seed_list(tmp_path):
+    out = tmp_path / "csv"
+    assert main(["reproduce", "table1", "--n", "400", "--seed", "0,1", "--methods", "fastica", "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in (out / "table1.csv").read_text().splitlines()]
+    scm, seed = header.index("scm"), header.index("seed")
+    assert [(row[scm], row[seed]) for row in rows] == [
+        ("nonlinear-1", "0"), ("nonlinear-1", "1"), ("nonlinear-2", "0"), ("nonlinear-2", "1"),
+    ]
+    header, *rows = [line.split(",") for line in (out / "table1_summary.csv").read_text().splitlines()]
+    assert [row[header.index("n_seeds")] for row in rows] == ["2", "2"]
+
+
+def test_reproduce_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for dest in (a, b):
-        assert main(["reproduce", "table1", "--config", tiny_config,
-                     "--n", "400", "--methods", "fastica", "--out", str(dest)]) == 0
+        assert main(["reproduce", "table1", "--n", "400", "--seed", "0", "--methods", "fastica", "--out", str(dest)]) == 0
     assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
     assert (a / "table1_summary.csv").read_bytes() == (b / "table1_summary.csv").read_bytes()
 
@@ -605,19 +519,19 @@ def test_reproduce_rerun_is_byte_identical(tmp_path, tiny_config):
     ],
 )
 def test_reproduce_rejects_a_flag_that_every_cell_of_its_grid_overrides(
-    tmp_path, tiny_config, capsys, which, flags, named
+    tmp_path, capsys, which, flags, named
 ):
     out = tmp_path / "csv"
-    code = main(["reproduce", which, "--config", tiny_config, "--seed", "0",
+    code = main(["reproduce", which, "--seed", "0",
                  "--methods", "fastica", "--out", str(out), *flags])
     assert code == 1
     assert capsys.readouterr().err == f"error: every cell of {which} sets what {named} would; drop them\n"
     assert not out.exists()
 
 
-def test_reproduce_rejects_a_repeated_method(tmp_path, tiny_config, capsys):
+def test_reproduce_rejects_a_repeated_method(tmp_path, capsys):
     out = tmp_path / "csv"
-    code = main(["reproduce", "table1", "--config", tiny_config, "--methods", "ours,ours", "--out", str(out)])
+    code = main(["reproduce", "table1", "--methods", "ours,ours", "--out", str(out)])
     assert code == 1
     assert "methods must be distinct" in capsys.readouterr().err
     assert not out.exists()
@@ -649,6 +563,11 @@ def test_usage_errors_use_validation_exit_code():
         ["check-design", "--design", "separating", "--n", "2"],
         ["check-design", "--design", "separating", "--out", "run"],
         ["evaluate", "--data", "d.json", "--check", "c.json"],
+        # flags are the only settings: no subcommand reads a config file
+        ["generate", "--config", "cfg.ini", "--out", "run"],
+        ["check-design", "--config", "cfg.ini", "--design", "separating"],
+        ["train", "--config", "cfg.ini", "--data", "d.json"],
+        ["reproduce", "fig2b", "--config", "cfg.ini", "--out", "run"],
     ],
 )
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):

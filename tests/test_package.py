@@ -100,3 +100,27 @@ def test_read_json_is_the_one_reader_of_json_files():
     assert decoders == ["data.load", "experiments.read_json"]
     for cls in (varsparse.EnvironmentSet, varsparse.UnmixingModel):
         assert [name for name in ("to_json", "from_json") if hasattr(cls, name)] == []
+
+
+def _imported_modules(tree: ast.AST) -> list[str]:
+    """The module named by each import statement under tree."""
+    return [
+        name
+        for node in ast.walk(tree)
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module or ""] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+    ]
+
+
+def test_no_module_imports_configparser():
+    # flags and the JSON documents read_json reads are the command line's only
+    # inputs; a config-file reader would be a second format for the same fields
+    importers = [
+        path.stem
+        for path in sorted((ROOT / "src" / "varsparse").glob("*.py"))
+        if "configparser" in _imported_modules(ast.parse(path.read_text()))
+    ]
+    assert importers == []
