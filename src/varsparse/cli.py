@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .data import export_csv
-from .envs import EnvironmentSet, check_sufficient_coverage
+from .envs import EnvironmentSet, _integer, check_sufficient_coverage
 from .experiments import (
     DESIGN_KINDS,
     GRIDS,
@@ -125,19 +125,30 @@ def cmd_check_design(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
+def _run_seed(manifest: dict) -> int:
+    """The run seed a manifest records: it names the data and the optimizer together."""
+    try:
+        seed = _integer("seed", manifest["seed"])
+    except KeyError as err:
+        raise ValueError(f"malformed manifest: missing field {err}") from err
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def cmd_train(args: argparse.Namespace) -> int:
-    config, seed = _one_run(args)
+    config = build_config(args)
     if not args.data:
         raise ValueError("train needs --data pointing at a generated manifest.json")
-    dataset = read_json(args.data, regenerate)
+    dataset, train_config = read_json(
+        args.data, lambda doc: (regenerate(doc), config.train_config(_run_seed(doc)))
+    )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    train_config = config.train_config(seed)
     model, report = train(train_covariances(dataset), dataset.n_train, train_config)
     checkpoint = out / "checkpoint.json"
     checkpoint.write_text(json.dumps({"config": vars(train_config), **model.to_dict()}) + "\n")
     (out / "train_report.json").write_text(report.to_json() + "\n")
-    report.to_csv(out / "train_losses.csv")
     score = mcc_between(pooled_test_moments(dataset), (model.lhat, 0.0)).score
     print(f"last epoch's mean training loss {float(report.epoch_losses[-1].total)!r}")
     print(f"L-BFGS-B converged {report.converged} after {report.n_iter} iterations, {report.n_evals} evaluations")
@@ -178,8 +189,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         where = f"scm={r.scm} d={r.d} p={r.p} n={r.n_per_env} seed={r.seed} {r.method}"
         if r.error:
             print(f"row failed ({where}): {r.error}")
-        elif r.ica_converged is False:
-            print(f"row did not converge ({where}): FastICA stopped at {r.ica_n_iter} iterations")
+        elif r.converged is False:
+            print(f"row did not converge ({where}): stopped at {r.n_iter} iterations")
     return EXIT_OK
 
 
@@ -209,8 +220,8 @@ def build_parser() -> _Parser:
     )
     chk.set_defaults(func=cmd_check_design)
 
-    trn = sub.add_parser("train", parents=[run, out], help="fit the unmixing model on a dataset")
-    trn.add_argument("--data", help="manifest.json from generate")
+    trn = sub.add_parser("train", parents=[out], help="fit the unmixing model on a dataset")
+    trn.add_argument("--data", help="manifest.json from generate; its seed is the run seed")
     trn.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("evaluate", help="score a checkpoint on a dataset")

@@ -152,11 +152,8 @@ class ResultRow:
     seed: int
     method: str
     mcc: float
-    # FastICA rows only; None (a blank CSV cell) for ours and for failed rows.
-    # ica_n_iter counts every fixed-point step, those on the coarse subsample
-    # too; an accelerated step sweeps the columns once and counts as one
-    ica_converged: Optional[bool] = None
-    ica_n_iter: Optional[int] = None
+    converged: Optional[bool] = None  # None (a blank CSV cell) for failed rows
+    n_iter: Optional[int] = None
     error: str = ""
 
 
@@ -307,22 +304,21 @@ def _fit_and_score(
     seed: int,
     moments: PooledMoments,
 ) -> dict:
-    """The ResultRow fields of one method's fit: its mcc, and FastICA's
-    ica_converged and ica_n_iter.
+    """The ResultRow fields of one method's fit: its mcc, whether the fit
+    converged and after how many iterations.
 
     Both methods learn a linear map (x - offset) @ unmixing, scored from the
     dataset's pooled test moments, which the caller builds once."""
     if method == "ours":
-        model, _ = train(train_covariances(dataset), dataset.n_train, config.train_config(seed))
-        learned, fit = (model.lhat, 0.0), {}
+        model, report = train(train_covariances(dataset), dataset.n_train, config.train_config(seed))
+        learned, converged, n_iter = (model.lhat, 0.0), report.converged, report.n_iter
     elif method == "fastica":
         blocks = [dataset.train_observed(e) for e in range(dataset.n_envs)]
         ica = fit_fastica(blocks, dataset.d, seed=derive_seed(seed, SEED_ICA))
-        learned = (ica.whitening @ ica.rotation.T, ica.mean)
-        fit = dict(ica_converged=ica.converged, ica_n_iter=ica.n_iter)
+        learned, converged, n_iter = (ica.whitening @ ica.rotation.T, ica.mean), ica.converged, ica.n_iter
     else:
         raise ValueError(f"unknown method {method!r}")
-    return dict(mcc=mcc_between(moments, learned).score, **fit)
+    return dict(mcc=mcc_between(moments, learned).score, converged=converged, n_iter=n_iter)
 
 
 def _score_methods(

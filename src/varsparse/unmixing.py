@@ -28,9 +28,8 @@ import functools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.optimize import minimize
@@ -58,10 +57,8 @@ class NumericalError(RuntimeError):
 class TrainingAborted(RuntimeError):
     """Training stopped early; carries the partial report for inspection."""
 
-    def __init__(self, message: str, epoch: int, step: int, report: "TrainReport"):
+    def __init__(self, message: str, report: "TrainReport"):
         super().__init__(message)
-        self.epoch = epoch
-        self.step = step
         self.report = report
 
 
@@ -125,8 +122,7 @@ class TrainConfig:
 class LossBreakdown:
     """Raw (unweighted) term values plus the weighted total.
 
-    Field order is the column order of train_losses.csv and the key order of
-    each epoch in train_report.json."""
+    Field order is the key order of each epoch in train_report.json."""
 
     total: float
     loss_var: float
@@ -141,8 +137,9 @@ class TrainReport:
     """Per-epoch mean loss breakdown and end-of-run diagnostics.
 
     Epoch k is block k of ceil(n_rows / batch_size) accepted iterates (the
-    last may be short; with none accepted, the start): epoch_losses[k] is its
-    mean breakdown and grad_norms[k] the Frobenius norm of its last gradient.
+    last may be short; with none accepted, the start), in a run that aborts
+    too: epoch_losses[k] is its mean breakdown and grad_norms[k] the Frobenius
+    norm of its last gradient.
     converged, n_iter and n_evals: whether L-BFGS-B met its tolerances, and
     how many iterates it accepted and evaluations it made."""
 
@@ -169,15 +166,6 @@ class TrainReport:
             else self.final_variances.tolist(),
         }
         return json.dumps(doc, indent=2)
-
-    def to_csv(self, path: Union[str, Path]) -> None:
-        names = [f.name for f in fields(LossBreakdown)]
-        lines = [",".join(["epoch", *names])]
-        lines += [
-            ",".join([str(i), *(repr(getattr(b, name)) for name in names)])
-            for i, b in enumerate(self.epoch_losses)
-        ]
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def covariances(batches: Iterable[np.ndarray]) -> np.ndarray:
@@ -335,15 +323,6 @@ def _directional_grad_check(
     return worst
 
 
-def _record_blocks(report: TrainReport, iterates: list, size: int) -> None:
-    """Append the mean breakdown and last gradient norm of each block of size iterates."""
-    for start in range(0, len(iterates), size):
-        block = iterates[start : start + size]
-        terms = zip(*(vars(breakdown).values() for breakdown, _ in block))
-        report.epoch_losses.append(LossBreakdown(*(math.fsum(t) / len(block) for t in terms)))
-        report.grad_norms.append(block[-1][1])
-
-
 def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingModel, TrainReport]:
     """Full-batch minimization of the objective by L-BFGS-B over an (E, d, d)
     stack of per-environment train covariances, E >= 2 and d >= 1, which it
@@ -407,14 +386,17 @@ def train(covs: np.ndarray, n_rows: int, config: TrainConfig) -> tuple[UnmixingM
             callback=accept, options={"maxiter": config.epochs * steps_per_epoch},
         )
     except NumericalError as err:
-        epoch, step = divmod(report.n_iter, steps_per_epoch)
-        _record_blocks(report, iterates[1 : 1 + epoch * steps_per_epoch], steps_per_epoch)
+        raise TrainingAborted(f"aborted after {report.n_iter} iterations: {err}", report) from err
+    finally:  # an aborted run records its accepted iterates as a finished one does
+        # epoch k: the mean breakdown and last gradient norm of block k of accepted iterates
+        accepted = iterates[1:] or iterates
+        for start in range(0, len(accepted), steps_per_epoch):
+            block = accepted[start : start + steps_per_epoch]
+            terms = zip(*(vars(breakdown).values() for breakdown, _ in block))
+            report.epoch_losses.append(LossBreakdown(*(math.fsum(t) / len(block) for t in terms)))
+            report.grad_norms.append(block[-1][1])
         report.wall_time_s = time.perf_counter() - started
-        message = f"aborted at epoch {epoch}, step {step}: {err}"
-        raise TrainingAborted(message, epoch, step, report) from err
-    _record_blocks(report, iterates[1:] or iterates, steps_per_epoch)
     report.converged = bool(result.success)
     lhat = result.x.reshape(d, d)
     report.final_variances = variance_matrix(covs, lhat)
-    report.wall_time_s = time.perf_counter() - started
     return UnmixingModel(lhat), report

@@ -9,7 +9,7 @@ import pytest
 from varsparse import cli
 from varsparse.cli import build_config, build_parser, main
 from varsparse.envs import EnvironmentSet, InterventionRegime, leave_one_out_design
-from varsparse.experiments import ExperimentConfig, dataset_sha256, make_dataset, read_json, regenerate
+from varsparse.experiments import ExperimentConfig, dataset_sha256, make_dataset, read_json, regenerate, run_cell
 from varsparse.metrics import mcc_between
 import varsparse.ica as ica
 import varsparse.unmixing as unmixing
@@ -267,6 +267,14 @@ _BAD_DOCUMENTS = [
         lambda m: json.dumps({**m, "mixing": [[10**400, *row[1:]] for row in m["mixing"]]}),
         id="train-data-mixing-entry-too-large-for-a-float",
     ),
+    # train's run seed is the manifest's, so it must be there and a nonnegative integer
+    pytest.param(
+        "train-data", lambda m: json.dumps({k: v for k, v in m.items() if k != "seed"}), id="train-data-missing-seed"
+    ),
+    *(
+        pytest.param("train-data", lambda m, seed=seed: json.dumps({**m, "seed": seed}), id=f"train-data-{kind}-seed")
+        for kind, seed in (("string", "1"), ("float", 1.5), ("bool", True), ("negative", -1))
+    ),
     pytest.param("evaluate-checkpoint", lambda m: "[]", id="evaluate-checkpoint-json-list"),
     pytest.param("evaluate-checkpoint", lambda m: '{"lhat": [[1.0, 0.0]]}', id="evaluate-checkpoint-non-square"),
     pytest.param("evaluate-checkpoint", lambda m: _V1_CHECKPOINT, id="evaluate-checkpoint-binary-format"),
@@ -296,7 +304,6 @@ def test_a_malformed_input_document_exits_1_naming_it(tmp_path, capsys, tiny_man
 _ONE_RUN = {
     "generate": ["generate", *TINY[:-2], "--out", "{out}"],
     "check-design": ["check-design", "--design", "leave-one-out", "--d", "3"],
-    "train": ["train", "--data", "{manifest}", "--out", "{out}"],
 }
 
 
@@ -337,9 +344,9 @@ def test_train_writes_checkpoint_and_reports(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["generate", *TINY, "--out", str(out)]) == 0
     assert main(["train", "--data", str(out / "manifest.json"), "--out", str(out)]) == 0
-    assert (out / "checkpoint.json").exists()
-    assert (out / "train_report.json").exists()
-    assert (out / "train_losses.csv").read_text().startswith("epoch,total,")
+    assert sorted(p.name for p in out.iterdir() if not p.name.startswith("env_")) == [
+        "checkpoint.json", "manifest.json", "train_report.json",
+    ]
     text = capsys.readouterr().out
     assert "test-split mcc" in text
     # the printed loss is the last epoch's mean over its iterates, as the report records it
@@ -350,15 +357,20 @@ def test_train_writes_checkpoint_and_reports(tmp_path, capsys):
     assert counts in text.splitlines()
 
 
-def test_train_seed_changes_checkpoint(tmp_path):
-    out = tmp_path / "run"
-    main(["generate", *TINY, "--out", str(out)])
-    data = str(out / "manifest.json")
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    for dest, seed in ((a, ["--seed", "0"]), (b, ["--seed", "1"]), (c, [])):  # no --seed is seed 0
-        assert main(["train", "--data", data, "--out", str(dest), *seed]) == 0
-    assert (a / "checkpoint.json").read_bytes() != (b / "checkpoint.json").read_bytes()
-    assert (a / "checkpoint.json").read_bytes() == (c / "checkpoint.json").read_bytes()
+def test_train_seed_changes_checkpoint(tmp_path, capsys):
+    # the manifest's seed names the data and the optimizer together, so train
+    # on seed s's manifest scores what the grid's row for seed s scores
+    config = ExperimentConfig(d=3, p=0.5, n_per_env=1200)
+    checkpoints = []
+    for seed in (0, 1):
+        run = tmp_path / f"seed{seed}"
+        assert main(["generate", *TINY[:-1], str(seed), "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(run / "manifest.json"), "--out", str(run)]) == 0
+        printed = re.search(r"test-split mcc (\S+)", capsys.readouterr().out).group(1)
+        assert printed == repr(run_cell("unit", config, seed, "ours").mcc)
+        checkpoints.append((run / "checkpoint.json").read_bytes())
+    assert checkpoints[0] != checkpoints[1]
 
 
 def test_train_without_dataset_is_a_validation_error(capsys):
@@ -487,7 +499,20 @@ def test_reproduce_prints_each_fastica_row_that_did_not_converge(tmp_path, capsy
     lines = [line for line in capsys.readouterr().out.splitlines() if "did not converge" in line]
     assert len(lines) == 5
     for line, p in zip(lines, (0.0, 0.25, 0.5, 0.75, 1.0)):
-        assert f"p={p} " in line and line.endswith("FastICA stopped at 1 iterations")
+        assert f"p={p} " in line and line.endswith("fastica): stopped at 1 iterations")
+
+
+def test_reproduce_prints_each_ours_row_that_did_not_converge(tmp_path, capsys):
+    # 300 train rows per environment make one batch: a cap of 50 iterations, too few at d=6
+    out = tmp_path / "csv"
+    assert main(["reproduce", "table1", "--n", "400", "--seed", "0", "--methods", "ours", "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "did not converge" in line]
+    assert lines == [
+        f"row did not converge (scm={scm} d=6 p=None n=400 seed=0 ours): stopped at 50 iterations"
+        for scm in ("nonlinear-1", "nonlinear-2")
+    ]
+    header, *rows = [line.split(",") for line in (out / "table1.csv").read_text().splitlines()]
+    assert [row[header.index("converged")] + "," + row[header.index("n_iter")] for row in rows] == ["False,50"] * 2
 
 
 def test_reproduce_runs_every_seed_of_a_seed_list(tmp_path):
@@ -568,6 +593,8 @@ def test_usage_errors_use_validation_exit_code():
         ["check-design", "--config", "cfg.ini", "--design", "separating"],
         ["train", "--config", "cfg.ini", "--data", "d.json"],
         ["reproduce", "fig2b", "--config", "cfg.ini", "--out", "run"],
+        # the manifest names train's seed
+        ["train", "--data", "d.json", "--seed", "1"],
     ],
 )
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):

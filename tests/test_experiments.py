@@ -227,10 +227,11 @@ def test_methods_are_scored_from_test_moments_as_the_test_rows_score(method, mon
     x = np.vstack([dataset.test_observed(e) for e in range(dataset.n_envs)])
     (model,) = fitted
     if method == "ours":
-        assert fit == {"mcc": fit["mcc"]}
-        learned = x @ model[0].lhat
+        model, report = model
+        assert fit == {"mcc": fit["mcc"], "converged": report.converged, "n_iter": report.n_iter}
+        learned = x @ model.lhat
     else:
-        assert fit == {"mcc": fit["mcc"], "ica_converged": model.converged, "ica_n_iter": model.n_iter}
+        assert fit == {"mcc": fit["mcc"], "converged": model.converged, "n_iter": model.n_iter}
         learned = ((x - model.mean) @ model.whitening) @ model.rotation.T
     assert abs(fit["mcc"] - mcc_between(z, learned).score) <= 1e-12
 
@@ -299,10 +300,8 @@ def test_run_cell_both_methods_return_scores():
         assert row.error == ""
         assert 0.0 <= row.mcc <= 1.0
         assert row.method == method and row.seed == 0 and row.d == 3
-        if method == "ours":
-            assert row.ica_converged is None and row.ica_n_iter is None
-        else:
-            assert row.ica_converged is True and row.ica_n_iter >= 1
+        assert row.n_iter >= 1
+        assert row.converged is (method == "fastica")  # TINY caps ours at 3 epochs x 5 steps
 
 
 @pytest.mark.parametrize("method", experiments.METHODS)
@@ -335,7 +334,7 @@ def test_run_cell_records_fastica_non_convergence(monkeypatch):
     monkeypatch.setattr(ica, "_MAX_ITER", 1)
     row = run_cell("unit", TINY, seed=0, method="fastica")
     assert row.error == "" and np.isfinite(row.mcc)
-    assert row.ica_converged is False and row.ica_n_iter == 1
+    assert row.converged is False and row.n_iter == 1
 
 
 def test_grid_of_capped_fastica_fits_writes_every_row(monkeypatch):
@@ -343,7 +342,29 @@ def test_grid_of_capped_fastica_fits_writes_every_row(monkeypatch):
     rows = run_experiment("fig2b", ExperimentConfig(d=3, n_per_env=400, seeds=(0,)), methods=("fastica",))
     assert len(rows) == 5
     for row in rows:
-        assert row.error == "" and row.ica_converged is False and row.ica_n_iter == 1
+        assert row.error == "" and row.converged is False and row.n_iter == 1
+
+
+def test_an_ours_row_carries_its_training_reports_convergence(monkeypatch):
+    reports = []
+
+    def spied(*args):
+        model, report = train(*args)
+        reports.append(report)
+        return model, report
+
+    monkeypatch.setattr(experiments, "train", spied)
+    config = replace(TINY, epochs=50, batch_size=4096)  # a cap of 50 iterations
+    rows = [run_cell("unit", config, seed, "ours") for seed in (0, 1)]
+    assert [(row.converged, row.n_iter) for row in rows] == [(r.converged, r.n_iter) for r in reports]
+    assert all(row.converged is True and 1 <= row.n_iter < 50 for row in rows)
+
+
+def test_a_capped_ours_run_records_that_it_did_not_converge():
+    # 300 train rows in one batch: one iteration per epoch, a cap of 1
+    row = run_cell("unit", ExperimentConfig(d=3, n_per_env=400, epochs=1, batch_size=300), 0, "ours")
+    assert row.error == "" and np.isfinite(row.mcc)
+    assert row.converged is False and row.n_iter == 1
 
 
 def test_run_cell_records_failures_as_rows(monkeypatch):
@@ -377,7 +398,7 @@ def test_run_cell_records_a_failing_design_file_as_a_typed_row(tmp_path, doc, ex
     config = ExperimentConfig(d=3, n_per_env=400, seeds=(0,), design=str(path))
     row = run_cell("unit", config, seed=0, method="fastica")
     assert np.isnan(row.mcc) and row.error.startswith(f"{expected}: ")
-    assert row.ica_converged is None and row.ica_n_iter is None
+    assert row.converged is None and row.n_iter is None
 
 
 def test_run_cell_records_exhausted_mixing_draws_as_a_typed_row(monkeypatch):
@@ -412,7 +433,7 @@ def test_fastica_holds_under_one_copy_of_the_pooled_train_rows(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fit["ica_n_iter"] == 1
+    assert fit["n_iter"] == 1
     assert peak < pooled_bytes, (peak, pooled_bytes)
 
 
@@ -540,15 +561,17 @@ def test_csv_headers_and_failure_cells(tmp_path):
     rows = [
         _row(0, 0.9),
         ResultRow("x", "linear", 3, 0.5, 100, 1, "ours", float("nan"), error="boom, bad\nline"),
-        ResultRow("x", "linear", 3, 0.5, 100, 0, "fastica", 0.5, ica_converged=False, ica_n_iter=500),
+        ResultRow("x", "linear", 3, 0.5, 100, 0, "fastica", 0.5, converged=False, n_iter=500),
+        ResultRow("y", "linear", 3, 0.5, 100, 0, "ours", 0.8, converged=True, n_iter=231),
     ]
     path = tmp_path / "rows.csv"
     write_rows_csv(rows, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "experiment,scm,d,p,n_per_env,seed,method,mcc,ica_converged,ica_n_iter,error"
+    assert lines[0] == "experiment,scm,d,p,n_per_env,seed,method,mcc,converged,n_iter,error"
     assert lines[1] == "x,linear,3,0.5,100,0,ours,0.9,,,"
     assert lines[2].endswith("nan,,,boom; bad line")  # commas and newlines stay out of cells
     assert lines[3] == "x,linear,3,0.5,100,0,fastica,0.5,False,500,"
+    assert lines[4] == "y,linear,3,0.5,100,0,ours,0.8,True,231,"
     spath = tmp_path / "summary.csv"
     write_summary_csv(summarize(rows), spath)
     slines = spath.read_text().splitlines()

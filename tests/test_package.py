@@ -72,6 +72,16 @@ def test_readme_commands_parse_and_read_manifests():
     assert [Path(path).name for path in checkpoints] == ["checkpoint.json"]
 
 
+def test_readme_csv_schemas_are_the_fields_of_the_row_types():
+    # the two fenced header lines under "### CSV schemas" are the columns the
+    # writers put out: ResultRow's fields for <grid>.csv, SummaryRow's for the summary
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n### CSV schemas\n", 1)[1].split("\n## ", 1)[0]
+    headers = re.findall(r"^```\n(.*?)\n```$", section, flags=re.M)
+    rows = (varsparse.experiments.ResultRow, varsparse.experiments.SummaryRow)
+    assert headers == [",".join(f.name for f in dataclasses.fields(cls)) for cls in rows]
+
+
 def _json_decoders(node: ast.AST, scope: str) -> list[str]:
     """The scope (module, then class and function names) of each call under node
     to json.load or json.loads, and of each import from json, which would hide one."""

@@ -21,6 +21,7 @@ from varsparse.unmixing import (
     LAMBDA_M,
     LAMBDA_NORM,
     NORM_TARGET,
+    LossBreakdown,
     TrainConfig,
     TrainingAborted,
     UnmixingModel,
@@ -688,7 +689,7 @@ def test_train_runs_on_a_stack_built_without_rows(covs, n_rows, epochs, seed):
     assert report.final_variances.shape == covs.shape[:2]
 
 
-def test_train_report_shapes_and_exports(tmp_path):
+def test_train_report_shapes_and_exports():
     ds = _chain_dataset(n=2_000, seed=2)
     _, report = train(train_covariances(ds), ds.n_train, TrainConfig(epochs=2, batch_size=500, seed=0))
     assert report.final_variances.shape == (3, 3)
@@ -696,14 +697,9 @@ def test_train_report_shapes_and_exports(tmp_path):
     doc = json.loads(report.to_json())
     assert len(doc["epochs"]) == 2
     assert all(np.isfinite(list(e.values())).all() for e in doc["epochs"])
-    csv_path = tmp_path / "report.csv"
-    report.to_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,total,loss_var,loss_env,loss_dim,loss_diag,loss_norm"
-    assert len(lines) == 3
-    for i, (line, epoch) in enumerate(zip(lines[1:], doc["epochs"])):
-        cells = [float(cell) for cell in line.split(",")]  # plain repr floats
-        assert cells == [i, *epoch.values()]
+    # each epoch's keys are LossBreakdown's fields in order, its floats round-trip
+    assert [LossBreakdown(**epoch) for epoch in doc["epochs"]] == report.epoch_losses
+    assert [list(epoch) for epoch in doc["epochs"]] == [[f.name for f in fields(LossBreakdown)]] * 2
 
 
 def test_train_rejects_degenerate_inputs():
@@ -842,6 +838,24 @@ def test_a_run_that_accepts_no_iterate_reports_its_start(monkeypatch):
     assert report.grad_norms == [float(np.linalg.norm(grad))]
 
 
+def _halt_after(monkeypatch, n_iter):
+    """Make train's L-BFGS-B stop once it has accepted n_iter iterates, as a
+    finished run: a callback that raises StopIteration ends SciPy's minimize."""
+
+    def halting(fun, x0, callback, **kwargs):
+        seen = []
+
+        def accept(x):
+            callback(x)
+            seen.append(x)
+            if len(seen) == n_iter:
+                raise StopIteration
+
+        return minimize(fun, x0, callback=accept, **kwargs)
+
+    monkeypatch.setattr(unmixing, "minimize", halting)
+
+
 def test_a_numerical_error_mid_run_aborts_at_the_iterations_done(monkeypatch):
     ds = _chain_dataset(n=1_000)
     covs = train_covariances(ds)
@@ -857,17 +871,23 @@ def test_a_numerical_error_mid_run_aborts_at_the_iterations_done(monkeypatch):
     monkeypatch.setattr(unmixing, "objective", failing)
     accepted = _spy_on_accepted_iterates(monkeypatch, calls)
     _, clean = train(covs, ds.n_train, config)
-    # the first evaluation after the fifth accepted iterate: epoch 1, step 2
+    # the first evaluation after the fifth accepted iterate
     fail_at.append(accepted[4][1] + 1)
     calls.clear()
     with pytest.raises(TrainingAborted) as err:
         train(covs, ds.n_train, config)
-    assert str(err.value) == "aborted at epoch 1, step 2: injected"
-    assert (err.value.epoch, err.value.step) == (1, 2)
+    assert str(err.value) == "aborted after 5 iterations: injected"
     partial = err.value.report
     assert partial.n_iter == 5 and not partial.converged and partial.wall_time_s > 0
-    assert partial.epoch_losses == clean.epoch_losses[:1]
-    assert partial.grad_norms == clean.grad_norms[:1]
+    # the blocks a finished run records over the same five accepted iterates:
+    # one full epoch, the clean run's first, and a short one of two
+    fail_at.clear()
+    _halt_after(monkeypatch, 5)
+    _, finished = train(covs, ds.n_train, config)
+    assert (finished.n_iter, finished.converged) == (5, False)
+    assert partial.epoch_losses == finished.epoch_losses and len(partial.epoch_losses) == 2
+    assert partial.grad_norms == finished.grad_norms
+    assert partial.epoch_losses[0] == clean.epoch_losses[0] != partial.epoch_losses[1]
 
 
 def test_train_takes_one_step_per_epoch_from_any_batch_size_past_the_train_rows():
@@ -912,9 +932,11 @@ def test_training_aborted_carries_partial_report(monkeypatch):
     config = TrainConfig(epochs=5, batch_size=500, seed=0)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingAborted) as err:
         train(train_covariances(ds), ds.n_train, config)
-    assert "aborted at epoch 0, step 0" in str(err.value) and "total=inf" in str(err.value)
-    assert (err.value.epoch, err.value.step) == (0, 0)
-    assert err.value.report.epoch_losses == [] and err.value.report.wall_time_s > 0
+    assert str(err.value).startswith("aborted after 0 iterations: ") and "total=inf" in str(err.value)
+    # the start's own evaluation failed, so no breakdown exists to record
+    partial = err.value.report
+    assert (partial.n_iter, partial.n_evals) == (0, 0)
+    assert partial.epoch_losses == [] and partial.wall_time_s > 0
 
 
 def test_a_failing_gradient_check_aborts_training_like_a_failing_step(monkeypatch):
@@ -925,12 +947,17 @@ def test_a_failing_gradient_check_aborts_training_like_a_failing_step(monkeypatc
 
     # the steps call objective too, so the failure enters through the check alone
     monkeypatch.setattr(unmixing, "_directional_grad_check", injected)
+    covs = train_covariances(ds)
     with pytest.raises(TrainingAborted) as err:
-        train(train_covariances(ds), ds.n_train, TrainConfig(epochs=5, batch_size=500, seed=0))
-    assert str(err.value) == "aborted at epoch 0, step 0: injected"
-    assert (err.value.epoch, err.value.step) == (0, 0)
-    assert err.value.report.epoch_losses == [] and err.value.report.wall_time_s > 0
-    assert np.isnan(err.value.report.grad_check_rel_err)
+        train(covs, ds.n_train, TrainConfig(epochs=5, batch_size=500, seed=0))
+    assert str(err.value) == "aborted after 0 iterations: injected"
+    partial = err.value.report
+    assert partial.n_iter == 0 and partial.wall_time_s > 0
+    assert np.isnan(partial.grad_check_rel_err)
+    # as in a finished run that accepts no iterate, the one epoch is the start
+    breakdown, grad, _ = objective(covs, unmixing._initial_lhat(3, 0))
+    assert partial.epoch_losses == [breakdown]
+    assert partial.grad_norms == [float(np.linalg.norm(grad))]
 
 
 # ---------------------------------------------------------------- model/config types
